@@ -14,14 +14,14 @@ __version__ = "0.1.0"
 
 from .coefficients import CurvatureParams, sigma, s_vol, f_vol
 from .space1d import Topology1D, WeightFn, Space1D, SphereMeasure, RescaledSpace
-from .transport1d import ProbMeasure1D, QuantileFn, GeodesicOfMeasures
+from .transport1d import ProbMeasure1D, QuantileFn
 from .curvature import CurvatureReport, TriplePlan
 from .branching import Tripod, TripodPoint, BranchingScenario, PlanPair
 
 __all__ = [
     "CurvatureParams", "sigma", "s_vol", "f_vol",
     "Topology1D", "WeightFn", "Space1D", "SphereMeasure", "RescaledSpace",
-    "ProbMeasure1D", "QuantileFn", "GeodesicOfMeasures",
+    "ProbMeasure1D", "QuantileFn",
     "CurvatureReport", "TriplePlan",
     "Tripod", "TripodPoint", "BranchingScenario", "PlanPair",
     "__version__",

@@ -38,7 +38,6 @@ __all__ = [
     "TripodPoint",
     "BranchingScenario",
     "PlanPair",
-    "tripod_distance",
     "build_branching_plans",
     "entropy_along",
     "renyi_raw",
@@ -88,6 +87,7 @@ class Tripod:
             raise ValueError(f"point {p} beyond edge length")
 
     def distance(self, p: TripodPoint, q: TripodPoint) -> float:
+        """Path metric of the tripod (through the center across edges)."""
         self.check_point(p)
         self.check_point(q)
         if p.edge == q.edge:
@@ -113,11 +113,6 @@ class Tripod:
     @property
     def center(self) -> TripodPoint:
         return TripodPoint(0, 0.0)
-
-
-def tripod_distance(tripod: Tripod, p: TripodPoint, q: TripodPoint) -> float:
-    """Path metric of the tripod (through the center across edges)."""
-    return tripod.distance(p, q)
 
 
 @dataclass(frozen=True)
@@ -383,12 +378,6 @@ def _density_certificate(pair: PlanPair) -> dict:
         "sup_density_down_at_1": sup_1d,
         "C": max(sup_b, sup_1u, sup_1d),
     }
-
-
-def _half_entropy_pieces(pair: PlanPair, t: float, which: str):
-    """(edge, side, density_scale) integration pieces for one half plan."""
-    target_edge = 1 if which == "u" else 2
-    return [(0, "stem"), (target_edge, "target")]
 
 
 def entropy_along(pair: PlanPair, tripod: Tripod, t: float, which: str = "mixed") -> float:

@@ -37,12 +37,13 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # strict JSON has no Infinity/NaN literals
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
@@ -88,6 +89,8 @@ def _scenario_from_args(args) -> tuple[br.Tripod, br.BranchingScenario, list[flo
     )
     sweep = [float(v) for v in data.get("eps_sweep",
              [scenario.eps * f for f in _EPS_SWEEP_FACTORS])]
+    if not sweep:
+        raise ValueError("scenario description: eps_sweep is empty")
     return tripod, scenario, sweep
 
 
@@ -149,7 +152,8 @@ def _cmd_verify_cde(args):
     space = _space_from_args(args)
     params = _params_from_args(args)
     pairs = _default_pair_battery(space, args.seed)
-    report = cv.verify_cde(space, params, pairs, tol=args.tol or 5e-4, seed=args.seed)
+    report = cv.verify_cde(space, params, pairs,
+                           tol=5e-4 if args.tol is None else args.tol, seed=args.seed)
     body = _base_body(args, report.kind)
     body.update(report.to_dict())
     body["params"] = {"K": params.K, "N": params.N}
@@ -160,7 +164,8 @@ def _cmd_verify_cde(args):
 def _cmd_verify_cd_infty(args):
     space = _space_from_args(args)
     pairs = _default_pair_battery(space, args.seed)
-    report = cv.verify_cd_infty(space, args.k, pairs, tol=args.tol or 5e-4, seed=args.seed)
+    report = cv.verify_cd_infty(space, args.k, pairs,
+                                tol=5e-4 if args.tol is None else args.tol, seed=args.seed)
     body = _base_body(args, report.kind)
     body.update(report.to_dict())
     body["params"] = {"K": args.k}
@@ -186,7 +191,8 @@ def _cmd_bg_scan(args):
     lo, hi = space.domain()
     x0 = args.x if args.x is not None else 0.5 * (lo + hi)
     radii = _default_radii(space, x0, params)
-    report = gs.bg_ratio_scan(space, x0, params, radii, tol=args.tol or 1e-9)
+    report = gs.bg_ratio_scan(space, x0, params, radii,
+                              tol=1e-9 if args.tol is None else args.tol)
     body = _base_body(args, report.kind)
     body.update(report.to_dict())
     body["params"] = {"K": params.K, "N": params.N}
@@ -200,7 +206,8 @@ def _cmd_bg_boundary(args):
     lo, hi = space.domain()
     x0 = args.x if args.x is not None else 0.5 * (lo + hi)
     radii = _default_radii(space, x0, params)
-    report = gs.bg_boundary_check(space, x0, params, radii, tol=args.tol or 0.0)
+    report = gs.bg_boundary_check(space, x0, params, radii,
+                                  tol=0.0 if args.tol is None else args.tol)
     body = _base_body(args, report.kind)
     body.update(report.to_dict())
     body["params"] = {"K": params.K, "N": params.N}
@@ -278,23 +285,26 @@ def _cmd_classify(args):
     return 0, body, None
 
 
-def _cmd_tripod_shannon(args):
+def _tripod_sweep(args, check_id: str, renyi: bool):
+    """Shannon-chain and Renyi verdicts over the eps sweep; the report
+    follows the last eps, judged by the chain or by the Renyi ratio."""
     tripod, scenario, sweep = _scenario_from_args(args)
     rows = [("eps", "lhs", "rhs", "ratio")]
-    results = []
     for eps in sweep:
         sc = scenario.replace_eps(eps)
         pair = br.build_branching_plans(tripod, sc)
-        lhs, rhs, rep = br.entropy_chain_inequality(pair, tripod, sc)
-        ratio, _, _ = br.renyi_contradiction(pair, tripod, sc)
+        lhs, rhs, chain = br.entropy_chain_inequality(pair, tripod, sc)
+        ratio, _, ratio_rep = br.renyi_contradiction(pair, tripod, sc)
         rows.append((eps, lhs, rhs, ratio))
-        results.append(rep)
-    final = results[-1]
-    body = _base_body(args, "tripod-shannon-chain")
+    if renyi:
+        final, margin = ratio_rep, ratio_rep["threshold"] - ratio_rep["ratio"]
+    else:
+        final, margin = chain, chain["lhs"] - chain["rhs"]
+    body = _base_body(args, check_id)
     body.update({
         "params": {"a": scenario.a, "b": scenario.b, "eta": scenario.eta,
                    "beta": scenario.beta, "N": scenario.N},
-        "margin": final["lhs"] - final["rhs"],
+        "margin": margin,
         "witness": final,
         "grid_step": None,
         "sweep": [list(r) for r in rows[1:]],
@@ -303,28 +313,12 @@ def _cmd_tripod_shannon(args):
     return (0 if final["contradiction"] else 2), body, rows
 
 
+def _cmd_tripod_shannon(args):
+    return _tripod_sweep(args, "tripod-shannon-chain", renyi=False)
+
+
 def _cmd_tripod_renyi(args):
-    tripod, scenario, sweep = _scenario_from_args(args)
-    rows = [("eps", "lhs", "rhs", "ratio")]
-    last = None
-    for eps in sweep:
-        sc = scenario.replace_eps(eps)
-        pair = br.build_branching_plans(tripod, sc)
-        lhs, rhs, _ = br.entropy_chain_inequality(pair, tripod, sc)
-        ratio, thr, rep = br.renyi_contradiction(pair, tripod, sc)
-        rows.append((eps, lhs, rhs, ratio))
-        last = rep
-    body = _base_body(args, "tripod-renyi-chain")
-    body.update({
-        "params": {"a": scenario.a, "b": scenario.b, "eta": scenario.eta,
-                   "beta": scenario.beta, "N": scenario.N},
-        "margin": last["threshold"] - last["ratio"],
-        "witness": last,
-        "grid_step": None,
-        "sweep": [list(r) for r in rows[1:]],
-        "contradiction_reproduced": last["contradiction"],
-    })
-    return (0 if last["contradiction"] else 2), body, rows
+    return _tripod_sweep(args, "tripod-renyi-chain", renyi=True)
 
 
 def _cmd_coefficients_table(args):

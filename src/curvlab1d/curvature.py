@@ -23,7 +23,7 @@ import numpy as np
 
 from .coefficients import CurvatureParams, sigma
 from .space1d import Space1D, WeightFn
-from . import transport1d as tr
+from .transport1d import entropies_along
 
 __all__ = [
     "CurvatureReport",
@@ -234,27 +234,6 @@ def differential_criterion(f: WeightFn, params: CurvatureParams,
     )
 
 
-def _entropies_along(space: Space1D, mu0, mu1, ts: Sequence[float]):
-    """Exact entropies of the displacement interpolants at the given times.
-
-    Evaluated on the exact interpolant segments (not the re-binned grid) so
-    no histogramming bias enters the margins; endpoints go through the same
-    formula at t = 0, 1.
-    """
-    if space.topology.kind == "circle":
-        _, alpha = tr._circle_cut(space, mu0, mu1)
-        bp0 = tr._breakpoints(mu0)
-        bp1 = tr._shifted_bp(mu1, alpha)
-    else:
-        bp0 = tr._breakpoints(mu0)
-        bp1 = tr._breakpoints(mu1)
-    out = []
-    for t in ts:
-        xs, xe, masses = tr._interpolant_segments(bp0, bp1, t)
-        out.append(tr.entropy_of_segments(space, xs, xe, masses))
-    return out
-
-
 def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
                t_grid: Sequence[float] = _DEFAULT_T_GRID, tol: float = 5e-4,
                seed: int | None = None) -> CurvatureReport:
@@ -268,8 +247,7 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
     witness = {}
     flags = []
     for idx, (mu0, mu1) in enumerate(pair_battery):
-        dist = tr.w2(space, mu0, mu1)
-        ents = _entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
+        dist, ents = entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
         e0, e1 = ents[0], ents[1]
         if not (math.isfinite(e0) and math.isfinite(e1)):
             raise ValueError(f"pair {idx}: endpoint entropy diverges")
@@ -287,6 +265,8 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
                 worst = m
                 witness = {"pair": idx, "t": t, "w2": dist, "ent0": e0,
                            "ent1": e1, "ent_t": et, "margin": m}
+    if worst == -math.inf:
+        raise ValueError("no finite-margin pair in the battery")
     return CurvatureReport(
         kind="cde-entropic", K=params.K, N=params.N, max_violation=worst,
         witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
@@ -301,8 +281,7 @@ def verify_cd_infty(space: Space1D, K: float, pair_battery,
     worst = -math.inf
     witness = {}
     for idx, (mu0, mu1) in enumerate(pair_battery):
-        dist = tr.w2(space, mu0, mu1)
-        ents = _entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
+        dist, ents = entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
         e0, e1 = ents[0], ents[1]
         if not (math.isfinite(e0) and math.isfinite(e1)):
             raise ValueError(f"pair {idx}: endpoint entropy diverges")
@@ -313,6 +292,8 @@ def verify_cd_infty(space: Space1D, K: float, pair_battery,
                 worst = m
                 witness = {"pair": idx, "t": t, "w2": dist, "ent_t": et,
                            "bound": bound, "margin": m}
+    if worst == -math.inf:
+        raise ValueError("no finite-margin pair in the battery")
     return CurvatureReport(
         kind="cd-infinity", K=K, N=math.inf, max_violation=worst,
         witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,

@@ -64,6 +64,8 @@ def bg_ratio_scan(space: Space1D, x0: float, params: CurvatureParams,
                   r_grid: Sequence[float], tol: float = 1e-9) -> CurvatureReport:
     """Monotonicity of r -> m(B_r(x0)) / F(r); margin = worst increase."""
     rs = [float(r) for r in r_grid]
+    if len(rs) < 2:
+        raise ValueError("r_grid needs at least two radii")
     if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
         raise ValueError("r_grid must be increasing")
     conj = conjugate_radius(params)

@@ -2,10 +2,16 @@
 
 Measures are histograms: strictly increasing cell edges with a constant
 H^1-density per cell.  Their quantile functions are piecewise affine with
-explicit breakpoints, so W2, displacement interpolation and the entropy
-functionals evaluate by exact piecewise formulas (Simpson on each affine
-piece is exact for the quadratic integrand); no sampling error enters the
-curvature margins downstream.
+explicit breakpoints (`quantile` returns exactly that graph), so W2,
+displacement interpolation and the entropy functionals evaluate by exact
+piecewise formulas (Simpson on each affine piece is exact for the
+quadratic integrand); no sampling error enters the curvature margins
+downstream.
+
+This module alone decides how a pair is coupled: `_coupling` builds the
+monotone coupling once, as two quantile graphs, and `w2`,
+`displacement_interpolate` and `entropies_along` all read it, so a
+curvature check solves each pair once.
 
 Circle transport minimizes the line formula over the cumulative-mass
 shift of the target quantile (periodically extended in both windings),
@@ -28,19 +34,17 @@ from .space1d import Space1D
 __all__ = [
     "ProbMeasure1D",
     "QuantileFn",
-    "GeodesicOfMeasures",
     "quantile",
     "w2",
     "displacement_interpolate",
     "entropy",
     "renyi",
-    "geodesic",
+    "entropies_along",
     "uniform_measure",
     "measure_from_density",
     "measure_from_atoms",
 ]
 
-_MIN_QUANTILE_NODES = 4096
 _CIRCLE_CUTS = 256
 _ATOM_WIDTH = 1e-4
 
@@ -157,7 +161,7 @@ def _eval_quantile(U: np.ndarray, X: np.ndarray, q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantileFn:
-    """Monotone u -> coordinate map (inverse CDF) on an explicit node grid."""
+    """Monotone u -> coordinate map (inverse CDF) on its breakpoint graph."""
 
     u: np.ndarray
     x: np.ndarray
@@ -167,16 +171,9 @@ class QuantileFn:
         return float(res[0]) if np.ndim(q) == 0 else res
 
 
-def quantile(mu: ProbMeasure1D, min_nodes: int = _MIN_QUANTILE_NODES) -> QuantileFn:
-    """Quantile function on the union of a uniform u-grid and the exact breakpoints."""
-    U, X = _breakpoints(mu)
-    grid = np.linspace(0.0, 1.0, min_nodes)
-    extra = np.setdiff1d(grid, U)
-    xs_extra = _eval_quantile(U, X, extra)
-    u_all = np.concatenate([U, extra])
-    x_all = np.concatenate([X, xs_extra])
-    order = np.lexsort((x_all, u_all))
-    return QuantileFn(u_all[order], x_all[order])
+def quantile(mu: ProbMeasure1D) -> QuantileFn:
+    """Exact quantile function of mu: its piecewise-affine breakpoint graph."""
+    return QuantileFn(*_breakpoints(mu))
 
 
 def _affine_ends(U, X, ua, ub):
@@ -189,8 +186,12 @@ def _affine_ends(U, X, ua, ub):
     return X[k] + slope * (ua - U[k]), X[k] + slope * (ub - U[k])
 
 
-def _w2sq_line_bp(bp0, bp1) -> float:
-    """Exact integral of (Q0 - Q1)^2 du from the two breakpoint graphs."""
+def _merged_pieces(bp0, bp1):
+    """(du, a0, b0, a1, b1) on the merged u-grid of two quantile graphs.
+
+    Both quantiles are affine on each piece (ua, ub) of the merged grid:
+    du = ub - ua, and a*, b* are their values at ua and ub.
+    """
     U0, X0 = bp0
     U1, X1 = bp1
     mu = np.unique(np.concatenate([U0, U1]))
@@ -199,9 +200,15 @@ def _w2sq_line_bp(bp0, bp1) -> float:
     ua, ub = ua[keep], ub[keep]
     a0, b0 = _affine_ends(U0, X0, ua, ub)
     a1, b1 = _affine_ends(U1, X1, ua, ub)
+    return ub - ua, a0, b0, a1, b1
+
+
+def _w2sq_line_bp(bp0, bp1) -> float:
+    """Exact integral of (Q0 - Q1)^2 du from the two breakpoint graphs."""
+    du, a0, b0, a1, b1 = _merged_pieces(bp0, bp1)
     da, db = a0 - a1, b0 - b1
     dm = 0.5 * (da + db)
-    return float(np.sum((ub - ua) / 6.0 * (da * da + 4.0 * dm * dm + db * db)))
+    return float(np.sum(du / 6.0 * (da * da + 4.0 * dm * dm + db * db)))
 
 
 def _extended_bp(mu: ProbMeasure1D) -> tuple[np.ndarray, np.ndarray]:
@@ -302,30 +309,34 @@ def _check_same_space(mu0: ProbMeasure1D, mu1: ProbMeasure1D):
         raise ValueError("measures live on different spaces")
 
 
+def _coupling(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D):
+    """(W2, bp0, bp1): the monotone coupling of a pair as two quantile graphs.
+
+    On a circle one cut picks the mass shift alpha and bp1 is the target
+    graph shifted by it; W2 is the cost of exactly this coupling.
+    """
+    _check_same_space(mu0, mu1)
+    bp0 = _breakpoints(mu0)
+    if space.topology.kind == "circle":
+        v, alpha = _circle_cut(space, mu0, mu1)
+        bp1 = _shifted_bp(mu1, alpha)
+    else:
+        bp1 = _breakpoints(mu1)
+        v = _w2sq_line_bp(bp0, bp1)
+    return math.sqrt(max(v, 0.0)), bp0, bp1
+
+
 def w2(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D) -> float:
     """L^2-Wasserstein distance via monotone (quantile) coupling."""
-    _check_same_space(mu0, mu1)
-    if space.topology.kind == "circle":
-        v, _ = _circle_cut(space, mu0, mu1)
-        return math.sqrt(max(v, 0.0))
-    return math.sqrt(max(_w2sq_line_bp(_breakpoints(mu0), _breakpoints(mu1)), 0.0))
+    return _coupling(space, mu0, mu1)[0]
 
 
 # -- displacement interpolation ----------------------------------------------
 
 def _interpolant_segments(bp0, bp1, t: float):
     """Uniform segments (start, end, mass) of the time-t displacement measure."""
-    U0, X0 = bp0
-    U1, X1 = bp1
-    mu = np.unique(np.concatenate([U0, U1]))
-    ua, ub = mu[:-1], mu[1:]
-    keep = ub > ua
-    ua, ub = ua[keep], ub[keep]
-    a0, b0 = _affine_ends(U0, X0, ua, ub)
-    a1, b1 = _affine_ends(U1, X1, ua, ub)
-    xs = (1.0 - t) * a0 + t * a1
-    xe = (1.0 - t) * b0 + t * b1
-    return xs, xe, ub - ua
+    du, a0, b0, a1, b1 = _merged_pieces(bp0, bp1)
+    return (1.0 - t) * a0 + t * a1, (1.0 - t) * b0 + t * b1, du
 
 
 def _bin_segments(xs, xe, masses, lo, hi, step):
@@ -360,32 +371,20 @@ def displacement_interpolate(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasur
     """Pushforward of u -> (1-t) Q0(u) + t Q1(u), re-binned onto the space grid."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0,1], got {t}")
-    _check_same_space(mu0, mu1)
+    _, bp0, bp1 = _coupling(space, mu0, mu1)
+    xs, xe, masses = _interpolant_segments(bp0, bp1, t)
     if space.topology.kind == "circle":
-        _, alpha = _circle_cut(space, mu0, mu1)
-        bp0 = _breakpoints(mu0)
-        bp1 = _shifted_bp(mu1, alpha)
-        xs, xe, masses = _interpolant_segments(bp0, bp1, t)
-        circ = space.topology.circumference
-        # wrap segments back onto [0, circ)
+        # wrap segments back onto [0, circ), splitting mass by piece length
         xs_w, xe_w, ms_w = [], [], []
         for s, e, m in zip(xs, xe, masses):
-            s_m = s % circ
-            shift = s_m - s
-            e_m = e + shift
-            if e_m <= circ + 1e-12:
-                xs_w.append(s_m), xe_w.append(min(e_m, circ)), ms_w.append(m)
-            else:
-                frac = (circ - s_m) / (e_m - s_m)
-                xs_w.extend([s_m, 0.0])
-                xe_w.extend([circ, e_m - circ])
-                ms_w.extend([m * frac, m * (1.0 - frac)])
+            pieces = _circle_split(space, s, e)
+            width = sum(b - a for a, b in pieces)
+            for a, b in pieces:
+                xs_w.append(a), xe_w.append(b)
+                ms_w.append(m if len(pieces) == 1 else m * (b - a) / width)
         edges, hist = _bin_segments(np.array(xs_w), np.array(xe_w), np.array(ms_w),
-                                    0.0, circ, space.grid_step)
+                                    0.0, space.topology.circumference, space.grid_step)
     else:
-        bp0 = _breakpoints(mu0)
-        bp1 = _breakpoints(mu1)
-        xs, xe, masses = _interpolant_segments(bp0, bp1, t)
         edges, hist = _bin_segments(xs, xe, masses, float(np.min(xs)), float(np.max(xe)),
                                     space.grid_step)
     total = float(np.sum(hist))
@@ -444,6 +443,19 @@ def entropy(mu: ProbMeasure1D, space: Space1D) -> float:
     return entropy_of_segments(space, xs, xe, masses)
 
 
+def entropies_along(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
+                    ts: Sequence[float]) -> tuple[float, list[float]]:
+    """(W2, entropies of the displacement interpolants at the times ts).
+
+    Evaluated on the exact interpolant segments (not the re-binned grid) so
+    no histogramming bias enters; endpoints go through the same formula at
+    t = 0, 1.  The pair is coupled once for the distance and every time.
+    """
+    dist, bp0, bp1 = _coupling(space, mu0, mu1)
+    return dist, [entropy_of_segments(space, *_interpolant_segments(bp0, bp1, t))
+                  for t in ts]
+
+
 def renyi_of_segments(space: Space1D, xs, xe, masses, N: float) -> float:
     if N <= 1.0:
         raise ValueError("N must be > 1")
@@ -463,24 +475,3 @@ def renyi(mu: ProbMeasure1D, space: Space1D, N: float) -> float:
     """Dimensional entropy N + int U_N(rho_m) dm with U_N(r) = -N r^(1-1/N)."""
     xs, xe, masses = mu.segments()
     return renyi_of_segments(space, xs, xe, masses, N)
-
-
-# -- geodesics ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeodesicOfMeasures:
-    """Displacement geodesic summary: endpoint measures, interpolants, W2."""
-
-    mu0: ProbMeasure1D
-    mu1: ProbMeasure1D
-    t_grid: tuple[float, ...]
-    interpolants: tuple[ProbMeasure1D, ...]
-    w2: float
-
-
-def geodesic(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
-             t_grid: Sequence[float]) -> GeodesicOfMeasures:
-    ts = tuple(float(t) for t in t_grid)
-    interp = tuple(displacement_interpolate(space, mu0, mu1, t) for t in ts)
-    return GeodesicOfMeasures(mu0=mu0, mu1=mu1, t_grid=ts, interpolants=interp,
-                              w2=w2(space, mu0, mu1))

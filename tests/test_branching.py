@@ -6,7 +6,7 @@ import pytest
 from curvlab1d.branching import (
     BranchingScenario, InfeasibleScenarioError, PlanPair, Tripod, TripodPoint,
     entropy_chain_inequality, build_branching_plans, entropy_along,
-    mixture_w2_correction, renyi_contradiction, renyi_raw, tripod_distance,
+    mixture_w2_correction, renyi_contradiction, renyi_raw,
 )
 
 from oracles import trapezoid_refined
@@ -24,10 +24,10 @@ def pair():
 # -- tripod geometry ---------------------------------------------------------------
 
 def test_tripod_distances():
-    assert tripod_distance(TRIPOD, TripodPoint(1, 0.2), TripodPoint(1, 0.7)) == pytest.approx(0.5)
-    assert tripod_distance(TRIPOD, TripodPoint(0, 0.3), TripodPoint(1, 0.4)) == pytest.approx(0.7)
+    assert TRIPOD.distance(TripodPoint(1, 0.2), TripodPoint(1, 0.7)) == pytest.approx(0.5)
+    assert TRIPOD.distance(TripodPoint(0, 0.3), TripodPoint(1, 0.4)) == pytest.approx(0.7)
     p = TripodPoint(2, 0.55)
-    assert tripod_distance(TRIPOD, p, p) == 0.0
+    assert TRIPOD.distance(p, p) == 0.0
 
 
 def test_tripod_distance_symmetry_and_triangle():
@@ -36,12 +36,12 @@ def test_tripod_distance_symmetry_and_triangle():
            for _ in range(12)]
     for p in pts:
         for q in pts:
-            assert tripod_distance(TRIPOD, p, q) == pytest.approx(
-                tripod_distance(TRIPOD, q, p), abs=1e-15)
+            assert TRIPOD.distance(p, q) == pytest.approx(
+                TRIPOD.distance(q, p), abs=1e-15)
             for z in pts[:5]:
-                assert (tripod_distance(TRIPOD, p, q)
-                        <= tripod_distance(TRIPOD, p, z)
-                        + tripod_distance(TRIPOD, z, q) + 1e-12)
+                assert (TRIPOD.distance(p, q)
+                        <= TRIPOD.distance(p, z)
+                        + TRIPOD.distance(z, q) + 1e-12)
 
 
 def test_tripod_center_aliases_to_edge_zero():

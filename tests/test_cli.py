@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from curvlab1d.cli import main
+from curvlab1d.cli import _dump_body, main
 
 
 @pytest.fixture()
@@ -141,6 +141,38 @@ def test_grid_step_override(spaces, tmp_path):
     run(["check-kn-convex", "--input", spaces["interval"], "--k", "0",
          "--n", "2", "--grid-step", "0.01", "--output", out])
     assert body_of(out)["grid_step"] == 0.01
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_is_strict(spaces, tmp_path):
+    body = _strict_loads(_dump_body({"b": np.float64("inf"), "a": float("nan"),
+                                     "c": np.float64("-inf")}))
+    assert body == {"a": "nan", "b": "inf", "c": "-inf"}
+    # theta = 5 lies past the conjugate radius pi * sqrt(2) of K = 1, N = 2
+    grid = tmp_path / "far.json"
+    grid.write_text(json.dumps({"t": [0.5], "K": [1.0], "N": [2.0], "theta": [5.0]}))
+    out = str(tmp_path / "coef.json")
+    assert run(["coefficients-table", "--input", str(grid), "--format", "json",
+                "--output", out]) == 0
+    row = _strict_loads(open(out).read())["rows"][0]
+    assert row[4] == "inf" and row[6] == "nan"
+
+
+def test_explicit_zero_tol_is_honoured(spaces, tmp_path):
+    out = str(tmp_path / "z.json")
+    run(["verify-cde", "--input", spaces["interval"], "--tol", "0", "--output", out])
+    assert body_of(out)["tol"] == 0.0
+
+
+def test_vacuous_scan_exits_one(spaces, tmp_path):
+    # every default pair is conjugate-flagged at K = 1e6: nothing is checked
+    assert run(["verify-cde", "--input", spaces["interval"], "--k", "1e6",
+                "--output", str(tmp_path / "v.json")]) == 1
 
 
 ALL_COMMANDS = [

@@ -5,6 +5,7 @@ import pytest
 
 from curvlab1d.coefficients import CurvatureParams, sigma
 from curvlab1d.space1d import Space1D, Topology1D, WeightFn
+from curvlab1d import transport1d
 from curvlab1d.transport1d import uniform_measure
 from curvlab1d.curvature import (
     TriplePlan, check_kn_convex, circle_obstruction, default_triple_battery,
@@ -328,6 +329,38 @@ def test_cd_infty_flat_fails_at_k3():
     report = verify_cd_infty(space, 3.0, pair, tol=5e-4)
     assert report.max_violation >= 0.01
     assert not report.passed
+
+
+def test_cde_all_conjugate_raises():
+    space = unit_interval()
+    # W2 = 0.6 is past the conjugate radius pi * sqrt(N/K) ~ 0.14 for K = 1000
+    far = [(uniform_measure(space, 0.0, 0.2), uniform_measure(space, 0.6, 0.8))]
+    with pytest.raises(ValueError, match="no finite-margin pair"):
+        verify_cde(space, CurvatureParams(1000.0, 2.0), far)
+
+
+def test_cd_infty_empty_battery_raises():
+    with pytest.raises(ValueError, match="no finite-margin pair"):
+        verify_cd_infty(unit_interval(), 0.0, [])
+
+
+def test_one_circle_cut_per_pair(monkeypatch):
+    space = circle_with(lambda x: 0.2 * np.cos(x), n=256)
+    pairs = [(uniform_measure(space, 0.1 * k, 0.1 * k + 0.6),
+              uniform_measure(space, 3.0 + 0.2 * k, 3.5 + 0.2 * k)) for k in range(3)]
+    cut = transport1d._circle_cut
+    calls = []
+
+    def counting_cut(*args, **kwargs):
+        calls.append(1)
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(transport1d, "_circle_cut", counting_cut)
+    verify_cde(space, CurvatureParams(0.0, 2.0), pairs)
+    assert len(calls) == len(pairs)
+    calls.clear()
+    verify_cd_infty(space, 0.0, pairs)
+    assert len(calls) == len(pairs)
 
 
 def test_cde_implies_cd_infty_on_battery():

@@ -26,6 +26,11 @@ def weight_line(fn, half=4.0, step=1e-3):
 
 # -- bg_ratio_scan ---------------------------------------------------------------
 
+def test_bg_ratio_needs_two_radii():
+    with pytest.raises(ValueError, match="two radii"):
+        bg_ratio_scan(flat_line(), 0.0, CurvatureParams(0.0, 2.0), [1.0])
+
+
 def test_bg_ratio_flat_line_closed_form():
     space = flat_line()
     params = CurvatureParams(0.0, 2.0)

@@ -91,6 +91,8 @@ def bg_ratio_scan(space: Space1D, x0: float, params: CurvatureParams,
 def bg_boundary_check(space: Space1D, x0: float, params: CurvatureParams,
                       t_grid: Sequence[float], tol: float = 0.0) -> CurvatureReport:
     """Boundary-measure bound: m_{-1}(dB_t) <= 2*5^(N-1)*m(B_t)*S(t)^(N-1)/F(t)."""
+    if len(t_grid) == 0:
+        raise ValueError("t_grid is empty: no radius to check")
     N = params.N
     worst = -math.inf
     witness = {}
@@ -140,6 +142,9 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
             if val > emp:
                 emp = val
                 emp_w = {"x": float(x), "s": s, "value": val}
+    if skipped == len(xs) * len(ss):
+        raise ValueError(f"nothing checked: all {skipped} (centre, s) pairs have "
+                         f"B_s(x) outside the window")
     conj = conjugate_radius(params)
     t_hi = min(R, 0.95 * conj)
     t_grid = np.linspace(t_hi / 50.0, t_hi, 50)

@@ -94,6 +94,11 @@ def test_bg_boundary_circle_antipodal():
     assert report.passed
 
 
+def test_bg_boundary_empty_grid_raises():
+    with pytest.raises(ValueError, match="t_grid is empty"):
+        bg_boundary_check(flat_line(), 0.0, CurvatureParams(0.0, 2.0), [])
+
+
 # -- linear growth -------------------------------------------------------------------
 
 def test_linear_growth_flat_line():
@@ -119,6 +124,13 @@ def test_linear_growth_weighted_interval():
                                        CurvatureParams(0.0, 2.0))
     assert C == pytest.approx(2.0, rel=0.05)  # 2 sup e^{-f} with O(s) defect
     assert C <= report.extra["envelope"]
+
+
+def test_linear_growth_all_pairs_skipped_raises():
+    # every B_1(x) with x in [-0.5, 0.5] leaves the window [-1, 1]: no vacuous PASS
+    with pytest.raises(ValueError, match="nothing checked"):
+        linear_growth_constant(flat_line(half=1.0), 0.0, 0.5, [1.0],
+                               CurvatureParams(0.0, 2.0))
 
 
 # -- density-ratio traces --------------------------------------------------------------

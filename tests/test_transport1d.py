@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from curvlab1d import transport1d
 from curvlab1d.space1d import Space1D, Topology1D, WeightFn, measure_ball
 from curvlab1d.transport1d import (
     ProbMeasure1D, displacement_interpolate, entropies_along, entropy,
     measure_from_atoms, measure_from_density, quantile, renyi,
-    uniform_measure, w2, _circle_cut,
+    uniform_measure, w2, _breakpoints, _circle_cut, _extended_bp, _golden_min,
+    _shifted_bp, _w2sq_line_bp,
 )
 
 from oracles import bisect_quantile, lp_transport_cost, trapezoid_refined
@@ -23,6 +25,11 @@ def circle_space(radius=1.0, step=1e-3):
     coords = np.linspace(0.0, circ, 64, endpoint=False)
     return Space1D(Topology1D("circle", radius),
                    WeightFn(coords, np.zeros(64), period=circ), grid_step=step)
+
+
+def _periodic_dist(z, c, circ=2 * math.pi):
+    a = np.abs(z - c) % circ
+    return np.minimum(a, circ - a)
 
 
 # -- quantile -----------------------------------------------------------------
@@ -113,6 +120,29 @@ def test_w2_unequal_masses_within_mollification_scale():
         got = w2(sp, measure_from_atoms(sp, xs, a), measure_from_atoms(sp, ys, b))
         want = math.sqrt(lp_transport_cost(xs, a, ys, b))
         assert got == pytest.approx(want, abs=5e-4)
+
+
+def test_w2_finite_when_quantile_anchors_repeat_at_one():
+    # cells whose mass vanishes in the cumsum leave repeated U == 1.0 anchors;
+    # the merged piece (1 - 2^-53, 1) must not pick the zero-width one (NaN)
+    circ = 2 * math.pi
+    d = _periodic_dist
+    interval = Space1D(Topology1D("interval", circ), WeightFn.constant(0.0, 0.0, circ),
+                       grid_step=1e-3)
+    got = {}
+    for sp in (interval, circle_space()):
+        mu0 = measure_from_density(
+            sp, lambda z: np.exp(-10 * d(z, 3.4856) ** 2) + 0.5 * np.exp(-20 * d(z, 2.4344) ** 2),
+            0.0, circ, 200)
+        mu1 = measure_from_density(sp, lambda z: np.exp(-5 * d(z, 4.7432) ** 2) + 0.01,
+                                   0.0, circ, 150)
+        assert np.sum(_breakpoints(mu0)[0] == 1.0) > 1
+        got[sp.topology.kind] = w2(sp, mu0, mu1)
+        if sp is interval:
+            u = (np.arange(100_000) + 0.5) / 100_000
+            want = math.sqrt(np.mean((quantile(mu0)(u) - quantile(mu1)(u)) ** 2))
+            assert got["interval"] == pytest.approx(want, rel=1e-5)
+    assert 0.0 < got["circle"] <= got["interval"]
 
 
 # -- circle w2 ---------------------------------------------------------------------
@@ -229,6 +259,117 @@ def test_w2_circle_cut_refinement_invariant():
         v256, _ = _circle_cut(sp, mu0, mu1, n_cuts=256)
         v2560, _ = _circle_cut(sp, mu0, mu1, n_cuts=2560)
         assert abs(v256 - v2560) <= 1e-8
+
+
+def _scan_circle_cut(mu0, mu1, n_cuts=256):
+    """The full grid scan the bisection replaces: argmin over every shift."""
+    bp0 = _breakpoints(mu0)
+    ext1 = _extended_bp(mu1)
+
+    def obj(alpha):
+        return _w2sq_line_bp(bp0, _shifted_bp(ext1, alpha))
+
+    shifts = np.linspace(-1.0, 1.0, 2 * n_cuts, endpoint=False)
+    vals = np.array([obj(al) for al in shifts])
+    k = int(np.argmin(vals))
+    step = 1.0 / n_cuts
+    a_best, v_best = _golden_min(obj, max(shifts[k] - step, -1.0),
+                                 min(shifts[k] + step, 1.0 - 1e-12))
+    if vals[k] < v_best:
+        a_best, v_best = shifts[k], vals[k]
+    return (v_best, a_best), vals
+
+
+def _oracle_circle_pairs():
+    sp = circle_space()
+    circ = 2 * math.pi
+    rng = np.random.default_rng(23)
+    pairs = []
+    # uniforms: one support wraps across the cut, one covers the whole circle
+    for lo0, w0, lo1, w1 in ((0.2, 1.0, 3.0, 0.5), (5.5, 1.2, 2.0, 1.0),
+                             (0.0, circ, 1.0, 2.0), (4.0, 0.3, 4.1, 0.3)):
+        pairs.append(tuple(_wrapped_uniform(sp, lo, w) for lo, w in ((lo0, w0), (lo1, w1))))
+    # the optimal shift of this pair lands on a mass breakpoint
+    rng9 = np.random.default_rng(9)
+    k = int(rng9.integers(3, 7))
+    masses = rng9.uniform(0.2, 1.0, size=k)
+    locs = [np.sort(rng9.uniform(0.0, circ - 0.01, size=k)) for _ in range(2)]
+    pairs.append(tuple(measure_from_atoms(sp, xs, masses) for xs in locs))
+    for k in range(1, 6):
+        locs = [np.sort(rng.choice(np.linspace(0.01, circ - 0.01, 500), k, replace=False))
+                for _ in range(2)]
+        pairs.append(tuple(measure_from_atoms(sp, xs, rng.uniform(0.2, 1.0, k))
+                           for xs in locs))
+    d = _periodic_dist
+    for _ in range(3):
+        c, w = rng.uniform(0, circ, 4), rng.uniform(2.0, 30.0, 4)
+        pairs.append((
+            measure_from_density(sp, lambda z: np.exp(-w[0] * d(z, c[0]) ** 2)
+                                 + 0.7 * np.exp(-w[1] * d(z, c[1]) ** 2), 0.0, circ, 120),
+            measure_from_density(sp, lambda z: np.exp(-w[2] * d(z, c[2]) ** 2)
+                                 + 0.4 * np.exp(-w[3] * d(z, c[3]) ** 2) + 0.01, 0.0, circ, 90)))
+    return sp, pairs
+
+
+def _wrapped_uniform(sp, lo, width):
+    circ = sp.topology.circumference
+    if lo + width <= circ:
+        return uniform_measure(sp, lo, lo + width)
+    hi = lo + width - circ
+    return ProbMeasure1D(sp, np.array([0.0, hi, lo, circ]),
+                         np.array([1.0 / width, 0.0, 1.0 / width]))
+
+
+def test_circle_cut_bisection_matches_full_scan():
+    sp, pairs = _oracle_circle_pairs()
+    for mu0, mu1 in pairs:
+        want, _ = _scan_circle_cut(mu0, mu1)
+        assert _circle_cut(sp, mu0, mu1) == want
+
+
+def test_circle_cut_bisection_matches_full_scan_on_tied_grid(monkeypatch):
+    # circumference 8 (dyadic): the full-circle uniform against its lift rotated
+    # by an odd multiple of half a grid step ties two grid values exactly at
+    # the minimum; both routes must take the first of them and refine from it
+    radius = 4.0 / math.pi
+    circ = 2 * math.pi * radius
+    sp = Space1D(Topology1D("circle", radius),
+                 WeightFn(np.linspace(0.0, circ, 64, endpoint=False), np.zeros(64),
+                          period=circ))
+    c = sp.topology.circumference
+    assert c == 8.0
+    for d in (c / 512, 5 * c / 512):
+        mu0, mu1 = uniform_measure(sp, 0.0, c), uniform_measure(sp, d, d + c)
+        want, vals = _scan_circle_cut(mu0, mu1)
+        k = int(np.argmin(vals))
+        assert vals[k + 1] == vals[k]
+        brackets = []
+
+        def recording_golden_min(fn, a, b, *args):
+            brackets.append((a, b))
+            return _golden_min(fn, a, b, *args)
+
+        monkeypatch.setattr(transport1d, "_golden_min", recording_golden_min)
+        assert _circle_cut(sp, mu0, mu1) == want
+        monkeypatch.undo()
+        shift_k = -1.0 + k / 256
+        assert brackets == [(shift_k - 1 / 256, shift_k + 1 / 256)]
+
+
+def test_circle_cut_objective_call_count(monkeypatch):
+    sp, pairs = _oracle_circle_pairs()
+    shifted = transport1d._shifted_bp
+    calls = []
+
+    def counting_shifted_bp(*args, **kwargs):
+        calls.append(1)
+        return shifted(*args, **kwargs)
+
+    monkeypatch.setattr(transport1d, "_shifted_bp", counting_shifted_bp)
+    for mu0, mu1 in pairs:
+        calls.clear()
+        _circle_cut(sp, mu0, mu1)
+        assert len(calls) <= 110  # a full 512-shift scan made 594
 
 
 # -- displacement interpolation -------------------------------------------------------

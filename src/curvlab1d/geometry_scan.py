@@ -174,6 +174,8 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float],
     can only approximate the liminf, so the threshold is reported.
     """
     rs = [float(r) for r in r_grid]
+    if not rs:
+        raise ValueError("r_grid is empty: nothing checked")
     if any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])):
         raise ValueError("r_grid must be decreasing")
     if isinstance(space, Tripod):
@@ -201,6 +203,8 @@ def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
     """Empirical |m(B_r(x)) - m(B_r(y))| / (r d(x,y)) against the comparison
     bound (1/r) F'(r - d/2)/F(r + d/2) (m(B_r(x)) + m(B_r(y))) per pair.
     """
+    if len(pair_battery) == 0:
+        raise ValueError("pair_battery is empty: nothing checked")
     if not r > 2.0 * space.grid_step:
         raise ValueError("need r > 2 * grid_step")
     emp_best = -math.inf

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvlab1d.coefficients import CurvatureParams, sigma
-from curvlab1d.space1d import Space1D, Topology1D, WeightFn
+from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError
 from curvlab1d import transport1d
 from curvlab1d.transport1d import uniform_measure
 from curvlab1d.curvature import (
@@ -153,6 +154,174 @@ def test_pass_monotone_in_k():
             assert rep.max_violation <= prev + 1e-12
         prev = rep.max_violation
         assert rep.passed
+
+
+# -- batched scan against the row-by-row scan ------------------------------------
+
+def scalar_margin(f, space, params, x0, x1, t, arc):
+    """One triple's margin in plain float and math arithmetic: the reference
+    the batched pass must reproduce bit for bit."""
+    if space.topology.kind != "circle":
+        xt, d = (1.0 - t) * x0 + t * x1, abs(x1 - x0)
+    else:
+        c = space.topology.circumference
+        fwd = (x1 - x0) % c
+        if arc == "minor":
+            delta = fwd if fwd <= c - fwd else fwd - c
+        else:
+            assert abs(fwd - c / 2.0) <= 1e-9
+            delta = fwd - c
+        xt, d = (x0 + t * delta) % c, abs(delta)
+    s0 = sigma(1.0 - t, params, d)
+    s1 = sigma(t, params, d)
+    if math.isinf(s0) or math.isinf(s1):
+        return math.inf
+    N = params.N
+    return (s0 * math.exp(-f(x0) / N) + s1 * math.exp(-f(x1) / N)
+            - math.exp(-f(xt) / N))
+
+
+def row_scan(f, space, params, plans):
+    """(worst, witness, flags) by one triple_margin call per (plan, t) row:
+    first strictly larger margin wins, a plan stops at its first infinite
+    margin and is flagged once."""
+    worst, witness, flags = -math.inf, {}, []
+    for idx, plan in enumerate(plans):
+        for t in plan.t_grid:
+            m = triple_margin(f, space, params, plan.x0, plan.x1, t, plan.arc)
+            assert m == scalar_margin(f, space, params, plan.x0, plan.x1, t, plan.arc)
+            if math.isinf(m):
+                flags.append({"plan": idx, "x0": plan.x0, "x1": plan.x1,
+                              "regime": "conjugate-point"})
+                break
+            if m > worst:
+                worst = m
+                witness = {"x0": plan.x0, "x1": plan.x1, "t": t, "arc": plan.arc,
+                           "margin": m}
+    return worst, witness, flags
+
+
+def assert_matches_row_scan(space, params, plans):
+    worst, witness, flags = row_scan(space.weight, space, params, plans)
+    if worst == -math.inf:
+        with pytest.raises(ValueError, match="no finite-margin plan"):
+            check_kn_convex(space.weight, space, params, plans, tol=1e-6)
+        return
+    report = check_kn_convex(space.weight, space, params, plans, tol=1e-6)
+    assert report.max_violation == worst
+    assert report.witness == witness
+    assert report.conjugate_flags == flags
+
+
+TOPOLOGIES = ("line", "halfline", "interval", "circle")
+
+
+def wavy_space(kind, amp, freq):
+    """f = amp sin(freq x) + 0.1 x^2 (amp sin(freq x) on the circle), 401 knots."""
+    if kind == "circle":
+        circ = 2.0 * math.pi
+        xs = np.linspace(0.0, circ, 401, endpoint=False)
+        return Space1D(Topology1D("circle", 1.0),
+                       WeightFn(xs, amp * np.sin(freq * xs), period=circ),
+                       grid_step=circ / 401)
+    lo, hi = {"line": (-3.0, 3.0), "halfline": (0.0, 4.0), "interval": (0.0, 2.0)}[kind]
+    xs = np.linspace(lo, hi, 401)
+    w = WeightFn(xs, amp * np.sin(freq * xs) + 0.1 * xs * xs)
+    if kind == "interval":
+        return Space1D(Topology1D("interval", hi), w, grid_step=(hi - lo) / 400)
+    return Space1D(Topology1D(kind), w, grid_step=(hi - lo) / 400, window=(lo, hi))
+
+
+space_args = dict(kind=st.sampled_from(TOPOLOGIES), amp=st.floats(0.0, 2.0),
+                  freq=st.integers(1, 4),
+                  # K = 8, N = 2: conjugate beyond d = pi/2, inside every domain
+                  K=st.sampled_from((-2.0, 0.0, 0.5, 8.0)), N=st.sampled_from((2.0, 3.5)))
+
+
+@settings(max_examples=24)
+@given(seed=st.integers(0, 2 ** 16), **space_args)
+@example(seed=0, kind="circle", amp=1.0, freq=2, K=8.0, N=2.0)
+@example(seed=1, kind="line", amp=0.5, freq=3, K=8.0, N=2.0)
+def test_battery_scan_matches_row_scan_default_battery(seed, kind, amp, freq, K, N):
+    # coarse grid pairs (both arcs at circle antipodes) plus 256 random single-t plans
+    space = wavy_space(kind, amp, freq)
+    plans = default_triple_battery(space, seed=seed, coarse=12)
+    assert sum(len(p.t_grid) == 1 for p in plans) == 256
+    if kind == "circle":
+        assert any(p.arc == "major" for p in plans)
+    assert_matches_row_scan(space, CurvatureParams(K, N), plans)
+
+
+@settings(max_examples=40)
+@given(data=st.data(), **space_args)
+def test_battery_scan_matches_row_scan_user_battery(data, kind, amp, freq, K, N):
+    # plans with 0 to 4 interior times each, and explicit major arcs on the circle
+    space = wavy_space(kind, amp, freq)
+    lo, hi = space.domain()
+    point = st.floats(lo, hi, exclude_max=(kind == "circle"))
+    times = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     max_size=4).map(tuple)
+    plans = []
+    for x0, x1, ts, major in data.draw(st.lists(
+            st.tuples(point, point, times, st.booleans()), min_size=1, max_size=10)):
+        if kind == "circle" and major:
+            c = space.topology.circumference
+            plans.append(TriplePlan(x0, (x0 + c / 2.0) % c, ts, arc="major"))
+        elif x0 != x1:
+            plans.append(TriplePlan(x0, x1, ts))
+    assert_matches_row_scan(space, CurvatureParams(K, N), plans)
+
+
+def test_battery_scan_matches_row_scan_when_a_margin_overflows():
+    # g = exp(709) and sigma ~ 600 near the conjugate distance: the t = 0.5 row
+    # overflows to inf, which stops its plan like a conjugate one, and the
+    # finite t = 1e-6 row after it is not scored
+    lo, hi = -3.0, 3.0
+    space = Space1D(Topology1D("line"), WeightFn.constant(-1418.0, lo, hi),
+                    grid_step=1e-3, window=(lo, hi))
+    params = CurvatureParams(8.0, 2.0)  # conjugate at d = pi/2
+    plans = [TriplePlan(-0.785, 0.785, (0.5, 1e-6)), TriplePlan(-0.01, 0.01, (0.5,))]
+    assert math.isinf(triple_margin(space.weight, space, params, -0.785, 0.785, 0.5))
+    assert math.isfinite(triple_margin(space.weight, space, params, -0.785, 0.785, 1e-6))
+    assert_matches_row_scan(space, params, plans)
+    report = check_kn_convex(space.weight, space, params, plans, tol=1e-6)
+    assert report.witness["x0"] == -0.01
+
+
+def test_triple_plan_rejects_non_finite_endpoints():
+    # a NaN endpoint gives a NaN margin, which no scan may skip or rank
+    for x0, x1 in ((math.nan, 0.3), (0.3, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            TriplePlan(x0, x1)
+
+
+def test_battery_makes_one_weight_lookup(monkeypatch):
+    calls = []
+    lookup = WeightFn.__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return lookup(self, x)
+
+    monkeypatch.setattr(WeightFn, "__call__", counting)
+    space = cosine_weight_space()
+    battery = default_triple_battery(space, seed=0)
+    check_kn_convex(space.weight, space, CurvatureParams(1.0, 2.0), battery, tol=1e-5)
+    assert len(calls) <= 2  # one vectorised lookup for all 14,368 rows
+
+    # conjugate plans are flagged before any lookup, so an endpoint outside
+    # the window is harmless there; a kept plan outside it still raises
+    space = flat_space(-1.0, 1.0)
+    params = CurvatureParams(2.0 * math.pi * math.pi, 2.0)  # conjugate from d = 1 on
+    assert math.isinf(sigma(0.5, params, 1.0))
+    calls.clear()
+    report = check_kn_convex(space.weight, space, params,
+                             [TriplePlan(0.5, 1.5), TriplePlan(-0.3, 0.3)], tol=1e-6)
+    assert [f["plan"] for f in report.conjugate_flags] == [0]
+    assert report.witness["x1"] == 0.3
+    assert calls == [2 + 7]  # the kept plan's x0, x1 and its 7 points x_t only
+    with pytest.raises(WindowError):
+        check_kn_convex(space.weight, space, params, [TriplePlan(0.2, 1.1)], tol=1e-6)
 
 
 # -- differential criterion -------------------------------------------------------

@@ -171,6 +171,11 @@ def test_trace_validates_grids():
         density_ratio_trace(space, 0.0, 1, [0.5, 1e-6])  # below 10*grid_step
 
 
+def test_trace_empty_grid_raises():
+    with pytest.raises(ValueError, match="nothing checked"):
+        density_ratio_trace(flat_line(), 0.0, 1, [])
+
+
 # -- lipschitz modulus -------------------------------------------------------------------
 
 def test_lipschitz_flat_translation_invariance():
@@ -218,6 +223,12 @@ def test_lipschitz_validates_pairs():
     space = flat_line()
     with pytest.raises(ValueError):
         lipschitz_modulus(space, CurvatureParams(0.0, 2.0), 0.5, [(0.0, 0.4)])
+
+
+def test_lipschitz_empty_battery_raises():
+    # no pair means no margin: never a PASS at -inf
+    with pytest.raises(ValueError, match="nothing checked"):
+        lipschitz_modulus(flat_line(), CurvatureParams(0.0, 2.0), 0.5, [])
 
 
 # -- classification ---------------------------------------------------------------------

@@ -9,7 +9,9 @@ model-space batteries).
 
 Conjugate-point regime: whenever a distortion coefficient evaluates to
 infinity the affected plan is skipped and flagged, never folded into a
-margin.
+margin.  Conjugacy is decided by K d^2 >= N pi^2 alone: a margin that
+overflows to inf outside that regime is a violation too large to
+represent, and it fails the check with its witness.
 
 A (K,N)-convexity battery is scored in one batched pass (a lone triple is
 a one-row battery): numpy geodesic points, the per-plan conjugate test
@@ -137,10 +139,11 @@ def _scalar_map(fn, first: np.ndarray, *rest) -> np.ndarray:
 
 def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
                      x0: np.ndarray, x1: np.ndarray, major: np.ndarray,
-                     t: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
-    """(K,N)-convexity margin of each row (plan_of, t) of the plans
-    (x0, x1, major), with one weight lookup; math.inf on the rows of
-    conjugate plans, whose points are never looked up."""
+                     t: np.ndarray, plan_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(margins, live): the (K,N)-convexity margin of each row (plan_of, t)
+    of the plans (x0, x1, major), with one weight lookup, and per plan
+    whether it is out of the conjugate regime.  Rows of conjugate plans,
+    whose points are never looked up, read math.inf."""
     xt, d = _geodesic_points(space, x0, x1, major, t, plan_of)
     N = params.N
     live = ~(params.K * d * d >= N * math.pi * math.pi)  # sigma's conjugate test
@@ -153,7 +156,7 @@ def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
     with np.errstate(over="ignore"):  # overflow is inf, as in float arithmetic
         m[rows] = (_scalar_map(sigma, 1.0 - tl, repeat(params), dl) * g[at]
                    + _scalar_map(sigma, tl, repeat(params), dl) * g[n + at] - g[2 * n:])
-    return m
+    return m, live
 
 
 def triple_margin(f: WeightFn, space: Space1D, params: CurvatureParams,
@@ -161,11 +164,12 @@ def triple_margin(f: WeightFn, space: Space1D, params: CurvatureParams,
     """sigma^{(1-t)}(d) g(x0) + sigma^{(t)}(d) g(x1) - g(x_t), g = exp(-f/N).
 
     Positive = the (K,N)-convexity inequality fails at this triple.
-    Returns math.inf sentinel if the triple is in the conjugate regime.
+    Returns math.inf if the triple is in the conjugate regime, and also
+    when the margin overflows outside it.
     """
-    row = _battery_margins(f, space, params, np.array([x0], dtype=float),
-                           np.array([x1], dtype=float), np.array([arc != "minor"]),
-                           np.array([t], dtype=float), np.zeros(1, dtype=np.intp))
+    row, _ = _battery_margins(f, space, params, np.array([x0], dtype=float),
+                              np.array([x1], dtype=float), np.array([arc != "minor"]),
+                              np.array([t], dtype=float), np.zeros(1, dtype=np.intp))
     return float(row[0])
 
 
@@ -210,8 +214,8 @@ def check_kn_convex(f: WeightFn, space: Space1D, params: CurvatureParams,
 
     One batched pass over all (plan, t) rows; the witness is the first row
     of largest margin.  A conjugate plan (K d^2 >= N pi^2, whatever t) is
-    flagged once and never looked up.  A plan also stops, flagged, at a
-    margin that overflows to inf, keeping the rows before it.
+    flagged once and never looked up.  Any other plan is scored on every
+    row: a margin that overflows to inf is the worst violation there is.
     """
     if tol is None:
         tol = default_tolerance(space.grid_step)
@@ -222,7 +226,7 @@ def check_kn_convex(f: WeightFn, space: Space1D, params: CurvatureParams,
     rowed = [plans[i] for i in scored]
     counts = np.array([len(p.t_grid) for p in rowed], dtype=np.intp)
     plan_of = np.repeat(np.arange(len(rowed)), counts)
-    margins = _battery_margins(
+    margins, live = _battery_margins(
         f, space, params,
         np.array([p.x0 for p in rowed], dtype=float),
         np.array([p.x1 for p in rowed], dtype=float),
@@ -230,21 +234,16 @@ def check_kn_convex(f: WeightFn, space: Space1D, params: CurvatureParams,
         np.array([t for p in rowed for t in p.t_grid], dtype=float),
         plan_of,
     )
-    hit = np.isinf(margins)
-    first = np.cumsum(counts) - counts  # first row of each plan
-    seen = np.concatenate(([0], np.cumsum(hit)))
-    stopped = seen[1:] > seen[first][plan_of]  # at or after the plan's first hit
-    score = np.where(stopped, -math.inf, margins)
-    if not np.any(score > -math.inf):
-        raise ValueError("no finite-margin plan in the battery")
-    k = int(np.argmax(score))
+    if not np.any(live):
+        raise ValueError("no finite-margin plan in the battery: every plan is conjugate")
+    k = int(np.argmax(np.where(live[plan_of], margins, -math.inf)))
     j = int(plan_of[k])
     plan = rowed[j]
-    witness = {"x0": plan.x0, "x1": plan.x1, "t": plan.t_grid[k - int(first[j])],
+    first = int(np.sum(counts[:j]))  # first row of plan j
+    witness = {"x0": plan.x0, "x1": plan.x1, "t": plan.t_grid[k - first],
                "arc": plan.arc, "margin": float(margins[k])}
-    # sorted(set()), not np.unique: that imports numpy.ma, ~1.5 MB of resident memory
     flags = [{"plan": scored[j], "x0": rowed[j].x0, "x1": rowed[j].x1,
-              "regime": "conjugate-point"} for j in sorted(set(plan_of[hit].tolist()))]
+              "regime": "conjugate-point"} for j in np.flatnonzero(~live).tolist()]
     return CurvatureReport(
         kind="kn-convexity", K=params.K, N=params.N, max_violation=float(margins[k]),
         witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
@@ -378,8 +377,10 @@ def circle_obstruction(space: Space1D, params: CurvatureParams,
             break
         x0 = (xbar - d / 2.0) % circ
         x1 = (xbar + d / 2.0) % circ
+        # d < d_max keeps the triple out of the conjugate regime, so an inf
+        # margin is an overflowed violation
         m = triple_margin(w, space, params, x0, x1, 0.5, arc="minor")
-        if math.isfinite(m) and m > 0.0:
+        if m > 0.0:
             gN = math.exp(-w(xbar) / params.N)
             s_sum = m + gN
             analytic = 1.0 / math.cos(0.5 * d * math.sqrt(params.K / params.N))
@@ -393,7 +394,7 @@ def circle_obstruction(space: Space1D, params: CurvatureParams,
                 grid_step=space.grid_step,
                 extra={"anomaly": False},
             )
-        if math.isfinite(m) and m > best:
+        if m > best:
             best, best_w = m, {"x0": x0, "x1": x1, "d": d, "margin": m}
         d *= shrink
         steps += 1

@@ -137,11 +137,13 @@ def _breakpoints(mu: ProbMeasure1D) -> tuple[np.ndarray, np.ndarray]:
     """(U, X) anchors of the piecewise-affine quantile graph.
 
     Repeated U values with distinct X encode jumps across zero-density
-    cells; they carry no u-mass.
+    cells; they carry no u-mass.  The top is pinned to 1 against float
+    drift, and so is any partial sum that drifted past it (before trailing
+    zero-density cells), which would leave U non-monotone.
     """
     masses = mu.cell_masses()
-    U = np.concatenate([[0.0], np.cumsum(masses)])
-    U[-1] = 1.0  # pin the top against float drift
+    U = np.minimum(np.concatenate([[0.0], np.cumsum(masses)]), 1.0)
+    U[-1] = 1.0
     return U, mu.edges.copy()
 
 
@@ -439,6 +441,9 @@ def _segment_pieces(space: Space1D, s: float, e: float):
 def entropy_of_segments(space: Space1D, xs, xe, masses) -> float:
     """Ent(mu | m) for a disjoint union of uniform segments (exact).
 
+    The weight term rho * int f is the trapezoid over the weight's knots in
+    each piece (exact: f is linear between knots), with one vectorised
+    weight lookup per piece, so a circle segment that wraps costs two.
     Sliver segments with negligible mass (float-noise artifacts of merged
     breakpoint grids) contribute nothing in the limit and are skipped; a
     zero-width segment carrying real mass is a genuine atom and gives inf.
@@ -455,7 +460,7 @@ def entropy_of_segments(space: Space1D, xs, xe, masses) -> float:
         total += m * math.log(rho)
         for a, b in _segment_pieces(space, s, e):
             pts = w.knots_in(a, b)
-            vals = np.array([w(p) for p in pts])
+            vals = w(pts)
             total += rho * float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
     return total
 
@@ -480,12 +485,17 @@ def entropies_along(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
 
 
 def renyi_of_segments(space: Space1D, xs, xe, masses, N: float) -> float:
+    """N - N int rho^(1-1/N) dm for a disjoint union of uniform segments.
+
+    Slivers are skipped as in `entropy_of_segments`; a zero-width segment
+    carrying mass is singular to m and adds nothing to the integral.
+    """
     if N <= 1.0:
         raise ValueError("N must be > 1")
     acc = 0.0
     w = space.weight
     for s, e, m in zip(xs, xe, masses):
-        if m <= 1e-12:
+        if m <= 1e-12 or e - s <= 1e-300:
             continue
         rho = m / (e - s)
         pw = rho ** (1.0 - 1.0 / N)

@@ -158,20 +158,24 @@ def test_pass_monotone_in_k():
 
 # -- batched scan against the row-by-row scan ------------------------------------
 
+def scalar_geodesic(space, x0, x1, t, arc):
+    """(x_t, d) in plain float arithmetic."""
+    if space.topology.kind != "circle":
+        return (1.0 - t) * x0 + t * x1, abs(x1 - x0)
+    c = space.topology.circumference
+    fwd = (x1 - x0) % c
+    if arc == "minor":
+        delta = fwd if fwd <= c - fwd else fwd - c
+    else:
+        assert abs(fwd - c / 2.0) <= 1e-9
+        delta = fwd - c
+    return (x0 + t * delta) % c, abs(delta)
+
+
 def scalar_margin(f, space, params, x0, x1, t, arc):
     """One triple's margin in plain float and math arithmetic: the reference
     the batched pass must reproduce bit for bit."""
-    if space.topology.kind != "circle":
-        xt, d = (1.0 - t) * x0 + t * x1, abs(x1 - x0)
-    else:
-        c = space.topology.circumference
-        fwd = (x1 - x0) % c
-        if arc == "minor":
-            delta = fwd if fwd <= c - fwd else fwd - c
-        else:
-            assert abs(fwd - c / 2.0) <= 1e-9
-            delta = fwd - c
-        xt, d = (x0 + t * delta) % c, abs(delta)
+    xt, d = scalar_geodesic(space, x0, x1, t, arc)
     s0 = sigma(1.0 - t, params, d)
     s1 = sigma(t, params, d)
     if math.isinf(s0) or math.isinf(s1):
@@ -183,14 +187,16 @@ def scalar_margin(f, space, params, x0, x1, t, arc):
 
 def row_scan(f, space, params, plans):
     """(worst, witness, flags) by one triple_margin call per (plan, t) row:
-    first strictly larger margin wins, a plan stops at its first infinite
-    margin and is flagged once."""
+    first strictly larger margin wins; a plan in the conjugate regime (sigma
+    is inf) is flagged once and not scored, while an overflowed inf margin
+    elsewhere is scored like any other."""
     worst, witness, flags = -math.inf, {}, []
     for idx, plan in enumerate(plans):
         for t in plan.t_grid:
             m = triple_margin(f, space, params, plan.x0, plan.x1, t, plan.arc)
             assert m == scalar_margin(f, space, params, plan.x0, plan.x1, t, plan.arc)
-            if math.isinf(m):
+            _, d = scalar_geodesic(space, plan.x0, plan.x1, t, plan.arc)
+            if math.isinf(sigma(t, params, d)):
                 flags.append({"plan": idx, "x0": plan.x0, "x1": plan.x1,
                               "regime": "conjugate-point"})
                 break
@@ -274,18 +280,22 @@ def test_battery_scan_matches_row_scan_user_battery(data, kind, amp, freq, K, N)
 
 def test_battery_scan_matches_row_scan_when_a_margin_overflows():
     # g = exp(709) and sigma ~ 600 near the conjugate distance: the t = 0.5 row
-    # overflows to inf, which stops its plan like a conjugate one, and the
-    # finite t = 1e-6 row after it is not scored
+    # overflows to inf, yet d = 1.57 < pi/2 keeps the plan out of the
+    # conjugate regime, so that row is the witness and the check fails
     lo, hi = -3.0, 3.0
     space = Space1D(Topology1D("line"), WeightFn.constant(-1418.0, lo, hi),
                     grid_step=1e-3, window=(lo, hi))
     params = CurvatureParams(8.0, 2.0)  # conjugate at d = pi/2
     plans = [TriplePlan(-0.785, 0.785, (0.5, 1e-6)), TriplePlan(-0.01, 0.01, (0.5,))]
+    assert params.K * 1.57 ** 2 < params.N * math.pi ** 2
     assert math.isinf(triple_margin(space.weight, space, params, -0.785, 0.785, 0.5))
     assert math.isfinite(triple_margin(space.weight, space, params, -0.785, 0.785, 1e-6))
     assert_matches_row_scan(space, params, plans)
-    report = check_kn_convex(space.weight, space, params, plans, tol=1e-6)
-    assert report.witness["x0"] == -0.01
+    for battery in (plans, plans[:1]):  # alone, the plan no longer raises
+        report = check_kn_convex(space.weight, space, params, battery, tol=1e-6)
+        assert report.witness["x0"] == -0.785 and report.witness["t"] == 0.5
+        assert math.isinf(report.max_violation) and not report.passed
+        assert report.conjugate_flags == []
 
 
 def test_triple_plan_rejects_non_finite_endpoints():
@@ -578,6 +588,16 @@ def test_circle_random_weights_always_obstructed():
         report = circle_obstruction(space, CurvatureParams(0.5, 3.0))
         assert not report.extra["anomaly"]
         assert report.max_violation > 0.0
+
+
+def test_circle_obstruction_overflowed_margin_is_found():
+    # g = exp(709): the first triple, d = 0.95 pi/2 < pi/2, overflows to inf;
+    # that is the violation, not a conjugate point to shrink past
+    space = circle_with(lambda th: np.full_like(th, -1418.0))
+    report = circle_obstruction(space, CurvatureParams(8.0, 2.0))
+    assert not report.extra["anomaly"]
+    assert math.isinf(report.max_violation) and not report.passed
+    assert report.witness["d"] == 0.95 * math.pi / 2.0
 
 
 def test_circle_obstruction_rejects_bad_inputs():

@@ -1,15 +1,18 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvlab1d import transport1d
-from curvlab1d.space1d import Space1D, Topology1D, WeightFn, measure_ball
+from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError, measure_ball
 from curvlab1d.transport1d import (
     ProbMeasure1D, displacement_interpolate, entropies_along, entropy,
-    measure_from_atoms, measure_from_density, quantile, renyi,
-    uniform_measure, w2, _breakpoints, _circle_cut, _extended_bp, _golden_min,
-    _shifted_bp, _w2sq_line_bp,
+    entropy_of_segments, measure_from_atoms, measure_from_density, quantile, renyi,
+    renyi_of_segments, uniform_measure, w2, _breakpoints, _circle_cut, _extended_bp,
+    _golden_min, _segment_pieces, _shifted_bp, _w2sq_line_bp,
 )
 
 from oracles import bisect_quantile, lp_transport_cost, trapezoid_refined
@@ -462,6 +465,121 @@ def test_entropy_weight_decomposition_identity():
     assert entropy(muV, spV) == pytest.approx(entropy(mu, sp0) + int_v, abs=5e-4)
 
 
+def per_knot_entropy(space, xs, xe, masses):
+    """entropy_of_segments with one scalar weight call per knot: the
+    reference the one-lookup-per-piece version must reproduce bit for bit."""
+    total = 0.0
+    w = space.weight
+    for s, e, m in zip(xs, xe, masses):
+        if m <= 1e-12:
+            continue
+        width = e - s
+        if width <= 1e-300:
+            return math.inf
+        rho = m / width
+        total += m * math.log(rho)
+        for a, b in _segment_pieces(space, s, e):
+            pts = w.knots_in(a, b)
+            vals = np.array([w(p) for p in pts])
+            total += rho * float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
+    return total
+
+
+def weighted_space(kind):
+    """A 301-knot wavy weight on each topology; the circle has circumference 2 pi."""
+    if kind == "circle":
+        circ = 2.0 * math.pi
+        xs = np.linspace(0.0, circ, 301, endpoint=False)
+        return Space1D(Topology1D("circle", 1.0),
+                       WeightFn(xs, np.sin(2.0 * xs) + 0.3 * np.cos(5.0 * xs), period=circ),
+                       grid_step=circ / 301)
+    lo, hi = {"line": (-3.0, 3.0), "halfline": (0.0, 4.0), "interval": (0.0, 2.0)}[kind]
+    xs = np.linspace(lo, hi, 301)
+    w = WeightFn(xs, np.sin(3.0 * xs) + 0.2 * xs * xs)
+    if kind == "interval":
+        return Space1D(Topology1D("interval", hi), w, grid_step=(hi - lo) / 300)
+    return Space1D(Topology1D(kind), w, grid_step=(hi - lo) / 300, window=(lo, hi))
+
+
+@st.composite
+def segment_lists(draw, kind):
+    """(xs, xe, masses) of 1-6 segments inside the weight's range; on the
+    circle they start anywhere in (-c, 2c) and may wrap; masses include
+    slivers (<= 1e-12, skipped) and zero widths (an atom: inf)."""
+    space = weighted_space(kind)
+    if kind == "circle":
+        c = space.topology.circumference
+        lo, hi, max_width = -c, 2.0 * c, 0.99 * c
+    else:
+        lo, hi = space.domain()
+        max_width = hi - lo
+    xs, xe, ms = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.one_of(st.sampled_from([0.0, 1e-9]),
+                               *[st.floats(1e-6, max_width)] * 3))
+        top = hi - width if kind != "circle" else hi
+        start = draw(st.floats(lo, max(lo, top)))
+        xs.append(start)
+        xe.append(min(start + width, space.domain()[1]) if kind != "circle" else start + width)
+        ms.append(draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(1e-6, 1.0)))
+    return space, xs, xe, ms
+
+
+@pytest.mark.parametrize("kind", ("line", "halfline", "interval", "circle"))
+@settings(max_examples=25)
+@given(data=st.data(), as_arrays=st.booleans())
+def test_entropy_of_segments_matches_per_knot_loop(kind, data, as_arrays):
+    space, xs, xe, ms = data.draw(segment_lists(kind))
+    if as_arrays:
+        xs, xe, ms = np.array(xs), np.array(xe), np.array(ms)
+    assert entropy_of_segments(space, xs, xe, ms) == per_knot_entropy(space, xs, xe, ms)
+
+
+def test_entropy_of_segments_matches_per_knot_loop_on_interpolants():
+    # the segments verify_cde feeds it: circle pairs whose interpolants wrap
+    space = weighted_space("circle")
+    c = space.topology.circumference
+    pairs = [((5.8, 6.2), (0.1, 0.9)), ((0.3, 1.1), (4.9, 6.1)), ((6.0, 6.28), (6.1, 6.2))]
+    for (a0, b0), (a1, b1) in pairs:
+        mu0, mu1 = uniform_measure(space, a0, b0), uniform_measure(space, a1, b1)
+        _, bp0, bp1 = transport1d._coupling(space, mu0, mu1)
+        wrapped = False
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            xs, xe, ms = transport1d._interpolant_segments(bp0, bp1, t)
+            wrapped |= bool(np.any(np.floor(xs / c) != np.floor(xe / c)))
+            assert entropy_of_segments(space, xs, xe, ms) == per_knot_entropy(space, xs, xe, ms)
+        assert wrapped
+
+
+def test_entropy_of_segments_one_weight_lookup_per_piece(monkeypatch):
+    calls = []
+    lookup = WeightFn.__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return lookup(self, x)
+
+    monkeypatch.setattr(WeightFn, "__call__", counting)
+    # on the circle (c = 2 pi) the second segment wraps through 0
+    for kind, xs, xe in (("line", [0.1, 2.0], [1.4, 2.9]), ("circle", [0.1, 6.0], [1.4, 6.9])):
+        space, ms = weighted_space(kind), [0.5, 0.5]
+        pieces = [p for s, e in zip(xs, xe) for p in _segment_pieces(space, s, e)]
+        calls.clear()
+        entropy_of_segments(space, xs, xe, ms)
+        assert len(calls) == len(pieces) <= 2 * len(xs)
+        assert calls == [len(space.weight.knots_in(a, b)) for a, b in pieces]
+        assert (len(pieces) == 3) == (kind == "circle")
+
+
+def test_entropy_of_segments_outside_window_raises():
+    space = weighted_space("line")
+    lo, hi = space.domain()
+    with pytest.raises(WindowError):
+        entropy_of_segments(space, [hi - 0.5], [hi + 0.5], [1.0])
+    with pytest.raises(WindowError):
+        entropy_of_segments(space, [lo - 0.2, 0.0], [lo + 0.3, 0.5], [0.5, 0.5])
+
+
 def test_binned_interpolant_entropy_tracks_exact_route():
     # the re-binned measure returned by displacement_interpolate must agree
     # with the exact-segment entropies up to the expected O(rho * h) bias
@@ -525,6 +643,21 @@ def test_renyi_nondecreasing_in_n_battery():
         assert vals[-1] <= entropy(mu, sp) + 1e-9
 
 
+def test_renyi_of_segments_ignores_an_atom():
+    # the singular part of mu adds nothing to int rho^(1-1/N) dm, as for an
+    # atom in a uniform piece's support or outside it
+    space = weighted_space("interval")
+    for N in (2.0, 5.0):
+        want = renyi_of_segments(space, [0.5], [1.5], [0.7], N)
+        for atom in (0.2, 1.0):
+            for conv in (list, np.array):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = renyi_of_segments(space, conv([atom, 0.5]), conv([atom, 1.5]),
+                                            conv([0.3, 0.7]), N)
+                assert got == want
+
+
 def test_measure_validation():
     sp = flat_space()
     with pytest.raises(ValueError):
@@ -540,3 +673,100 @@ def test_w2_rejects_space_mismatch():
     sp_b = flat_space(0.0, 5.0)
     with pytest.raises(ValueError):
         w2(sp_a, uniform_measure(sp_a, 0.0, 1.0), uniform_measure(sp_b, 0.0, 1.0))
+
+
+# -- metric properties ----------------------------------------------------------------
+
+CIRC = 2.0 * math.pi
+# the circle cut searches shifts in [-1, 1 - 1e-12]: J(alpha) has slope at
+# most 4 c^2 there (|Q0 - Q1| <= 2c and Q1 rises by c per unit of u), so a
+# minimum at the excluded end alpha = 1 costs up to 4 c^2 * 1e-12 of W2^2
+CUT_SLACK = 4.0 * CIRC * CIRC * 1e-12
+
+
+@st.composite
+def histogram_edges(draw, lo=0.0, hi=CIRC * (1.0 - 1e-9)):
+    """(edges, density) of a probability histogram with 1-4 cells in [lo, hi],
+    zero-density cells included (jumps of the quantile graph)."""
+    n = draw(st.integers(1, 4))
+    start = draw(st.floats(lo, lo + 0.9 * (hi - lo)))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    span = draw(st.floats(0.02, 1.0)) * (hi - start)
+    edges = start + span * np.concatenate([[0.0], np.cumsum(gaps) / np.sum(gaps)])
+    dens = np.array(draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0),
+                                  min_size=n, max_size=n)))
+    if not np.any(dens > 0.0):
+        dens[draw(st.integers(0, n - 1))] = 1.0
+    return edges, dens / np.sum(dens * np.diff(edges))
+
+
+def unrolled_line():
+    """The circle of circumference 2 pi cut open at 0, as a flat line window."""
+    return flat_space(0.0, CIRC)
+
+
+@settings(max_examples=30)
+@given(a=histogram_edges(), b=histogram_edges(), c=histogram_edges())
+@example(a=(np.array([2.0, 3.0, 4.0]), np.array([1.0 + 1e-12, 0.0])),
+         b=(np.array([0.5, 1.0]), np.array([2.0])), c=(np.array([5.0, 6.0]), np.array([1.0])))
+def test_w2_is_a_metric_on_line_and_circle(a, b, c):
+    for space in (unrolled_line(), circle_space()):
+        mu = [ProbMeasure1D(space, *h) for h in (a, b, c)]
+        ab, ba = w2(space, mu[0], mu[1]), w2(space, mu[1], mu[0])
+        bc, ac = w2(space, mu[1], mu[2]), w2(space, mu[0], mu[2])
+        for m in mu:
+            assert w2(space, m, m) == 0.0
+        if space.topology.kind == "circle":
+            assert abs(ab * ab - ba * ba) <= CUT_SLACK
+            assert ac <= ab + bc + math.sqrt(CUT_SLACK)
+        else:
+            assert ab == ba
+            assert ac <= ab + bc + 1e-12
+
+
+@settings(max_examples=40)
+@given(a=histogram_edges(), b=histogram_edges())
+def test_circle_w2_at_most_unrolled_line_w2(a, b):
+    # the circle may route mass through the cut point; the line may not
+    line, circle = unrolled_line(), circle_space()
+    on_line = w2(line, ProbMeasure1D(line, *a), ProbMeasure1D(line, *b))
+    on_circle = w2(circle, ProbMeasure1D(circle, *a), ProbMeasure1D(circle, *b))
+    assert on_circle * on_circle <= on_line * on_line + 1e-12
+
+
+@settings(max_examples=40)
+@given(a=histogram_edges(), b=histogram_edges(), t=st.floats(0.0, 1.0),
+       kind=st.sampled_from(("line", "circle")))
+def test_interpolant_conserves_mass(a, b, t, kind):
+    # the exact interpolant segments carry mass 1, and re-binning them (after
+    # splitting at the cut point on the circle) loses none of it
+    space = unrolled_line() if kind == "line" else circle_space()
+    mu0, mu1 = ProbMeasure1D(space, *a), ProbMeasure1D(space, *b)
+    _, bp0, bp1 = transport1d._coupling(space, mu0, mu1)
+    _, _, ms = transport1d._interpolant_segments(bp0, bp1, t)
+    assert abs(float(np.sum(ms)) - 1.0) <= 1e-12
+    binned = []
+    bin_segments = transport1d._bin_segments
+
+    def recording(xs, xe, masses, *args):
+        edges, hist = bin_segments(xs, xe, masses, *args)
+        binned.append((float(np.sum(masses)), float(np.sum(hist))))
+        return edges, hist
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport1d, "_bin_segments", recording)
+        mu_t = displacement_interpolate(space, mu0, mu1, t)
+    (before, after), = binned
+    assert abs(before - 1.0) <= 1e-12 and abs(after - 1.0) <= 1e-12
+    assert abs(float(np.sum(mu_t.cell_masses())) - 1.0) <= 1e-12
+
+
+def test_quantile_anchors_stay_monotone_before_trailing_empty_cells():
+    # cell masses summing to 1 + 1e-12 ahead of a zero-density cell: pinning
+    # only the last anchor to 1 left U non-monotone, and the circle W2 of a
+    # measure with itself came out 5.8e-7
+    space = circle_space()
+    mu = ProbMeasure1D(space, np.array([2.0, 3.0, 4.0]), np.array([1.0 + 1e-12, 0.0]))
+    U, _ = _breakpoints(mu)
+    assert np.all(np.diff(U) >= 0.0) and U[-1] == 1.0
+    assert w2(space, mu, mu) == 0.0

@@ -22,7 +22,7 @@ base = BranchingScenario(a=0.5, b=0.1, eps=0.05, eta=0.5)
 
 print("=== the plan pair ===\n")
 pair = build_branching_plans(tripod, base)
-print(f"ensemble: {pair.geodesic_count()} stratified geodesics per half")
+print(f"source arc s in {base.s_window}, crossing times tau in {base.tau_window}")
 print(f"density certificate C = {pair.certificate['C']:.4f} "
       f"(time-b sup {pair.certificate['sup_density_at_b']:.4f}, "
       f"time-1 sup {pair.certificate['sup_density_up_at_1']:.4f})")

@@ -17,8 +17,7 @@ their time-t pushforwards agree exactly for t <= a and land on disjoint
 edges for t >= a + eps.  The pushforward density at any time integrates in
 closed form over tau (a log antiderivative), so entropies, the dimensional
 functionals, and density certificates evaluate to quadrature accuracy with
-no ensemble binning noise.  The 4096-geodesic stratified ensemble is kept
-as the concrete plan representation (serialization, structural checks).
+no ensemble binning noise.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ __all__ = [
     "renyi_contradiction",
     "mixture_w2_correction",
 ]
-
-_ENSEMBLE_SIDE = 64  # 64 x 64 strata = 4096 geodesics
-
 
 class InfeasibleScenarioError(ValueError):
     """The tripod geometry cannot host the requested branching scenario."""
@@ -291,41 +287,17 @@ class _HalfDensity:
 class PlanPair:
     """Mirrored branching plans pi^u (edge 1) and pi^d (edge 2).
 
-    The ensemble is a 64 x 64 stratified lattice over (source, crossing
-    time); endpoints stratify the target arcs.  Densities and entropies
-    are evaluated from the closed-form continuum limit of that lattice.
+    Both halves carry the scenario's (source, crossing time) law; densities
+    and entropies are evaluated from its closed-form pushforward.
     """
 
     tripod: Tripod
     scenario: BranchingScenario
-    s_nodes: np.ndarray
-    tau_nodes: np.ndarray
     certificate: dict = field(default_factory=dict)
 
     @property
     def mass(self) -> float:
         return self.scenario.beta
-
-    def geodesic_count(self) -> int:
-        return len(self.s_nodes) * len(self.tau_nodes)
-
-    def geodesics(self, which: str):
-        """Yield (start, end, mass) triples of the stratified ensemble."""
-        edge = 1 if which == "u" else 2
-        m = self.scenario.beta / self.geodesic_count()
-        for s in self.s_nodes:
-            for tau in self.tau_nodes:
-                u = s * (1.0 - tau) / tau
-                yield TripodPoint(0, float(s)), TripodPoint(edge, float(u)), m
-
-    def ensemble_positions(self, which: str, t: float):
-        """(edge, coordinate) arrays of all ensemble geodesics at time t."""
-        s = self.s_nodes[:, None]
-        tau = self.tau_nodes[None, :]
-        xi = s * (1.0 - t / tau)  # >0 stem, <0 target
-        edge_target = 1 if which == "u" else 2
-        edges = np.where(xi >= 0.0, 0, edge_target)
-        return edges.ravel(), np.abs(xi).ravel()
 
     def half_density(self, t: float) -> _HalfDensity:
         return _HalfDensity(self.scenario, t)
@@ -341,7 +313,7 @@ def build_branching_plans(tripod: Tripod, scenario: BranchingScenario) -> PlanPa
     """Construct the mirrored plan pair; validates the geometry fits."""
     if scenario.eps >= 1.0 - scenario.a:
         raise InfeasibleScenarioError("branch window eps must be < 1 - a")
-    s_lo, s_hi = scenario.s_window
+    s_hi = scenario.s_window[1]
     tau_lo, tau_hi = scenario.tau_window
     if not (0.0 < scenario.a < tau_lo < tau_hi < scenario.a + scenario.eps):
         raise InfeasibleScenarioError("branch window does not straddle the center crossings")
@@ -352,11 +324,7 @@ def build_branching_plans(tripod: Tripod, scenario: BranchingScenario) -> PlanPa
     if u_reach > min(tripod.edge_lengths[1], tripod.edge_lengths[2]) + 1e-12:
         raise InfeasibleScenarioError(
             f"target arcs reach {u_reach}, beyond the outer edge lengths")
-    k = _ENSEMBLE_SIDE
-    s_nodes = s_lo + (np.arange(k) + 0.5) * (s_hi - s_lo) / k
-    tau_nodes = tau_lo + (np.arange(k) + 0.5) * (tau_hi - tau_lo) / k
-    pair = PlanPair(tripod=tripod, scenario=scenario,
-                    s_nodes=s_nodes, tau_nodes=tau_nodes)
+    pair = PlanPair(tripod=tripod, scenario=scenario)
     cert = _density_certificate(pair)
     object.__setattr__(pair, "certificate", cert)
     return pair

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol, sigma
-from .space1d import Space1D, WindowError, load_space
+from .space1d import Space1D, WindowError, _number, load_space
 from . import transport1d as tr
 from . import curvature as cv
 from . import geometry_scan as gs
@@ -54,11 +54,14 @@ def _dump_body(body: dict) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"input file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ValueError(f"input file {path} does not hold a JSON object")
+    return data
 
 
 def _space_from_args(args) -> Space1D:
@@ -66,7 +69,6 @@ def _space_from_args(args) -> Space1D:
         raise ValueError("this command needs --input with a space description")
     data = _load_json(args.input)
     if args.grid_step is not None:
-        data = dict(data)
         data["grid_step"] = args.grid_step
     return load_space(data)
 
@@ -75,27 +77,26 @@ def _scenario_from_args(args) -> tuple[br.Tripod, br.BranchingScenario, list[flo
     if not args.input:
         raise ValueError("this command needs --input with a scenario description")
     data = _load_json(args.input)
-    for field in ("a", "b", "eps", "eta"):
-        if field not in data:
+    fields = {}
+    for field, default in (("a", None), ("b", None), ("eps", None), ("eta", None),
+                           ("beta", 1.0), ("N", 2.0)):
+        if field not in data and default is None:
             raise ValueError(f"scenario description: missing field {field!r}")
+        fields[field] = _number(data.get(field, default),
+                                f"scenario description: field {field!r}")
     lengths = data.get("edge_lengths", [1.0, 1.0, 1.0])
-    if len(lengths) != 3:
+    if not isinstance(lengths, list) or len(lengths) != 3:
         raise ValueError("scenario description: edge_lengths must have 3 entries")
-    tripod = br.Tripod(tuple(float(l) for l in lengths))
-    scenario = br.BranchingScenario(
-        a=float(data["a"]), b=float(data["b"]), eps=float(data["eps"]),
-        eta=float(data["eta"]), beta=float(data.get("beta", 1.0)),
-        N=float(data.get("N", 2.0)),
-    )
-    sweep = [float(v) for v in data.get("eps_sweep",
-             [scenario.eps * f for f in _EPS_SWEEP_FACTORS])]
+    tripod = br.Tripod(tuple(_number(l, "scenario description: edge_lengths entry")
+                             for l in lengths))
+    scenario = br.BranchingScenario(**fields)
+    sweep = data.get("eps_sweep", [scenario.eps * f for f in _EPS_SWEEP_FACTORS])
+    if not isinstance(sweep, list):
+        raise ValueError("scenario description: eps_sweep must be a list")
+    sweep = [_number(v, "scenario description: eps_sweep entry") for v in sweep]
     if not sweep:
         raise ValueError("scenario description: eps_sweep is empty")
     return tripod, scenario, sweep
-
-
-def _params_from_args(args) -> CurvatureParams:
-    return CurvatureParams(args.k, args.n)
 
 
 def _default_pair_battery(space: Space1D, seed: int, count: int = 50):
@@ -125,6 +126,17 @@ def _default_radii(space: Space1D, x0: float, params: CurvatureParams, n: int = 
     return list(np.linspace(0.1 * r_max, 0.7 * r_max, n))
 
 
+def _x0(args, space: Space1D) -> float:
+    """--x, or the middle of the domain."""
+    lo, hi = space.domain()
+    return args.x if args.x is not None else 0.5 * (lo + hi)
+
+
+def _tol(args) -> dict:
+    """--tol as a keyword argument; without it the check's own default holds."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def _base_body(args, check_id: str) -> dict:
     return {
         "check_id": check_id,
@@ -133,92 +145,71 @@ def _base_body(args, check_id: str) -> dict:
     }
 
 
+# -- report checks: (space, params, args) -> (CurvatureReport, extra params) ---
+
+def _bg_check(check, space, params, args):
+    """A Bishop-Gromov check(space, x0, params, radii) over the default radii
+    around --x."""
+    x0 = _x0(args, space)
+    return check(space, x0, params, _default_radii(space, x0, params), **_tol(args)), {}
+
+
+def _lipschitz(space, params, args):
+    lo, hi = space.domain()
+    r = 0.25 * _reach(space, 0.5 * (lo + hi))
+    rng = np.random.default_rng(args.seed)
+    pairs = []
+    for _ in range(200):
+        x = lo + (hi - lo) * rng.random()
+        d = r / 2.0 * rng.uniform(0.05, 0.95)
+        y = x + d
+        if space.topology.kind != "circle":
+            if y + r > hi or x - r < lo:
+                continue
+        pairs.append((float(x), float(y)))
+    _, _, report = gs.lipschitz_modulus(space, params, r, pairs)
+    return report, {"r": r}
+
+
+_REPORT_CHECKS = {
+    "check-kn-convex": lambda space, params, args: (cv.check_kn_convex(
+        space.weight, space, params, cv.default_triple_battery(space, seed=args.seed),
+        seed=args.seed, **_tol(args)), {}),
+    "verify-cde": lambda space, params, args: (cv.verify_cde(
+        space, params, _default_pair_battery(space, args.seed), seed=args.seed,
+        **_tol(args)), {}),
+    "verify-cd-infty": lambda space, params, args: (cv.verify_cd_infty(
+        space, params.K, _default_pair_battery(space, args.seed), seed=args.seed,
+        **_tol(args)), {}),
+    "circle-obstruction": lambda space, params, args: (cv.circle_obstruction(space, params), {}),
+    "bg-scan": lambda space, params, args: _bg_check(gs.bg_ratio_scan, space, params, args),
+    "bg-boundary": lambda space, params, args: _bg_check(gs.bg_boundary_check, space, params, args),
+    "lipschitz": _lipschitz,
+}
+
+
 # -- command handlers: return (exit_code, body_dict, csv_rows_or_None) -------
 
-def _cmd_check_kn_convex(args):
+def _cmd_report(args):
+    """Run the command's report check; the body is the report plus the
+    parameters and margin, and a FAIL exits 2."""
     space = _space_from_args(args)
-    params = _params_from_args(args)
-    battery = cv.default_triple_battery(space, seed=args.seed)
-    report = cv.check_kn_convex(space.weight, space, params, battery,
-                                tol=args.tol, seed=args.seed)
+    params = CurvatureParams(args.k, args.n)
+    report, extra = _REPORT_CHECKS[args.command](space, params, args)
     body = _base_body(args, report.kind)
     body.update(report.to_dict())
-    body["params"] = {"K": params.K, "N": params.N}
+    # CD(K, infinity) has no dimension bound
+    body["params"] = ({"K": params.K} if math.isinf(report.N)
+                      else {"K": params.K, "N": params.N}) | extra
     body["margin"] = report.max_violation
-    return (0 if report.passed else 2), body, None
-
-
-def _cmd_verify_cde(args):
-    space = _space_from_args(args)
-    params = _params_from_args(args)
-    pairs = _default_pair_battery(space, args.seed)
-    report = cv.verify_cde(space, params, pairs,
-                           tol=5e-4 if args.tol is None else args.tol, seed=args.seed)
-    body = _base_body(args, report.kind)
-    body.update(report.to_dict())
-    body["params"] = {"K": params.K, "N": params.N}
-    body["margin"] = report.max_violation
-    return (0 if report.passed else 2), body, None
-
-
-def _cmd_verify_cd_infty(args):
-    space = _space_from_args(args)
-    pairs = _default_pair_battery(space, args.seed)
-    report = cv.verify_cd_infty(space, args.k, pairs,
-                                tol=5e-4 if args.tol is None else args.tol, seed=args.seed)
-    body = _base_body(args, report.kind)
-    body.update(report.to_dict())
-    body["params"] = {"K": args.k}
-    body["margin"] = report.max_violation
-    return (0 if report.passed else 2), body, None
-
-
-def _cmd_circle_obstruction(args):
-    space = _space_from_args(args)
-    params = _params_from_args(args)
-    report = cv.circle_obstruction(space, params)
-    body = _base_body(args, report.kind)
-    body.update(report.to_dict())
-    body["params"] = {"K": params.K, "N": params.N}
-    body["margin"] = report.max_violation
-    found = not report.extra.get("anomaly", True)
-    return (0 if found else 2), body, None
-
-
-def _cmd_bg_scan(args):
-    space = _space_from_args(args)
-    params = _params_from_args(args)
-    lo, hi = space.domain()
-    x0 = args.x if args.x is not None else 0.5 * (lo + hi)
-    radii = _default_radii(space, x0, params)
-    report = gs.bg_ratio_scan(space, x0, params, radii,
-                              tol=1e-9 if args.tol is None else args.tol)
-    body = _base_body(args, report.kind)
-    body.update(report.to_dict())
-    body["params"] = {"K": params.K, "N": params.N}
-    body["margin"] = report.max_violation
-    return (0 if report.passed else 2), body, None
-
-
-def _cmd_bg_boundary(args):
-    space = _space_from_args(args)
-    params = _params_from_args(args)
-    lo, hi = space.domain()
-    x0 = args.x if args.x is not None else 0.5 * (lo + hi)
-    radii = _default_radii(space, x0, params)
-    report = gs.bg_boundary_check(space, x0, params, radii,
-                                  tol=0.0 if args.tol is None else args.tol)
-    body = _base_body(args, report.kind)
-    body.update(report.to_dict())
-    body["params"] = {"K": params.K, "N": params.N}
-    body["margin"] = report.max_violation
-    return (0 if report.passed else 2), body, None
+    # a circle obstruction passes when it finds the violation it looks for
+    ok = not report.extra["anomaly"] if "anomaly" in report.extra else report.passed
+    return (0 if ok else 2), body, None
 
 
 def _cmd_density_ratio(args):
     space = _space_from_args(args)
-    lo, hi = space.domain()
-    x0 = args.x if args.x is not None else 0.5 * (lo + hi)
+    x0 = _x0(args, space)
     reach = _reach(space, x0)
     r_hi = 0.45 * reach
     r_lo = max(10.0 * space.grid_step, r_hi / 50.0)
@@ -236,31 +227,6 @@ def _cmd_density_ratio(args):
     })
     rows = [("r", "ratio")] + list(trace.rows())
     return 0, body, rows
-
-
-def _cmd_lipschitz(args):
-    space = _space_from_args(args)
-    params = _params_from_args(args)
-    lo, hi = space.domain()
-    x0 = 0.5 * (lo + hi)
-    reach = _reach(space, x0)
-    r = 0.25 * reach
-    rng = np.random.default_rng(args.seed)
-    pairs = []
-    for _ in range(200):
-        x = lo + (hi - lo) * rng.random()
-        d = r / 2.0 * rng.uniform(0.05, 0.95)
-        y = x + d
-        if space.topology.kind != "circle":
-            if y + r > hi or x - r < lo:
-                continue
-        pairs.append((float(x), float(y)))
-    emp, theory, report = gs.lipschitz_modulus(space, params, r, pairs)
-    body = _base_body(args, report.kind)
-    body.update(report.to_dict())
-    body["params"] = {"K": params.K, "N": params.N, "r": r}
-    body["margin"] = report.max_violation
-    return (0 if report.max_violation <= 0 else 2), body, None
 
 
 def _cmd_classify(args):
@@ -285,9 +251,9 @@ def _cmd_classify(args):
     return 0, body, None
 
 
-def _tripod_sweep(args, check_id: str, renyi: bool):
-    """Shannon-chain and Renyi verdicts over the eps sweep; the report
-    follows the last eps, judged by the chain or by the Renyi ratio."""
+def _cmd_tripod(args):
+    """Shannon-chain and Renyi verdicts over the eps sweep; the report follows
+    the last eps, judged by the chain or (tripod-renyi) by the Renyi ratio."""
     tripod, scenario, sweep = _scenario_from_args(args)
     rows = [("eps", "lhs", "rhs", "ratio")]
     for eps in sweep:
@@ -296,11 +262,11 @@ def _tripod_sweep(args, check_id: str, renyi: bool):
         lhs, rhs, chain = br.entropy_chain_inequality(pair, tripod, sc)
         ratio, _, ratio_rep = br.renyi_contradiction(pair, tripod, sc)
         rows.append((eps, lhs, rhs, ratio))
-    if renyi:
+    if args.command == "tripod-renyi":
         final, margin = ratio_rep, ratio_rep["threshold"] - ratio_rep["ratio"]
     else:
         final, margin = chain, chain["lhs"] - chain["rhs"]
-    body = _base_body(args, check_id)
+    body = _base_body(args, f"{args.command}-chain")
     body.update({
         "params": {"a": scenario.a, "b": scenario.b, "eta": scenario.eta,
                    "beta": scenario.beta, "N": scenario.N},
@@ -313,36 +279,30 @@ def _tripod_sweep(args, check_id: str, renyi: bool):
     return (0 if final["contradiction"] else 2), body, rows
 
 
-def _cmd_tripod_shannon(args):
-    return _tripod_sweep(args, "tripod-shannon-chain", renyi=False)
-
-
-def _cmd_tripod_renyi(args):
-    return _tripod_sweep(args, "tripod-renyi-chain", renyi=True)
-
-
 def _cmd_coefficients_table(args):
     if not args.input:
         raise ValueError("coefficients-table needs --input with grids "
                          '{"t": [...], "K": [...], "N": [...], "theta": [...]}')
     data = _load_json(args.input)
+    grid = {}
     for fieldname in ("t", "K", "N", "theta"):
         if fieldname not in data or not isinstance(data[fieldname], list):
             raise ValueError(f"coefficients grid: missing list field {fieldname!r}")
+        grid[fieldname] = [_number(v, f"coefficients grid: {fieldname!r} entry")
+                           for v in data[fieldname]]
     rows = [("t", "K", "N", "theta", "sigma", "s_vol", "f_vol")]
-    for t in data["t"]:
-        for K in data["K"]:
-            for N in data["N"]:
-                params = CurvatureParams(float(K), float(N))
-                for theta in data["theta"]:
-                    sg = sigma(float(t), params, float(theta))
-                    sv = s_vol(params, float(theta))
+    for t in grid["t"]:
+        for K in grid["K"]:
+            for N in grid["N"]:
+                params = CurvatureParams(K, N)
+                for theta in grid["theta"]:
+                    sg = sigma(t, params, theta)
+                    sv = s_vol(params, theta)
                     try:
-                        fv = f_vol(params, float(theta))
+                        fv = f_vol(params, theta)
                     except ValueError:
                         fv = float("nan")
-                    rows.append((float(t), float(K), float(N), float(theta),
-                                 sg, sv, fv))
+                    rows.append((t, K, N, theta, sg, sv, fv))
     body = _base_body(args, "coefficients-table")
     body.update({
         "params": {"t": data["t"], "K": data["K"], "N": data["N"],
@@ -353,19 +313,14 @@ def _cmd_coefficients_table(args):
     return 0, body, rows
 
 
+# command -> (handler, output formats, the default first)
 _COMMANDS = {
-    "check-kn-convex": _cmd_check_kn_convex,
-    "verify-cde": _cmd_verify_cde,
-    "verify-cd-infty": _cmd_verify_cd_infty,
-    "circle-obstruction": _cmd_circle_obstruction,
-    "bg-scan": _cmd_bg_scan,
-    "bg-boundary": _cmd_bg_boundary,
-    "density-ratio": _cmd_density_ratio,
-    "lipschitz": _cmd_lipschitz,
-    "classify": _cmd_classify,
-    "tripod-shannon": _cmd_tripod_shannon,
-    "tripod-renyi": _cmd_tripod_renyi,
-    "coefficients-table": _cmd_coefficients_table,
+    **dict.fromkeys(_REPORT_CHECKS, (_cmd_report, ("json",))),
+    "density-ratio": (_cmd_density_ratio, ("json", "csv")),
+    "classify": (_cmd_classify, ("json",)),
+    "tripod-shannon": (_cmd_tripod, ("json", "csv")),
+    "tripod-renyi": (_cmd_tripod, ("json", "csv")),
+    "coefficients-table": (_cmd_coefficients_table, ("csv", "json")),
 }
 
 
@@ -407,26 +362,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    # classify takes comma lists in --k/--n; other commands need floats
-    if args.command != "classify":
-        try:
-            args.k = float(args.k)
-            args.n = float(args.n)
-        except (TypeError, ValueError):
-            print("error: --k and --n must be numbers", file=sys.stderr)
-            return 1
-
+    handler, formats = _COMMANDS[args.command]
+    fmt = args.format or formats[0]
     try:
-        code, body, rows = _COMMANDS[args.command](args)
+        if fmt not in formats:
+            raise ValueError(f"{args.command} has no {fmt} output")
+        # classify takes comma lists in --k/--n; other commands need floats
+        if args.command != "classify":
+            args.k, args.n = _number(args.k, "--k"), _number(args.n, "--n")
+        code, body, rows = handler(args)
     except (ValueError, WindowError, br.InfeasibleScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    fmt = args.format or ("csv" if args.command == "coefficients-table" else "json")
-    if fmt == "csv" and rows is not None:
-        text = _csv_text(rows)
-    else:
-        text = _dump_body(body)
+    text = _csv_text(rows) if fmt == "csv" else _dump_body(body)
 
     if args.output:
         with open(args.output, "w") as fh:

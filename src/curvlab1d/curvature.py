@@ -149,7 +149,14 @@ def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
     live = ~(params.K * d * d >= N * math.pi * math.pi)  # sigma's conjugate test
     rows = live[plan_of]
     n = int(np.count_nonzero(live))
-    g = _scalar_map(math.exp, -f(np.concatenate([x0[live], x1[live], xt[rows]])) / N)
+    pts = np.concatenate([x0[live], x1[live], xt[rows]])
+    fv = f(pts)
+    try:
+        g = _scalar_map(math.exp, -fv / N)
+    except OverflowError:
+        k = int(np.argmin(fv))
+        raise ValueError(f"exp(-f/N) is not representable at x = {float(pts[k])!r} "
+                         f"(f = {float(fv[k])!r}, N = {N!r})") from None
     tl, at = t[rows], (np.cumsum(live) - 1)[plan_of[rows]]  # at: plan among the live
     dl = d[live][at]
     m = np.full(len(t), math.inf)
@@ -165,7 +172,8 @@ def triple_margin(f: WeightFn, space: Space1D, params: CurvatureParams,
 
     Positive = the (K,N)-convexity inequality fails at this triple.
     Returns math.inf if the triple is in the conjugate regime, and also
-    when the margin overflows outside it.
+    when the margin overflows outside it; raises ValueError when
+    exp(-f/N) itself overflows at one of the three points.
     """
     row, _ = _battery_margins(f, space, params, np.array([x0], dtype=float),
                               np.array([x1], dtype=float), np.array([arc != "minor"]),
@@ -308,8 +316,13 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
             if math.isinf(s0) or math.isinf(s1):
                 flags.append({"pair": idx, "w2": dist, "regime": "conjugate-point"})
                 break
-            m = (s0 * math.exp(-e0 / N) + s1 * math.exp(-e1 / N)
-                 - math.exp(-et / N))
+            try:
+                m = (s0 * math.exp(-e0 / N) + s1 * math.exp(-e1 / N)
+                     - math.exp(-et / N))
+            except OverflowError:
+                ents_t = ", ".join(repr(float(e)) for e in (e0, e1, et))
+                raise ValueError(f"pair {idx}: exp(-Ent/N) is not representable at t={t} "
+                                 f"(Ent0, Ent1, Ent_t = {ents_t}; N = {N!r})") from None
             if m > worst:
                 worst = m
                 witness = {"pair": idx, "t": t, "w2": dist, "ent0": e0,
@@ -381,7 +394,12 @@ def circle_obstruction(space: Space1D, params: CurvatureParams,
         # margin is an overflowed violation
         m = triple_margin(w, space, params, x0, x1, 0.5, arc="minor")
         if m > 0.0:
+            # xbar maximises f, so gN cannot overflow once the margin was
+            # computed, but it can underflow
             gN = math.exp(-w(xbar) / params.N)
+            if gN == 0.0:
+                raise ValueError(f"exp(-f/N) is not representable at xbar = {xbar!r}: "
+                                 f"f = {w(xbar)!r}, N = {params.N!r}")
             s_sum = m + gN
             analytic = 1.0 / math.cos(0.5 * d * math.sqrt(params.K / params.N))
             return CurvatureReport(

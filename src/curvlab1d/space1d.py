@@ -271,20 +271,13 @@ class Space1D:
         l = self.topology.param
         return [(max(0.0, x - r), min(l, x + r))]
 
-    def sphere_coords(self, x: float, r: float) -> list[float]:
-        """Points at metric distance exactly r from x, within the domain."""
+    def _sphere_sides(self, x: float, r: float) -> list[float]:
+        """For r > 0: the point at distance r from x in each direction that
+        stays in the space (on a circle, none past the antipode)."""
         kind = self.topology.kind
-        if r == 0.0:
-            return [x % self.topology.circumference if kind == "circle" else x]
         if kind == "circle":
             c = self.topology.circumference
-            if r > c / 2.0 + _ENDPOINT_TOL:
-                return []
-            a = (x - r) % c
-            b = (x + r) % c
-            if abs(r - c / 2.0) <= _ENDPOINT_TOL:
-                return [b]  # antipode: both directions meet
-            return sorted({a, b})
+            return [(x - r) % c, (x + r) % c] if r <= c / 2.0 + _ENDPOINT_TOL else []
         pts = []
         lo, hi = self.domain()
         for y in (x - r, x + r):
@@ -293,6 +286,18 @@ class Space1D:
                     raise WindowError(f"sphere point {y} leaves the working window")
                 pts.append(min(max(y, lo), hi))
         return pts
+
+    def sphere_coords(self, x: float, r: float) -> list[float]:
+        """Points at metric distance exactly r from x, within the domain."""
+        kind = self.topology.kind
+        if r == 0.0:
+            return [x % self.topology.circumference if kind == "circle" else x]
+        sides = self._sphere_sides(x, r)
+        if kind != "circle":
+            return sides
+        if abs(r - self.topology.circumference / 2.0) <= _ENDPOINT_TOL:
+            return sides[1:]  # antipode: both directions meet
+        return sorted(set(sides))
 
     def total_mass(self) -> float:
         lo, hi = self.domain()
@@ -370,21 +375,7 @@ def disintegrate(space: Space1D, origin: float, r: float) -> SphereMeasure:
     """
     if r < 0.0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    kind = space.topology.kind
-    sides: list[float] = []
-    if r == 0.0:
-        sides = [origin, origin]
-    elif kind == "circle":
-        c = space.topology.circumference
-        if r <= c / 2.0 + _ENDPOINT_TOL:
-            sides = [(origin - r) % c, (origin + r) % c]
-    else:
-        lo, hi = space.domain()
-        for y in (origin - r, origin + r):
-            if lo - _ENDPOINT_TOL <= y <= hi + _ENDPOINT_TOL:
-                if kind == "line" and not (lo + _ENDPOINT_TOL < y < hi - _ENDPOINT_TOL):
-                    raise WindowError(f"sphere point {y} leaves the working window")
-                sides.append(min(max(y, lo), hi))
+    sides = [origin, origin] if r == 0.0 else space._sphere_sides(origin, r)
     merged: dict[float, float] = {}
     for y in sides:
         key = round(y, 12)
@@ -424,6 +415,14 @@ def space_to_dict(space: Space1D) -> dict:
     if space.window is not None:
         d["window"] = [space.window[0], space.window[1]]
     return d
+
+
+def _number(value, where: str) -> float:
+    """float(value), or a schema error naming where the value came from."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a number, got {value!r}") from None
 
 
 def load_space(source) -> Space1D:
@@ -466,11 +465,11 @@ def load_space(source) -> Space1D:
         w = data["window"]
         if (not isinstance(w, (list, tuple))) or len(w) != 2:
             raise ValueError("space description: field 'window' must be [a, b]")
-        window = (float(w[0]), float(w[1]))
+        window = tuple(_number(v, "space description: window entry") for v in w)
     elif "window" in data:
         raise ValueError(f"space description: field 'window' not allowed for {kind}")
 
-    grid_step = float(data.get("grid_step", 1e-3))
+    grid_step = _number(data.get("grid_step", 1e-3), "space description: field 'grid_step'")
 
     if kind == "interval":
         lo, hi = 0.0, float(param)
@@ -487,8 +486,12 @@ def load_space(source) -> Space1D:
     else:
         if not isinstance(wdata, dict) or "coords" not in wdata or "f" not in wdata:
             raise ValueError("space description: field 'weight' must have 'coords' and 'f'")
-        coords = np.asarray(wdata["coords"], dtype=float)
-        fvals = np.asarray(wdata["f"], dtype=float)
+        try:
+            coords = np.asarray(wdata["coords"], dtype=float)
+            fvals = np.asarray(wdata["f"], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("space description: weight 'coords' and 'f' must be number "
+                             "lists") from None
         if coords.shape != fvals.shape:
             raise ValueError("space description: weight 'coords' and 'f' lengths differ")
         weight = WeightFn(coords, fvals, period)

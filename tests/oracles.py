@@ -184,3 +184,42 @@ def brute_force_triple_scan(f, space, K, N, n_grid=120, t_steps=16):
                 if m > worst:
                     worst, arg = m, (x0, x1, t)
     return worst, arg
+
+
+# -- stratified tripod ensemble ----------------------------------------------------
+
+class TripodEnsemble:
+    """Discrete plan of a branching scenario: a side x side stratified
+    lattice over (source s, crossing time tau), one geodesic per node, going
+    to u = s (1 - tau)/tau on edge 1 ("u") or edge 2 ("d").  Its histogram
+    is the oracle for the closed-form half density of the library.
+    """
+
+    def __init__(self, scenario, side=64):
+        self.beta = scenario.beta
+        s_lo, s_hi = scenario.s_window
+        tau_lo, tau_hi = scenario.tau_window
+        self.s_nodes = s_lo + (np.arange(side) + 0.5) * (s_hi - s_lo) / side
+        self.tau_nodes = tau_lo + (np.arange(side) + 0.5) * (tau_hi - tau_lo) / side
+
+    def geodesic_count(self):
+        return len(self.s_nodes) * len(self.tau_nodes)
+
+    def geodesics(self, which):
+        """Yield (start, end, mass) triples of the ensemble."""
+        from curvlab1d.branching import TripodPoint
+
+        edge = 1 if which == "u" else 2
+        m = self.beta / self.geodesic_count()
+        for s in self.s_nodes:
+            for tau in self.tau_nodes:
+                u = s * (1.0 - tau) / tau
+                yield TripodPoint(0, float(s)), TripodPoint(edge, float(u)), m
+
+    def positions(self, which, t):
+        """(edge, coordinate) arrays of all ensemble geodesics at time t."""
+        s = self.s_nodes[:, None]
+        tau = self.tau_nodes[None, :]
+        xi = s * (1.0 - t / tau)  # >0 stem, <0 target
+        edges = np.where(xi >= 0.0, 0, 1 if which == "u" else 2)
+        return edges.ravel(), np.abs(xi).ravel()

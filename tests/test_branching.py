@@ -9,7 +9,7 @@ from curvlab1d.branching import (
     mixture_w2_correction, renyi_contradiction, renyi_raw,
 )
 
-from oracles import trapezoid_refined
+from oracles import TripodEnsemble, trapezoid_refined
 
 
 TRIPOD = Tripod((1.0, 1.0, 1.0))
@@ -19,6 +19,11 @@ SCENARIO = BranchingScenario(a=0.5, b=0.1, eps=0.02, eta=0.5)
 @pytest.fixture(scope="module")
 def pair():
     return build_branching_plans(TRIPOD, SCENARIO)
+
+
+@pytest.fixture(scope="module")
+def ensemble(pair):
+    return TripodEnsemble(pair.scenario)
 
 
 # -- tripod geometry ---------------------------------------------------------------
@@ -58,31 +63,31 @@ def test_tripod_ball_at_center():
 
 # -- plan construction ----------------------------------------------------------------
 
-def test_plan_mass_and_count(pair):
-    assert pair.geodesic_count() == 4096
-    gu = list(pair.geodesics("u"))
+def test_plan_mass_and_count(ensemble):
+    assert ensemble.geodesic_count() == 4096
+    gu = list(ensemble.geodesics("u"))
     assert len(gu) == 4096
     assert sum(m for _, _, m in gu) == pytest.approx(SCENARIO.beta, abs=1e-12)
     starts = {p.edge for p, _, _ in gu}
     ends = {q.edge for _, q, _ in gu}
     assert starts == {0} and ends == {1}
-    ends_d = {q.edge for _, q, _ in pair.geodesics("d")}
+    ends_d = {q.edge for _, q, _ in ensemble.geodesics("d")}
     assert ends_d == {2}
 
 
-def test_plan_prefix_identity(pair):
+def test_plan_prefix_identity(ensemble):
     # pushforwards of the two halves coincide exactly for t <= a
     for t in (0.0, 0.1, 0.3, 0.5):
-        eu, xu = pair.ensemble_positions("u", t)
-        ed, xd = pair.ensemble_positions("d", t)
+        eu, xu = ensemble.positions("u", t)
+        ed, xd = ensemble.positions("d", t)
         assert np.array_equal(xu, xd)
         assert set(np.unique(eu)) == {0} == set(np.unique(ed))
 
 
-def test_plan_mutual_singularity_after_window(pair):
+def test_plan_mutual_singularity_after_window(pair, ensemble):
     t = SCENARIO.a + SCENARIO.eps
-    eu, xu = pair.ensemble_positions("u", t)
-    ed, xd = pair.ensemble_positions("d", t)
+    eu, xu = ensemble.positions("u", t)
+    ed, xd = ensemble.positions("d", t)
     assert set(np.unique(eu)) == {1}
     assert set(np.unique(ed)) == {2}
     assert pair.support_gap_at(t) > 0.0
@@ -104,11 +109,11 @@ def test_plan_density_certificate(pair):
     assert cert["sup_density_at_b"] == pytest.approx(rough, rel=0.15)
 
 
-def test_plan_density_matches_ensemble_histogram(pair):
+def test_plan_density_matches_ensemble_histogram(pair, ensemble):
     # closed-form density vs a normalized histogram of the 4096 geodesics
     t = 1.0
     hd = pair.half_density(t)
-    _, xs = pair.ensemble_positions("u", t)
+    _, xs = ensemble.positions("u", t)
     lo, hi = hd.target_support()
     bins = np.linspace(lo, hi, 33)
     hist, edges = np.histogram(xs, bins=bins)

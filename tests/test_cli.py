@@ -175,6 +175,50 @@ def test_vacuous_scan_exits_one(spaces, tmp_path):
                 "--output", str(tmp_path / "v.json")]) == 1
 
 
+def test_unrepresentable_weight_exits_one(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"topology": "interval", "param": 1,
+                                "weight": {"coords": [0, 1], "f": [-1500, -1500]}}))
+    for command in ("check-kn-convex", "verify-cde"):
+        assert run([command, "--input", str(deep),
+                    "--output", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+SCHEMA_TYPE_ERRORS = [
+    pytest.param("check-kn-convex", {"topology": "interval", "param": 1.0, "grid_step": None},
+                 "grid_step", id="grid_step-null"),
+    pytest.param("bg-scan", {"topology": "line", "window": [None, 1]}, "window",
+                 id="window-null"),
+    pytest.param("tripod-shannon", {"a": None, "b": 0.1, "eps": 0.05, "eta": 0.5}, "'a'",
+                 id="scenario-a-null"),
+    pytest.param("tripod-renyi", {"a": 0.5, "b": 0.1, "eps": 0.05, "eta": 0.5,
+                                  "edge_lengths": 5}, "edge_lengths", id="edge_lengths-5"),
+    pytest.param("coefficients-table", {"t": [None], "K": [0.0], "N": [2.0], "theta": [0.5]},
+                 "'t'", id="grid-t-null"),
+    pytest.param("tripod-shannon", 5, "JSON object", id="not-an-object"),
+]
+
+
+@pytest.mark.parametrize("command,desc,field", SCHEMA_TYPE_ERRORS)
+def test_schema_type_errors_exit_one(command, desc, field, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(desc))
+    assert run([command, "--input", str(path), "--output", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def test_csv_only_for_commands_with_rows(spaces, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    for command in ("check-kn-convex", "verify-cde", "verify-cd-infty", "circle-obstruction",
+                    "bg-scan", "bg-boundary", "lipschitz", "classify"):
+        assert run([command, "--input", spaces["interval"], "--format", "csv",
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
 ALL_COMMANDS = [
     ["check-kn-convex", "--input", "line"],
     ["verify-cde", "--input", "interval"],

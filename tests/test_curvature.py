@@ -600,6 +600,21 @@ def test_circle_obstruction_overflowed_margin_is_found():
     assert report.witness["d"] == 0.95 * math.pi / 2.0
 
 
+def test_unrepresentable_exp_weight_raises_value_error():
+    # f = -1500 puts exp(-f/N) = exp(750) past the float range everywhere
+    space = Space1D(Topology1D("interval", 1.0), WeightFn.constant(-1500.0, 0.0, 1.0))
+    params = CurvatureParams(0.0, 2.0)
+    with pytest.raises(ValueError, match=r"exp\(-f/N\) is not representable at x = "):
+        check_kn_convex(space.weight, space, params, default_triple_battery(space))
+    pair = [(uniform_measure(space, 0.1, 0.3), uniform_measure(space, 0.5, 0.9))]
+    with pytest.raises(ValueError, match=r"pair 0: exp\(-Ent/N\) is not representable"):
+        verify_cde(space, params, pair)
+    # the violation is found, but exp(-f/N) underflows to 0 at the peak of f
+    circ = circle_with(lambda th: 1400.0 + 100.0 * np.exp(-((th - math.pi) / 0.3) ** 2), n=64)
+    with pytest.raises(ValueError, match="not representable at xbar = "):
+        circle_obstruction(circ, CurvatureParams(1.0, 2.0))
+
+
 def test_circle_obstruction_rejects_bad_inputs():
     space = flat_space(-1.0, 1.0)
     with pytest.raises(ValueError):

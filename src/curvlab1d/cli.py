@@ -194,6 +194,7 @@ def _cmd_report(args):
     """Run the command's report check; the body is the report plus the
     parameters and margin, and a FAIL exits 2."""
     space = _space_from_args(args)
+    # verify-cd-infty reads no --n: the default N = 2 only lets K be checked
     params = CurvatureParams(args.k, args.n)
     report, extra = _REPORT_CHECKS[args.command](space, params, args)
     body = _base_body(args, report.kind)
@@ -313,15 +314,30 @@ def _cmd_coefficients_table(args):
     return 0, body, rows
 
 
-# command -> (handler, output formats, the default first)
+# every command reads these; --seed enters every body
+_COMMON_OPTIONS = ("input", "output", "seed", "format")
+_SPACE_CHECK = ("grid_step", "k", "n", "tol")
+
+# command -> (handler, output formats with the default first, options read
+# beyond _COMMON_OPTIONS); any other option given explicitly is a usage error
 _COMMANDS = {
-    **dict.fromkeys(_REPORT_CHECKS, (_cmd_report, ("json",))),
-    "density-ratio": (_cmd_density_ratio, ("json", "csv")),
-    "classify": (_cmd_classify, ("json",)),
-    "tripod-shannon": (_cmd_tripod, ("json", "csv")),
-    "tripod-renyi": (_cmd_tripod, ("json", "csv")),
-    "coefficients-table": (_cmd_coefficients_table, ("csv", "json")),
+    "check-kn-convex": (_cmd_report, ("json",), _SPACE_CHECK),
+    "verify-cde": (_cmd_report, ("json",), _SPACE_CHECK),
+    "verify-cd-infty": (_cmd_report, ("json",), ("grid_step", "k", "tol")),
+    "circle-obstruction": (_cmd_report, ("json",), ("grid_step", "k", "n")),
+    "bg-scan": (_cmd_report, ("json",), _SPACE_CHECK + ("x",)),
+    "bg-boundary": (_cmd_report, ("json",), _SPACE_CHECK + ("x",)),
+    "lipschitz": (_cmd_report, ("json",), ("grid_step", "k", "n")),
+    "density-ratio": (_cmd_density_ratio, ("json", "csv"), ("grid_step", "x", "kexp")),
+    "classify": (_cmd_classify, ("json",), _SPACE_CHECK),
+    "tripod-shannon": (_cmd_tripod, ("json", "csv"), ()),
+    "tripod-renyi": (_cmd_tripod, ("json", "csv"), ()),
+    "coefficients-table": (_cmd_coefficients_table, ("csv", "json"), ()),
 }
+
+# option defaults, filled in once the options given explicitly are known
+_DEFAULTS = {"input": None, "output": None, "seed": 0, "tol": None, "grid_step": None,
+             "k": "0.0", "n": "2.0", "x": None, "kexp": 1, "format": None}
 
 
 def _csv_text(rows) -> str:
@@ -338,33 +354,41 @@ def _csv_text(rows) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; an option not given is absent from the namespace
+    (see _DEFAULTS)."""
     parser = argparse.ArgumentParser(
         prog="curvlab-1d",
         description="Curvature-dimension checks on 1D weighted spaces and the tripod",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--input", help="JSON space or scenario description")
     parser.add_argument("--output", help="report body path (sidecar .meta.json gets the timestamp)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--grid-step", dest="grid_step", type=float, default=None)
-    parser.add_argument("--k", default="0.0", help="curvature bound K (comma list for classify)")
-    parser.add_argument("--n", default="2.0", help="dimension bound N (comma list for classify)")
-    parser.add_argument("--x", type=float, default=None, help="scan center coordinate")
-    parser.add_argument("--kexp", type=int, default=1, help="density-ratio exponent k")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("--seed", type=int, help="default 0")
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--grid-step", dest="grid_step", type=float)
+    parser.add_argument("--k", help="curvature bound K (comma list for classify; default 0.0)")
+    parser.add_argument("--n", help="dimension bound N (comma list for classify; default 2.0)")
+    parser.add_argument("--x", type=float, help="scan center coordinate")
+    parser.add_argument("--kexp", type=int, help="density-ratio exponent k (default 1)")
+    parser.add_argument("--format", choices=("json", "csv"))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        given = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    handler, formats = _COMMANDS[args.command]
+    args = argparse.Namespace(**(_DEFAULTS | vars(given)))
+    handler, formats, reads = _COMMANDS[args.command]
     fmt = args.format or formats[0]
     try:
+        unread = [f"--{o.replace('_', '-')}" for o in _DEFAULTS
+                  if hasattr(given, o) and o not in _COMMON_OPTIONS and o not in reads]
+        if unread:
+            raise ValueError(f"{args.command} does not read {', '.join(unread)}")
         if fmt not in formats:
             raise ValueError(f"{args.command} has no {fmt} output")
         # classify takes comma lists in --k/--n; other commands need floats

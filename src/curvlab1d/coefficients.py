@@ -5,26 +5,39 @@ Three closed-form families drive every inequality in the toolkit:
 * ``sigma(t, params, theta)`` -- the distortion coefficient with sin /
   linear / sinh branches.  It returns ``math.inf`` in the conjugate-point
   regime ``K*theta**2 >= N*pi**2``; callers treat that as a flag, never as
-  a number to combine.  Values are never NaN.
+  a number to combine.  Values are never NaN: a non-finite theta raises.
 * ``s_vol(params, t)`` -- the model volume density (sin / linear / sinh in
   the radius, built from N-1 rather than N).
 * ``f_vol(params, r)`` -- the antiderivative of ``s_vol**(N-1)``, computed
   by adaptive Simpson quadrature to absolute tolerance 1e-10.
 
+sigma's rule for one theta -- the conjugate test, the branch and the
+t-free denominator -- lives in ``_sigma_branch`` alone.  Scalar sigma and
+the batched (K,N)-convexity battery in ``curvature`` both read it, so a
+battery evaluates the rule once per plan and only ``sin(t x) / den`` (or
+``sinh``) per row, with the same float operations as sigma.
+
 Near the K = 0 seam the sin/sinh ratios cancel catastrophically, so for
 ``|K| * theta**2 / N < 1e-8`` sigma switches to the shared Taylor series of
-both branches (the series is analytic in the signed argument).
+both branches (the series is analytic in the signed argument).  Where
+``sinh(x)`` overflows (x past about 710.48) the sinh ratio is taken as
+``exp(-(1-t) x) * expm1(-2 t x) / expm1(-2 x)``, which is finite there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import exp as _exp, expm1 as _expm1, inf as _INF, pi as _PI, sin as _sin
+from math import sinh as _sinh, sqrt as _sqrt
 
 __all__ = ["CurvatureParams", "sigma", "s_vol", "f_vol", "conjugate_radius"]
 
 # seam threshold for |K| theta^2 / N below which the series expansion is used
 _SEAM = 1e-8
+
+# sigma's branches, as _sigma_branch names them
+CONJUGATE, LINEAR, SEAM, SIN, SINH, FAR = range(6)
 
 # quadrature settings for f_vol (absolute tolerance, max bisection depth)
 _QUAD_TOL = 1e-10
@@ -45,32 +58,76 @@ class CurvatureParams:
             raise ValueError(f"N must be a finite number > 1, got {self.N}")
 
 
+def _sigma_branch(params: CurvatureParams, theta: float) -> tuple[int, float, float]:
+    """sigma's rule at theta, which no t enters: (branch, x, den).
+
+    * CONJUGATE (K theta^2 >= N pi^2): sigma is inf.
+    * LINEAR (K theta^2 == 0): sigma is t.
+    * SEAM (|s| < 1e-8, s = K theta^2 / N): x is s itself, den the series
+      denominator 1 - s/6 + s^2/120.
+    * SIN, SINH: x = sqrt(|s|), den = sin(x) or sinh(x); sigma is
+      sin(t x) / den or sinh(t x) / den.
+    * FAR: sinh(x) overflows; den = expm1(-2 x) and sigma is
+      exp(-(1-t) x) expm1(-2 t x) / den.
+    """
+    if theta < 0.0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
+    K, N = params.K, params.N
+    kt2 = K * theta * theta
+    if kt2 >= N * _PI * _PI:
+        if theta == _INF:
+            raise ValueError(f"theta must be finite, got {theta}")
+        return CONJUGATE, _INF, _INF
+    s = kt2 / N  # signed squared argument
+    if s == 0.0:
+        return LINEAR, 0.0, 1.0
+    if abs(s) < _SEAM:
+        # sin(t x)/sin(x) and sinh(t x)/sinh(x) share one series in s = +-x^2
+        return SEAM, s, 1.0 - s / 6.0 + s * s / 120.0
+    if s > 0.0:
+        x = _sqrt(s)
+        return SIN, x, _sin(x)
+    x = _sqrt(-s)  # NaN for a NaN theta, and for K = 0 with theta = inf
+    if not x < _INF:
+        if not theta < _INF:
+            raise ValueError(f"theta must be finite, got {theta}")
+        raise ValueError(f"K theta^2 overflows (K = {K}, theta = {theta})")
+    try:
+        return SINH, x, _sinh(x)
+    except OverflowError:
+        return FAR, x, _expm1(-2.0 * x)
+
+
+# [(params, theta, *rule)] of sigma's latest call: callers that sweep t at one
+# theta (verify_cde, the seam rows of a battery) derive the rule once.  One
+# tuple, replaced whole, so a reader never sees a mix of two calls.
+_last = [(None, math.nan, LINEAR, 0.0, 1.0)]  # a NaN theta matches no call
+
+
 def sigma(t: float, params: CurvatureParams, theta: float) -> float:
     """Distortion coefficient sigma^(t)_{K,N}(theta).
 
     Returns math.inf iff K*theta^2 >= N*pi^2 (conjugate-point regime).
-    Exactly t when K*theta^2 == 0.  Continuous in K across K = 0.
+    Exactly t when K*theta^2 == 0.  Continuous in K across K = 0.  Raises
+    ValueError unless 0 <= t <= 1 and theta is finite and >= 0.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0,1], got {t}")
-    if theta < 0.0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    K, N = params.K, params.N
-    if K * theta * theta >= N * math.pi * math.pi:
-        return math.inf
-    s = K * theta * theta / N  # signed squared argument
-    if s == 0.0:
+    p, th, branch, x, den = _last[0]
+    if p is not params or th != theta:
+        branch, x, den = _sigma_branch(params, theta)
+        _last[0] = (params, theta, branch, x, den)
+    if branch == SIN:
+        return _sin(t * x) / den
+    if branch == SINH:
+        return _sinh(t * x) / den
+    if branch == LINEAR:
         return t
-    if abs(s) < _SEAM:
-        # sin(t x)/sin(x) and sinh(t x)/sinh(x) share one series in s = +-x^2
-        num = 1.0 - t * t * s / 6.0 + (t ** 4) * s * s / 120.0
-        den = 1.0 - s / 6.0 + s * s / 120.0
-        return t * num / den
-    if s > 0.0:
-        x = math.sqrt(s)
-        return math.sin(t * x) / math.sin(x)
-    x = math.sqrt(-s)
-    return math.sinh(t * x) / math.sinh(x)
+    if branch == CONJUGATE:
+        return _INF
+    if branch == SEAM:
+        return t * (1.0 - t * t * x / 6.0 + (t ** 4) * x * x / 120.0) / den
+    return _exp(-((1.0 - t) * x)) * _expm1(-2.0 * t * x) / den
 
 
 def s_vol(params: CurvatureParams, t: float) -> float:

@@ -13,11 +13,15 @@ margin.  Conjugacy is decided by K d^2 >= N pi^2 alone: a margin that
 overflows to inf outside that regime is a violation too large to
 represent, and it fails the check with its witness.
 
-A (K,N)-convexity battery is scored in one batched pass (a lone triple is
-a one-row battery): numpy geodesic points, the per-plan conjugate test
-K d^2 >= N pi^2 that sigma applies, and one vectorised weight lookup.
-sigma and exp stay scalar math on every value: numpy's exp and sinh differ
-from math's by an ulp on some inputs, and margins are reproducible bits.
+A (K,N)-convexity battery is a ``TripleBattery`` of arrays (plans and
+their (plan, t) rows; a list of ``TriplePlan`` is packed into one, and a
+lone triple is a one-row battery) scored in one batched pass: numpy
+geodesic points, sigma's rule (conjugate test, branch, denominator) once
+per plan, and one vectorised weight lookup.  Per row only sin or sinh of
+t x and exp(-f/N) are scalar math, since numpy's exp, sin and sinh differ
+from math's by an ulp on some inputs and margins are reproducible bits;
+the products and quotients around them are numpy's correctly rounded
+float operations, so every margin equals scalar sigma's arithmetic.
 """
 
 from __future__ import annotations
@@ -30,13 +34,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CurvatureParams, sigma
+from .coefficients import (CONJUGATE, FAR, SEAM, SIN, SINH, CurvatureParams, _sigma_branch,
+                           sigma)
 from .space1d import Space1D, WeightFn
 from .transport1d import entropies_along
 
 __all__ = [
     "CurvatureReport",
     "TriplePlan",
+    "TripleBattery",
     "default_tolerance",
     "default_triple_battery",
     "triple_margin",
@@ -116,6 +122,42 @@ class TriplePlan:
                 raise ValueError("interior times must lie in (0,1)")
 
 
+@dataclass(frozen=True, eq=False)
+class TripleBattery:
+    """Geodesic triples as arrays: plan i runs from x0[i] to x1[i], along
+    the major arc where major[i], and row r scores plan plan_of[r] at the
+    interior time t[r].  A plan may have no row."""
+
+    x0: np.ndarray
+    x1: np.ndarray
+    major: np.ndarray
+    t: np.ndarray
+    plan_of: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("x0", float), ("x1", float), ("major", bool), ("t", float),
+                            ("plan_of", np.intp)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = len(self.x0)
+        if not len(self.x1) == len(self.major) == n or len(self.plan_of) != len(self.t):
+            raise ValueError("battery arrays disagree in length")
+        if not (np.all(np.isfinite(self.x0)) and np.all(np.isfinite(self.x1))):
+            raise ValueError("triple endpoints must be finite")
+        if np.any(self.x0 == self.x1):
+            raise ValueError("triple needs distinct endpoints")
+        if not np.all((0.0 < self.t) & (self.t < 1.0)):
+            raise ValueError("interior times must lie in (0,1)")
+        if len(self.t) and not (0 <= self.plan_of.min() and self.plan_of.max() < n):
+            raise ValueError("battery rows must name one of its plans")
+
+    @classmethod
+    def from_plans(cls, plans: Sequence[TriplePlan]) -> "TripleBattery":
+        """The battery of a plan list, plan i for plan i, rows in plan order."""
+        return cls([p.x0 for p in plans], [p.x1 for p in plans],
+                   [p.arc == "major" for p in plans], [t for p in plans for t in p.t_grid],
+                   np.repeat(np.arange(len(plans)), [len(p.t_grid) for p in plans]))
+
+
 def _geodesic_points(space: Space1D, x0: np.ndarray, x1: np.ndarray, major: np.ndarray,
                      t: np.ndarray, plan_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x_t per row (plan_of, t) and geodesic length per plan (x0, x1), along
@@ -137,16 +179,48 @@ def _scalar_map(fn, first: np.ndarray, *rest) -> np.ndarray:
     return np.fromiter(map(fn, *args), dtype=float, count=len(first))
 
 
+def _battery_sigmas(params: CurvatureParams, d: np.ndarray, t: np.ndarray,
+                    plan_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(live, s0, s1): per plan of length d whether it is out of the
+    conjugate regime, and per row (plan_of, t) of a live plan
+    sigma^(1-t)(d) and sigma^(t)(d), bit for bit what scalar sigma returns.
+
+    sigma's rule runs once per plan length.  A row of a sin or sinh plan
+    maps that function over t x and divides by its plan's denominator, as
+    sigma does, and a row of a linear plan is t.  Seam and far-sinh rows,
+    rare, go through scalar sigma."""
+    dist, plan_at = np.unique(d, return_inverse=True)  # grid plans share lengths
+    rule = np.array([_sigma_branch(params, v) for v in dist.tolist()], dtype=float)
+    branch, x, den = rule.reshape(-1, 3)[plan_at].T
+    live = branch != CONJUGATE
+    rows = live[plan_of]
+    at = plan_of[rows]
+    branch, x, den, tl = branch[at], x[at], den[at], t[rows]
+    mapped = [(fn, branch == code) for code, fn in ((SIN, math.sin), (SINH, math.sinh))]
+    series = (branch == SEAM) | (branch == FAR)
+    coefs = []
+    for tt in (1.0 - tl, tl):
+        c = tt.copy()  # the linear branch
+        for fn, sel in mapped:
+            if sel.any():
+                c[sel] = _scalar_map(fn, tt[sel] * x[sel]) / den[sel]
+        if series.any():
+            c[series] = _scalar_map(sigma, tt[series], repeat(params), d[at[series]])
+        coefs.append(c)
+    return live, coefs[0], coefs[1]
+
+
 def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
                      x0: np.ndarray, x1: np.ndarray, major: np.ndarray,
                      t: np.ndarray, plan_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(margins, live): the (K,N)-convexity margin of each row (plan_of, t)
-    of the plans (x0, x1, major), with one weight lookup, and per plan
-    whether it is out of the conjugate regime.  Rows of conjugate plans,
-    whose points are never looked up, read math.inf."""
+    of the plans (x0, x1, major), and per plan whether it is out of the
+    conjugate regime.  One weight lookup covers the endpoints of the live
+    plans and the points x_t of their rows; rows of conjugate plans, never
+    looked up, read math.inf."""
     xt, d = _geodesic_points(space, x0, x1, major, t, plan_of)
     N = params.N
-    live = ~(params.K * d * d >= N * math.pi * math.pi)  # sigma's conjugate test
+    live, s0, s1 = _battery_sigmas(params, d, t, plan_of)
     rows = live[plan_of]
     n = int(np.count_nonzero(live))
     pts = np.concatenate([x0[live], x1[live], xt[rows]])
@@ -157,12 +231,10 @@ def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
         k = int(np.argmin(fv))
         raise ValueError(f"exp(-f/N) is not representable at x = {float(pts[k])!r} "
                          f"(f = {float(fv[k])!r}, N = {N!r})") from None
-    tl, at = t[rows], (np.cumsum(live) - 1)[plan_of[rows]]  # at: plan among the live
-    dl = d[live][at]
+    at = (np.cumsum(live) - 1)[plan_of[rows]]  # plan among the live
     m = np.full(len(t), math.inf)
     with np.errstate(over="ignore"):  # overflow is inf, as in float arithmetic
-        m[rows] = (_scalar_map(sigma, 1.0 - tl, repeat(params), dl) * g[at]
-                   + _scalar_map(sigma, tl, repeat(params), dl) * g[n + at] - g[2 * n:])
+        m[rows] = s0 * g[at] + s1 * g[n + at] - g[2 * n:]
     return m, live
 
 
@@ -181,82 +253,99 @@ def triple_margin(f: WeightFn, space: Space1D, params: CurvatureParams,
     return float(row[0])
 
 
+def _random_plans(rng: np.random.Generator, lo: float, hi: float, count: int) -> np.ndarray:
+    """The (x0, x1, t) rows of count random plans, as a loop draws them:
+    x0, x1 = lo + (hi - lo) * rng.random(2), drawn again while closer than
+    1e-6 (hi - lo), then t = 0.05 + 0.9 * rng.random().  The stream is read
+    in blocks, each taken up to its first close pair, whose two draws are
+    skipped."""
+    taken, u = [], np.empty(0)
+    while (need := count - sum(len(b) for b in taken)) > 0:
+        u = np.concatenate([u, rng.random(3 * need)])
+        x = lo + (hi - lo) * u
+        close = np.abs(x[1:3 * need:3] - x[0:3 * need:3]) < 1e-6 * (hi - lo)
+        m = int(np.argmax(close)) if close.any() else need
+        taken.append(np.column_stack([x[0:3 * m:3], x[1:3 * m:3],
+                                      0.05 + 0.9 * u[2:3 * m:3]]))
+        u = u[3 * m + 2:]
+    return np.concatenate(taken) if taken else np.empty((0, 3))
+
+
 def default_triple_battery(space: Space1D, seed: int = 0, coarse: int = 64,
                            n_random: int = 256,
-                           t_grid: tuple[float, ...] = _DEFAULT_T_GRID) -> list[TriplePlan]:
-    """All pairs from a coarse grid plus seeded random triples.
+                           t_grid: tuple[float, ...] = _DEFAULT_T_GRID) -> TripleBattery:
+    """All pairs i < j of a coarse grid, each at every time of t_grid, then
+    n_random seeded random plans of one random time each.
 
-    Circle antipodal pairs get both arcs.  Deterministic for a fixed seed.
+    A circle pair of antipodes is followed by its major arc.  Built as
+    arrays; deterministic for a fixed seed.
     """
     lo, hi = space.domain()
-    kind = space.topology.kind
-    if kind == "circle":
+    circle = space.topology.kind == "circle"
+    if circle:
         pts = np.linspace(lo, hi, coarse, endpoint=False)
     else:
         pad = 1e-9 * (hi - lo)
         pts = np.linspace(lo + pad, hi - pad, coarse)
-    plans = []
-    half = space.topology.circumference / 2.0 if kind == "circle" else None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            x0, x1 = float(pts[i]), float(pts[j])
-            plans.append(TriplePlan(x0, x1, t_grid))
-            if half is not None and abs(space.distance(x0, x1) - half) < 1e-9:
-                plans.append(TriplePlan(x0, x1, t_grid, arc="major"))
-    rng = np.random.default_rng(seed)
-    made = 0
-    while made < n_random:
-        x0, x1 = lo + (hi - lo) * rng.random(2)
-        if abs(x1 - x0) < 1e-6 * (hi - lo):
-            continue
-        t = 0.05 + 0.9 * rng.random()
-        plans.append(TriplePlan(float(x0), float(x1), (float(t),)))
-        made += 1
-    return plans
+    i, j = np.triu_indices(len(pts), k=1)  # the order of a double loop over i < j
+    if circle:
+        c = space.topology.circumference
+        gap = np.abs(pts[i] - pts[j]) % c
+        antipodal = np.abs(np.minimum(gap, c - gap) - c / 2.0) < 1e-9
+        pair = np.repeat(np.arange(len(i)), 1 + antipodal)  # antipodes twice
+        i, j = i[pair], j[pair]
+        major = np.zeros(len(pair), dtype=bool)
+        major[1:] = pair[1:] == pair[:-1]
+    else:
+        major = np.zeros(len(i), dtype=bool)
+    rand = _random_plans(np.random.default_rng(seed), lo, hi, n_random)
+    times = np.asarray(t_grid, dtype=float)
+    n_grid = len(i)
+    return TripleBattery(
+        np.concatenate([pts[i], rand[:, 0]]), np.concatenate([pts[j], rand[:, 1]]),
+        np.concatenate([major, np.zeros(len(rand), dtype=bool)]),
+        np.concatenate([np.tile(times, n_grid), rand[:, 2]]),
+        np.concatenate([np.repeat(np.arange(n_grid), len(times)),
+                        np.arange(n_grid, n_grid + len(rand))]))
 
 
 def check_kn_convex(f: WeightFn, space: Space1D, params: CurvatureParams,
-                    plan_battery: Sequence[TriplePlan], tol: float | None = None,
+                    plan_battery: TripleBattery | Sequence[TriplePlan], tol: float | None = None,
                     seed: int | None = None) -> CurvatureReport:
     """Worst (K,N)-convexity margin of the weight over the plan battery.
 
     One batched pass over all (plan, t) rows; the witness is the first row
     of largest margin.  A conjugate plan (K d^2 >= N pi^2, whatever t) is
-    flagged once and never looked up.  Any other plan is scored on every
-    row: a margin that overflows to inf is the worst violation there is.
+    flagged once and never looked up; a plan without times is neither.
+    Any other plan is scored on every row: a margin that overflows to inf
+    is the worst violation there is.
     """
     if tol is None:
         tol = default_tolerance(space.grid_step)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    plans = list(plan_battery)
-    scored = [i for i, p in enumerate(plans) if p.t_grid]  # a plan without times has no row
-    rowed = [plans[i] for i in scored]
-    counts = np.array([len(p.t_grid) for p in rowed], dtype=np.intp)
-    plan_of = np.repeat(np.arange(len(rowed)), counts)
-    margins, live = _battery_margins(
-        f, space, params,
-        np.array([p.x0 for p in rowed], dtype=float),
-        np.array([p.x1 for p in rowed], dtype=float),
-        np.array([p.arc == "major" for p in rowed], dtype=bool),
-        np.array([t for p in rowed for t in p.t_grid], dtype=float),
-        plan_of,
-    )
+    bat = (plan_battery if isinstance(plan_battery, TripleBattery)
+           else TripleBattery.from_plans(list(plan_battery)))
+    n_plans = len(bat.x0)
+    has_rows = np.bincount(bat.plan_of, minlength=n_plans) > 0
+    rowed = np.flatnonzero(has_rows)
+    plan_of = (np.cumsum(has_rows) - 1)[bat.plan_of]  # among the plans with rows
+    margins, live = _battery_margins(f, space, params, bat.x0[rowed], bat.x1[rowed],
+                                     bat.major[rowed], bat.t, plan_of)
     if not np.any(live):
         raise ValueError("no finite-margin plan in the battery: every plan is conjugate")
     k = int(np.argmax(np.where(live[plan_of], margins, -math.inf)))
-    j = int(plan_of[k])
-    plan = rowed[j]
-    first = int(np.sum(counts[:j]))  # first row of plan j
-    witness = {"x0": plan.x0, "x1": plan.x1, "t": plan.t_grid[k - first],
-               "arc": plan.arc, "margin": float(margins[k])}
-    flags = [{"plan": scored[j], "x0": rowed[j].x0, "x1": rowed[j].x1,
-              "regime": "conjugate-point"} for j in np.flatnonzero(~live).tolist()]
+    j = int(rowed[plan_of[k]])
+    witness = {"x0": float(bat.x0[j]), "x1": float(bat.x1[j]), "t": float(bat.t[k]),
+               "arc": "major" if bat.major[j] else "minor", "margin": float(margins[k])}
+    conj = rowed[~live]
+    flags = [{"plan": j, "x0": x0, "x1": x1, "regime": "conjugate-point"}
+             for j, x0, x1 in zip(conj.tolist(), bat.x0[conj].tolist(), bat.x1[conj].tolist())]
     return CurvatureReport(
         kind="kn-convexity", K=params.K, N=params.N, max_violation=float(margins[k]),
         witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
         conjugate_flags=flags,
-        extra={"n_plans": len(plans)},
+        extra={"n_plans": n_plans},
     )
 
 

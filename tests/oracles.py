@@ -186,6 +186,39 @@ def brute_force_triple_scan(f, space, K, N, n_grid=120, t_steps=16):
     return worst, arg
 
 
+# -- plan-by-plan default battery -------------------------------------------------
+
+def loop_triple_battery(space, seed=0, coarse=64, n_random=256,
+                        t_grid=tuple(k / 8.0 for k in range(1, 8))):
+    """The default (K,N)-convexity battery as (x0, x1, t_grid, arc) tuples,
+    built one plan at a time: every grid pair i < j in double-loop order
+    (a circle pair of antipodes followed by its major arc), then seeded
+    random single-time plans from one rng.random(2) / rng.random() loop."""
+    lo, hi = space.domain()
+    circle = space.topology.kind == "circle"
+    if circle:
+        pts = np.linspace(lo, hi, coarse, endpoint=False)
+    else:
+        pad = 1e-9 * (hi - lo)
+        pts = np.linspace(lo + pad, hi - pad, coarse)
+    plans = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            x0, x1 = float(pts[i]), float(pts[j])
+            plans.append((x0, x1, tuple(t_grid), "minor"))
+            if circle and abs(space.distance(x0, x1) - space.topology.circumference / 2.0) < 1e-9:
+                plans.append((x0, x1, tuple(t_grid), "major"))
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < n_random:
+        x0, x1 = lo + (hi - lo) * rng.random(2)
+        if abs(x1 - x0) < 1e-6 * (hi - lo):
+            continue
+        plans.append((float(x0), float(x1), (0.05 + 0.9 * rng.random(),), "minor"))
+        made += 1
+    return plans
+
+
 # -- stratified tripod ensemble ----------------------------------------------------
 
 class TripodEnsemble:

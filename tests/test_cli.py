@@ -247,3 +247,46 @@ def test_determinism_byte_identical(argv, spaces, tmp_path):
     # timestamps live in the sidecar, not the body
     meta = json.load(open(out1 + ".meta.json"))
     assert "generated_at" in meta
+
+
+UNREAD_OPTIONS = [
+    ("lipschitz", ["--x", "0.3"]),
+    ("lipschitz", ["--tol", "0.1"]),
+    ("check-kn-convex", ["--kexp", "7"]),
+    ("check-kn-convex", ["--x", "0.2"]),
+    ("verify-cde", ["--x", "0.2"]),
+    ("verify-cd-infty", ["--n", "3"]),
+    ("circle-obstruction", ["--tol", "0.1"]),
+    ("bg-scan", ["--kexp", "2"]),
+    ("density-ratio", ["--tol", "5"]),
+    ("density-ratio", ["--k", "1"]),
+    ("classify", ["--x", "0.5"]),
+    ("tripod-shannon", ["--grid-step", "0.1"]),
+    ("tripod-renyi", ["--n", "3"]),
+    ("coefficients-table", ["--seed", "1", "--tol", "1"]),
+]
+
+
+@pytest.mark.parametrize("command,option", UNREAD_OPTIONS,
+                         ids=[f"{c}{''.join(o[::2])}" for c, o in UNREAD_OPTIONS])
+def test_unread_option_exits_one(command, option, spaces, tmp_path, capsys):
+    # an option the command would ignore is refused, not swallowed
+    source = {"tripod-shannon": "scenario", "tripod-renyi": "scenario",
+              "coefficients-table": "grid", "circle-obstruction": "circle"}.get(command, "line")
+    out = tmp_path / "o.json"
+    assert run([command, "--input", spaces[source], *option, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option[-2] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-kn-convex", "verify-cde"])
+def test_strongly_negative_k_writes_a_body(command, tmp_path):
+    # x = sqrt(-K d^2 / N) passes math.sinh's overflow for most plans and pairs
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"topology": "line", "window": [-4, 4]}))
+    out = tmp_path / "o.json"
+    code = run([command, "--input", str(path), "--k=-1e6", "--n=2", "--output", str(out)])
+    assert code in (0, 2)
+    body = _strict_loads(out.read_text())
+    assert body["params"] == {"K": -1e6, "N": 2.0} and isinstance(body["margin"], float)

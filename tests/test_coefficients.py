@@ -102,6 +102,44 @@ def test_sigma_domain_errors():
         sigma(1.1, p, 1.0)
     with pytest.raises(ValueError):
         sigma(0.5, p, -1.0)
+    # a non-finite theta raises on every branch instead of returning NaN or inf
+    for K in (-1.0, 0.0, 1.0):
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta"):
+                sigma(0.5, CurvatureParams(K, 2.0), theta)
+
+
+def test_sigma_past_sinh_overflow_matches_mpmath():
+    # x = sqrt(-K theta^2 / N) past 710.48, where math.sinh overflows
+    params = CurvatureParams(-1.0, 2.0)
+    x_max = 710.4758600739439
+    for theta in (math.sqrt(2.0) * x_max * (1.0 + 1e-12), 1005.0, 1100.0, 1500.0):
+        for t in (0.55, 0.7, 0.9, 0.999, 1.0):
+            got = sigma(t, params, theta)
+            want = float(sigma_hp(t, -1.0, 2.0, theta))
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert sigma(0.0, params, 1100.0) == 0.0
+    # no jump at the switch: both sides of x_max agree with the oracle
+    for x in (x_max * (1.0 - 1e-9), x_max * (1.0 + 1e-9)):
+        theta = math.sqrt(2.0) * x
+        assert sigma(0.9, params, theta) == pytest.approx(
+            float(sigma_hp(0.9, -1.0, 2.0, theta)), rel=1e-12, abs=0.0)
+
+
+def test_sigma_does_not_depend_on_the_previous_call():
+    # sigma keeps the rule of its latest theta; any call order gives the same bits
+    params = [CurvatureParams(K, N) for K, N in ((-1.0, 2.0), (0.0, 3.0), (2.0, 2.0),
+                                                 (1e-10, 2.0), (-1.0, 2.0))]
+    calls = [(t, p, theta) for p in params for theta in (0.0, 0.3, 1.7, 1000.0)
+             for t in (0.0, 0.25, 1.0)]
+    alone = []
+    for t, p, theta in calls:
+        sigma(0.5, CurvatureParams(0.5, 4.0), 0.9)  # a different rule in between
+        alone.append(sigma(t, p, theta))
+    rng = np.random.default_rng(3)
+    for i in rng.permutation(len(calls)):
+        assert sigma(*calls[i]) == alone[i]
 
 
 def test_params_validation():

@@ -9,11 +9,12 @@ from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError
 from curvlab1d import transport1d
 from curvlab1d.transport1d import uniform_measure
 from curvlab1d.curvature import (
-    TriplePlan, check_kn_convex, circle_obstruction, default_triple_battery,
-    differential_criterion, triple_margin, verify_cd_infty, verify_cde,
+    TripleBattery, TriplePlan, _battery_sigmas, _random_plans, check_kn_convex,
+    circle_obstruction, default_triple_battery, differential_criterion, triple_margin,
+    verify_cd_infty, verify_cde,
 )
 
-from oracles import brute_force_triple_scan
+from oracles import brute_force_triple_scan, loop_triple_battery
 
 
 def cosine_weight_space(K=1.0, N=2.0, frac=0.9, step=1e-3):
@@ -207,13 +208,26 @@ def row_scan(f, space, params, plans):
     return worst, witness, flags
 
 
-def assert_matches_row_scan(space, params, plans):
+def plans_of(battery):
+    """A TripleBattery's plans as TriplePlan, in order."""
+    times = [[] for _ in battery.x0]
+    for p, t in zip(battery.plan_of.tolist(), battery.t.tolist()):
+        times[p].append(t)
+    return [TriplePlan(x0, x1, tuple(ts), "major" if major else "minor")
+            for x0, x1, major, ts in zip(battery.x0.tolist(), battery.x1.tolist(),
+                                         battery.major.tolist(), times)]
+
+
+def assert_matches_row_scan(space, params, plans, battery=None):
+    """check_kn_convex on the plans (or on `battery`, holding the same plans)
+    against the row scan of the plans."""
+    battery = plans if battery is None else battery
     worst, witness, flags = row_scan(space.weight, space, params, plans)
     if worst == -math.inf:
         with pytest.raises(ValueError, match="no finite-margin plan"):
-            check_kn_convex(space.weight, space, params, plans, tol=1e-6)
+            check_kn_convex(space.weight, space, params, battery, tol=1e-6)
         return
-    report = check_kn_convex(space.weight, space, params, plans, tol=1e-6)
+    report = check_kn_convex(space.weight, space, params, battery, tol=1e-6)
     assert report.max_violation == worst
     assert report.witness == witness
     assert report.conjugate_flags == flags
@@ -251,11 +265,12 @@ space_args = dict(kind=st.sampled_from(TOPOLOGIES), amp=st.floats(0.0, 2.0),
 def test_battery_scan_matches_row_scan_default_battery(seed, kind, amp, freq, K, N):
     # coarse grid pairs (both arcs at circle antipodes) plus 256 random single-t plans
     space = wavy_space(kind, amp, freq)
-    plans = default_triple_battery(space, seed=seed, coarse=12)
+    battery = default_triple_battery(space, seed=seed, coarse=12)
+    plans = plans_of(battery)
     assert sum(len(p.t_grid) == 1 for p in plans) == 256
     if kind == "circle":
         assert any(p.arc == "major" for p in plans)
-    assert_matches_row_scan(space, CurvatureParams(K, N), plans)
+    assert_matches_row_scan(space, CurvatureParams(K, N), plans, battery)
 
 
 @settings(max_examples=40)
@@ -332,6 +347,107 @@ def test_battery_makes_one_weight_lookup(monkeypatch):
     assert calls == [2 + 7]  # the kept plan's x0, x1 and its 7 points x_t only
     with pytest.raises(WindowError):
         check_kn_convex(space.weight, space, params, [TriplePlan(0.2, 1.1)], tol=1e-6)
+
+
+# sigma's branches as (K, N) -> a strategy for the plan length d
+_PI2 = math.pi * math.pi
+BRANCH_LENGTHS = {
+    "linear": lambda K, N: st.floats(0.0, 10.0),
+    # s = K d^2 / N within a factor 2 of the 1e-8 seam, on both sides of it
+    "seam": lambda K, N: st.floats(0.5, 2.0).map(lambda a: math.sqrt(a * 1e-8 * N / abs(K))),
+    # up to the last float below the conjugate length sqrt(N pi^2 / K)
+    "sin": lambda K, N: st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda a: a * math.sqrt(N * _PI2 / K)),
+        st.integers(1, 50).map(lambda k: _below_conjugate(K, N, k))),
+    "sinh": lambda K, N: st.floats(1e-3, 40.0),
+    # x = sqrt(-K d^2 / N) from just below to far past math.sinh's overflow at 710.48
+    "far": lambda K, N: st.floats(705.0, 3000.0).map(lambda x: x * math.sqrt(N / -K)),
+}
+BRANCH_K = {"linear": st.just(0.0), "seam": st.sampled_from((-1e-6, 1e-6, -3.0, 3.0)),
+            "sin": st.floats(0.1, 20.0), "sinh": st.floats(-20.0, -0.1),
+            "far": st.floats(-20.0, -0.1)}
+
+
+def _below_conjugate(K, N, k):
+    """The k-th float below the largest d with K d^2 < N pi^2."""
+    d = math.sqrt(N * _PI2 / K)
+    while K * d * d >= N * math.pi * math.pi:
+        d = math.nextafter(d, 0.0)
+    for _ in range(k - 1):
+        d = math.nextafter(d, 0.0)
+    return d
+
+
+@settings(max_examples=60)
+@given(data=st.data(), branch=st.sampled_from(sorted(BRANCH_LENGTHS)),
+       N=st.sampled_from((1.5, 2.0, 3.5)))
+def test_battery_coefficients_equal_scalar_sigma(data, branch, N):
+    K = data.draw(BRANCH_K[branch])
+    params = CurvatureParams(K, N)
+    d = np.array(data.draw(st.lists(BRANCH_LENGTHS[branch](K, N), min_size=1, max_size=6)))
+    times = st.lists(st.floats(0.0, 1.0), max_size=5)
+    per_plan = [data.draw(times) for _ in d]
+    t = np.array([v for ts in per_plan for v in ts], dtype=float)
+    plan_of = np.repeat(np.arange(len(d)), [len(ts) for ts in per_plan])
+    live, s0, s1 = _battery_sigmas(params, d, t, plan_of)
+    assert live.tolist() == [not math.isinf(sigma(0.5, params, v)) for v in d.tolist()]
+    rows = live[plan_of]
+    for tt, c0, c1, dd in zip(t[rows].tolist(), s0.tolist(), s1.tolist(),
+                              d[plan_of[rows]].tolist()):
+        assert c0 == sigma(1.0 - tt, params, dd)
+        assert c1 == sigma(tt, params, dd)
+
+
+class _Stream:
+    """A stand-in generator whose random() replays given doubles in order."""
+
+    def __init__(self, values):
+        self.values, self.pos = list(values), 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = self.values[self.pos:self.pos + n]
+        self.pos += n
+        return out[0] if size is None else np.array(out)
+
+
+@settings(max_examples=40)
+@given(count=st.integers(0, 12), seed=st.integers(0, 2 ** 16),
+       close=st.lists(st.integers(0, 40), max_size=6))
+@example(count=4, seed=0, close=[0, 2, 7])  # three (x0, x1) draws are redrawn
+def test_random_plans_follow_the_draw_loop(count, seed, close):
+    # the stream's pairs at the `close` positions are equal, so they are redrawn
+    lo, hi = -1.5, 2.5
+    u = np.random.default_rng(seed).random(1000)
+    for k in close:
+        u[k + 1] = u[k]
+    loop, rng = [], _Stream(u)
+    while len(loop) < count:
+        x0, x1 = lo + (hi - lo) * rng.random(2)
+        if abs(x1 - x0) < 1e-6 * (hi - lo):
+            continue
+        loop.append((x0, x1, 0.05 + 0.9 * rng.random()))
+    got = _random_plans(_Stream(u), lo, hi, count)
+    assert got.shape == (count, 3)
+    assert got.tolist() == [[float(v) for v in row] for row in loop]
+
+
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_default_battery_is_the_plan_loop(kind):
+    # same plans, order and random draws as building the battery plan by plan
+    space = wavy_space(kind, 1.0, 2)
+    for seed, coarse, n_random in ((0, 64, 256), (3, 8, 5), (7, 1, 3), (1, 12, 0)):
+        battery = default_triple_battery(space, seed=seed, coarse=coarse, n_random=n_random)
+        plans = [(p.x0, p.x1, p.t_grid, p.arc) for p in plans_of(battery)]
+        assert plans == loop_triple_battery(space, seed, coarse, n_random)
+        again = TripleBattery.from_plans(plans_of(battery))
+        for name in ("x0", "x1", "major", "t", "plan_of"):
+            assert np.array_equal(getattr(again, name), getattr(battery, name))
+    if kind == "circle":  # the grid pair (0, 4) of 8 points is antipodal
+        plans = plans_of(default_triple_battery(space, coarse=8, n_random=0))
+        assert [p.arc for p in plans[3:6]] == ["minor", "major", "minor"]
+    with pytest.raises(ValueError, match="interior times"):
+        default_triple_battery(space, t_grid=(0.5, 1.0))
 
 
 # -- differential criterion -------------------------------------------------------

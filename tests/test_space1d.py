@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvlab1d.space1d import (
     RescaledSpace, Space1D, Topology1D, WeightFn, WindowError,
     boundary_measure, disintegrate, load_space, measure_ball, rescale,
     space_to_dict,
 )
+from curvlab1d.space1d import _seg_exp_integral
 
 from oracles import cover_boundary_mass, trapezoid_refined
 
@@ -79,6 +81,75 @@ def test_ball_circle_translation_invariance():
                     WeightFn(coords, np.full(64, 0.3), period=circ))
     vals = [measure_ball(space, x, 0.8) for x in np.linspace(0, circ, 17)]
     assert max(vals) - min(vals) < 1e-12
+
+
+# weights on [-4, 4]: range 40 and more, where a difference of prefix sums
+# cancels, and a gentle one
+WEIGHTS = {
+    "2.5x^2": lambda u: 2.5 * u * u,
+    "-2.5x^2": lambda u: -2.5 * u * u,
+    "10sin3x": lambda u: 10.0 * np.sin(3.0 * u),
+    "0.3x^2+sin": lambda u: 0.3 * u * u + 0.1 * np.sin(5.0 * u),
+}
+
+
+def space_of_length_8(kind, fn, knots=801):
+    """kind over a domain of length 8 carrying fn(u), u in [-4, 4]."""
+    if kind == "circle":
+        xs = np.linspace(0.0, 8.0, knots, endpoint=False)
+        return Space1D(Topology1D("circle", 4.0 / math.pi),
+                       WeightFn(xs, fn(xs - 4.0), period=8.0), grid_step=0.01)
+    lo = -4.0 if kind == "line" else 0.0
+    xs = np.linspace(lo, lo + 8.0, knots)
+    w = WeightFn(xs, fn(xs - lo - 4.0))
+    if kind == "interval":
+        return Space1D(Topology1D("interval", 8.0), w, grid_step=0.01)
+    return Space1D(Topology1D(kind), w, grid_step=0.01, window=(lo, lo + 8.0))
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(("line", "halfline", "interval", "circle")),
+       weight=st.sampled_from(sorted(WEIGHTS)), at=st.floats(0.0, 1.0),
+       size=st.floats(0.001, 1.0), cut=st.floats(0.0, 1.0, exclude_min=True,
+                                                  exclude_max=True))
+def test_measure_ball_is_additive(kind, weight, at, size, cut):
+    space = space_of_length_8(kind, WEIGHTS[weight])
+    w = space.weight
+    lo, hi = space.domain()
+    x = lo + (hi - lo) * at
+    if kind == "circle":
+        r = 4.0 * size
+    elif kind == "line":
+        x = min(max(x, lo + 1e-3), hi - 1e-3)
+        r = min(x - lo, hi - x) * size
+    elif kind == "halfline":  # the window closes the right end only
+        x = min(x, hi - 1e-3)
+        r = (hi - x) * size
+    else:
+        r = 8.0 * size
+    parts = space._ball_intervals(x, r)
+    # the ball is the sum of its intervals, each a sum over its own segments:
+    # a difference of running totals from the left end cancels on weights
+    # like these (2.5x^2: 6.6e-6 relative), a slice sum stays near 1e-13
+    ball = measure_ball(space, x, r)
+    assert ball > 0.0
+    total = sum(w.integrate_density(a, b) for a, b in parts)
+    assert abs(ball - total) <= 1e-13 * ball
+    segments = 0.0
+    for a, b in parts:
+        knots = w.knots_in(a, b)
+        v = w(knots)
+        segments += sum(_seg_exp_integral(v[i], v[i + 1], knots[i + 1] - knots[i])
+                        for i in range(len(knots) - 1))
+    assert abs(ball - segments) <= 1e-11 * ball
+    # an interval is the sum of its two halves at an interior point
+    for a, b in parts:
+        m = a + (b - a) * cut
+        if not a < m < b:
+            continue
+        whole = w.integrate_density(a, b)
+        assert abs(whole - (w.integrate_density(a, m) + w.integrate_density(m, b))) \
+            <= 1e-13 * whole
 
 
 def test_ball_window_errors():

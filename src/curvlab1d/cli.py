@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol, sigma
+from .coefficients import (CurvatureParams, _beyond_conjugate_radius, conjugate_radius, f_vol,
+                           s_vol, sigma)
 from .space1d import Space1D, WindowError, _number, load_space
 from . import transport1d as tr
 from . import curvature as cv
@@ -299,10 +300,10 @@ def _cmd_coefficients_table(args):
                 for theta in grid["theta"]:
                     sg = sigma(t, params, theta)
                     sv = s_vol(params, theta)
-                    try:
-                        fv = f_vol(params, theta)
-                    except ValueError:
-                        fv = float("nan")
+                    # f_vol is undefined past the conjugate radius; an
+                    # overflow below it is an error
+                    fv = (math.nan if _beyond_conjugate_radius(params, theta)
+                          else f_vol(params, theta))
                     rows.append((t, K, N, theta, sg, sv, fv))
     body = _base_body(args, "coefficients-table")
     body.update({

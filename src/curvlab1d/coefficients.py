@@ -11,11 +11,15 @@ Three closed-form families drive every inequality in the toolkit:
 * ``f_vol(params, r)`` -- the antiderivative of ``s_vol**(N-1)``, computed
   by adaptive Simpson quadrature to absolute tolerance 1e-10.
 
+Where s_vol or f_vol is too large for a float (K < 0, large radius) they
+raise ValueError naming K, N and the radius, never OverflowError.
+
 sigma's rule for one theta -- the conjugate test, the branch and the
 t-free denominator -- lives in ``_sigma_branch`` alone.  Scalar sigma and
 the batched (K,N)-convexity battery in ``curvature`` both read it, so a
-battery evaluates the rule once per plan and only ``sin(t x) / den`` (or
-``sinh``) per row, with the same float operations as sigma.
+battery evaluates the rule once per plan length and only ``sin(t x) / den``
+(or ``sinh``) per distinct argument, with the same float operations as
+sigma.
 
 Near the K = 0 seam the sin/sinh ratios cancel catastrophically, so for
 ``|K| * theta**2 / N < 1e-8`` sigma switches to the shared Taylor series of
@@ -130,10 +134,8 @@ def sigma(t: float, params: CurvatureParams, theta: float) -> float:
     return _exp(-((1.0 - t) * x)) * _expm1(-2.0 * t * x) / den
 
 
-def s_vol(params: CurvatureParams, t: float) -> float:
-    """Model volume density S_{K,N}(t); S(0) = 0 and S'(0) = 1."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+def _s_vol(params: CurvatureParams, t: float) -> float:
+    """s_vol without its checks: raises OverflowError where sinh overflows."""
     K, N = params.K, params.N
     if K == 0.0:
         return t
@@ -144,6 +146,19 @@ def s_vol(params: CurvatureParams, t: float) -> float:
     return math.sinh(t * c) / c
 
 
+def s_vol(params: CurvatureParams, t: float) -> float:
+    """Model volume density S_{K,N}(t); S(0) = 0 and S'(0) = 1.
+
+    Raises ValueError where the sinh of K < 0 is not representable."""
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    try:
+        return _s_vol(params, t)
+    except OverflowError:
+        raise ValueError(f"s_vol overflows at t = {t!r} for K = {params.K!r}, "
+                         f"N = {params.N!r}") from None
+
+
 def conjugate_radius(params: CurvatureParams) -> float:
     """First zero of s_vol for K > 0 (pi*sqrt((N-1)/K)), inf otherwise."""
     if params.K <= 0.0:
@@ -151,15 +166,23 @@ def conjugate_radius(params: CurvatureParams) -> float:
     return math.pi * math.sqrt((params.N - 1.0) / params.K)
 
 
+def _beyond_conjugate_radius(params: CurvatureParams, r: float) -> bool:
+    """Whether r lies past the conjugate radius (by more than 1e-12 of it),
+    where f_vol is undefined."""
+    return r > conjugate_radius(params) * (1.0 + 1e-12)
+
+
 def f_vol(params: CurvatureParams, r: float) -> float:
     """Integral of s_vol**(N-1) over [0, r], to absolute error <= 1e-10.
 
     For K > 0 the radius must not exceed the conjugate radius
     pi*sqrt((N-1)/K); past it the comparison density is meaningless.
+    Raises ValueError where the integral, or s_vol or its power on the way,
+    is not representable (K < 0 and a large radius).
     """
     if r < 0.0:
         raise ValueError(f"r must be >= 0, got {r}")
-    if r > conjugate_radius(params) * (1.0 + 1e-12):
+    if _beyond_conjugate_radius(params, r):
         raise ValueError(
             f"r={r} exceeds the conjugate radius {conjugate_radius(params)} "
             f"for K={params.K}, N={params.N}"
@@ -169,14 +192,22 @@ def f_vol(params: CurvatureParams, r: float) -> float:
     expo = params.N - 1.0
 
     def integrand(x: float) -> float:
-        return s_vol(params, x) ** expo
+        return _s_vol(params, x) ** expo
 
-    # large N or K<0 make the integral astronomically big; an absolute
-    # 1e-10 target below the double-precision floor would recurse forever,
-    # so the tolerance is floored relative to a coarse size estimate
-    probe = max(abs(integrand(r * f)) for f in (0.25, 0.5, 0.75, 1.0))
-    tol = max(_QUAD_TOL, 1e-13 * probe * r)
-    return adaptive_simpson(integrand, 0.0, r, tol, _QUAD_MAX_DEPTH)
+    try:
+        # large N or K<0 make the integral astronomically big; an absolute
+        # 1e-10 target below the double-precision floor would recurse
+        # forever, so the tolerance is floored relative to a coarse size
+        # estimate
+        probe = max(abs(integrand(r * f)) for f in (0.25, 0.5, 0.75, 1.0))
+        tol = max(_QUAD_TOL, 1e-13 * probe * r)
+        value = adaptive_simpson(integrand, 0.0, r, tol, _QUAD_MAX_DEPTH)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"f_vol overflows at r = {r!r} for K = {params.K!r}, "
+                         f"N = {params.N!r}")
+    return value
 
 
 def adaptive_simpson(fn, a: float, b: float, tol: float, max_depth: int = _QUAD_MAX_DEPTH) -> float:

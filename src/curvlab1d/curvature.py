@@ -17,11 +17,13 @@ A (K,N)-convexity battery is a ``TripleBattery`` of arrays (plans and
 their (plan, t) rows; a list of ``TriplePlan`` is packed into one, and a
 lone triple is a one-row battery) scored in one batched pass: numpy
 geodesic points, sigma's rule (conjugate test, branch, denominator) once
-per plan, and one vectorised weight lookup.  Per row only sin or sinh of
-t x and exp(-f/N) are scalar math, since numpy's exp, sin and sinh differ
-from math's by an ulp on some inputs and margins are reproducible bits;
-the products and quotients around them are numpy's correctly rounded
-float operations, so every margin equals scalar sigma's arithmetic.
+per distinct plan length, and one vectorised weight lookup of the
+distinct points.  Only sin or sinh of t x and exp(-f/N) are scalar math,
+each called once per distinct argument and gathered back to its rows,
+since numpy's exp, sin and sinh differ from math's by an ulp on some
+inputs and margins are reproducible bits; the products and quotients
+around them are numpy's correctly rounded float operations, so every
+margin equals scalar sigma's arithmetic.
 """
 
 from __future__ import annotations
@@ -185,10 +187,11 @@ def _battery_sigmas(params: CurvatureParams, d: np.ndarray, t: np.ndarray,
     conjugate regime, and per row (plan_of, t) of a live plan
     sigma^(1-t)(d) and sigma^(t)(d), bit for bit what scalar sigma returns.
 
-    sigma's rule runs once per plan length.  A row of a sin or sinh plan
-    maps that function over t x and divides by its plan's denominator, as
-    sigma does, and a row of a linear plan is t.  Seam and far-sinh rows,
-    rare, go through scalar sigma."""
+    sigma's rule runs once per distinct plan length.  The rows of sin or
+    sinh plans map that function once per distinct argument (1-t) x, then
+    once per distinct t x (grid rows share most of them), and divide by
+    their plan's denominator, as sigma does; a row of a linear plan is t.
+    Seam and far-sinh rows, rare, go through scalar sigma."""
     dist, plan_at = np.unique(d, return_inverse=True)  # grid plans share lengths
     rule = np.array([_sigma_branch(params, v) for v in dist.tolist()], dtype=float)
     branch, x, den = rule.reshape(-1, 3)[plan_at].T
@@ -203,7 +206,8 @@ def _battery_sigmas(params: CurvatureParams, d: np.ndarray, t: np.ndarray,
         c = tt.copy()  # the linear branch
         for fn, sel in mapped:
             if sel.any():
-                c[sel] = _scalar_map(fn, tt[sel] * x[sel]) / den[sel]
+                args, arg_at = np.unique(tt[sel] * x[sel], return_inverse=True)
+                c[sel] = _scalar_map(fn, args)[arg_at] / den[sel]
         if series.any():
             c[series] = _scalar_map(sigma, tt[series], repeat(params), d[at[series]])
         coefs.append(c)
@@ -215,19 +219,23 @@ def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
                      t: np.ndarray, plan_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(margins, live): the (K,N)-convexity margin of each row (plan_of, t)
     of the plans (x0, x1, major), and per plan whether it is out of the
-    conjugate regime.  One weight lookup covers the endpoints of the live
-    plans and the points x_t of their rows; rows of conjugate plans, never
-    looked up, read math.inf."""
+    conjugate regime.  The endpoints of the live plans and the points x_t
+    of their rows are looked up in one call on their distinct values (a
+    grid battery's points repeat about nine times over), exp(-f/N) is
+    taken once per distinct point, and both are gathered back to the rows;
+    rows of conjugate plans, never looked up, read math.inf."""
     xt, d = _geodesic_points(space, x0, x1, major, t, plan_of)
     N = params.N
     live, s0, s1 = _battery_sigmas(params, d, t, plan_of)
     rows = live[plan_of]
     n = int(np.count_nonzero(live))
     pts = np.concatenate([x0[live], x1[live], xt[rows]])
-    fv = f(pts)
+    vals, pt_at = np.unique(pts, return_inverse=True)
+    fv = f(vals)
     try:
-        g = _scalar_map(math.exp, -fv / N)
+        g = _scalar_map(math.exp, -fv / N)[pt_at]
     except OverflowError:
+        fv = fv[pt_at]
         k = int(np.argmin(fv))
         raise ValueError(f"exp(-f/N) is not representable at x = {float(pts[k])!r} "
                          f"(f = {float(fv[k])!r}, N = {N!r})") from None

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curvlab1d import branching
 from curvlab1d.branching import (
-    BranchingScenario, InfeasibleScenarioError, PlanPair, Tripod, TripodPoint,
-    entropy_chain_inequality, build_branching_plans, entropy_along,
+    _DE_W, _DE_X, BranchingScenario, InfeasibleScenarioError, PlanPair, Tripod, TripodPoint,
+    _HalfDensity, entropy_chain_inequality, build_branching_plans, entropy_along,
     mixture_w2_correction, renyi_contradiction, renyi_raw,
 )
 
@@ -289,3 +291,85 @@ def test_random_feasible_scenarios_bookkeeping():
         eu = entropy_along(p, TRIPOD, td, "u")
         ed = entropy_along(p, TRIPOD, td, "d")
         assert em == pytest.approx(0.5 * eu + 0.5 * ed - math.log(2.0), abs=1e-6)
+
+
+# -- one array pass per side and one target sup per certificate ------------------
+
+def _loop_integrate(hd, side, g):
+    """The half-density integral one piece at a time, as a loop evaluates it."""
+    fn = hd.stem_arr if side == "stem" else hd.target_arr
+    pts = hd._breaks(side)
+    total = 0.0
+    for aa, bb in zip(pts[:-1], pts[1:]):
+        if bb - aa > 1e-15:
+            mid = 0.5 * (aa + bb)
+            half = 0.5 * (bb - aa)
+            ys = mid + half * _DE_X
+            total += half * float(np.sum(_DE_W * g(fn(ys))))
+    return total
+
+
+def _entropy_integrand(scale, c):
+    def g(rho_len):
+        rh = scale * rho_len / c
+        out = np.zeros_like(rh)
+        pos = rh > 0.0
+        out[pos] = c * rh[pos] * np.log(rh[pos])
+        return out
+    return g
+
+
+def _renyi_integrand(scale, c, N):
+    def g(rho_len):
+        rh = scale * rho_len / c
+        out = np.zeros_like(rh)
+        pos = rh > 0.0
+        out[pos] = c * rh[pos] ** (1.0 - 1.0 / N)
+        return out
+    return g
+
+
+@st.composite
+def _feasible_scenarios(draw):
+    a = draw(st.floats(0.05, 0.9))
+    b = draw(st.floats(0.01, 0.99)) * a
+    eps = draw(st.floats(0.01, 0.99)) * (1.0 - a)
+    eta = draw(st.floats(0.01, 1.0))
+    beta = draw(st.floats(0.1, 1.0))
+    return BranchingScenario(a=a, b=b, eps=eps, eta=eta, beta=beta,
+                             N=draw(st.sampled_from((1.5, 2.0, 3.0))))
+
+
+@settings(max_examples=60)
+@given(sc=_feasible_scenarios(), data=st.data(), side=st.sampled_from(("stem", "target")),
+       integrand=st.sampled_from(("identity", "entropy", "renyi")),
+       scale=st.floats(0.1, 4.0), c=st.floats(0.2, 5.0))
+def test_integrate_equals_per_piece_loop(sc, data, side, integrand, scale, c):
+    t = data.draw(st.one_of(st.sampled_from((0.0, sc.b, sc.a, sc.a + sc.eps, 1.0)),
+                            st.floats(0.0, 1.0)))
+    # outer edges of length 10 host every scenario drawn (u reach < 9.5)
+    pair = build_branching_plans(Tripod((1.0, 10.0, 10.0)), sc)
+    hd = pair.half_density(t)
+    g = {"identity": lambda r: r, "entropy": _entropy_integrand(scale, c),
+         "renyi": _renyi_integrand(scale, c, sc.N)}[integrand]
+    assert hd.integrate(side, g) == _loop_integrate(hd, side, g)
+
+
+def test_certificate_scans_the_target_sup_once(monkeypatch):
+    scans = []
+    sup = _HalfDensity.sup_density
+
+    def counting(self, side, n_scan=4096):
+        scans.append((self.t, side))
+        return sup(self, side, n_scan)
+
+    monkeypatch.setattr(_HalfDensity, "sup_density", counting)
+    tripod = Tripod((1.0, 1.0, 1.0), densities=(1.0, 0.5, 3.0))
+    pair = build_branching_plans(tripod, SCENARIO)
+    assert scans == [(SCENARIO.b, "stem"), (1.0, "target")]
+    cert = pair.certificate
+    target = sup(pair.half_density(1.0), "target")
+    assert cert["sup_density_up_at_1"] == target / 0.5
+    assert cert["sup_density_down_at_1"] == target / 3.0
+    assert cert["C"] == max(cert["sup_density_at_b"], target / 0.5, target / 3.0)
+    assert branching._density_certificate(pair) == cert

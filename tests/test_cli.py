@@ -1,8 +1,11 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvlab1d.cli import _dump_body, main
 
@@ -290,3 +293,63 @@ def test_strongly_negative_k_writes_a_body(command, tmp_path):
     assert code in (0, 2)
     body = _strict_loads(out.read_text())
     assert body["params"] == {"K": -1e6, "N": 2.0} and isinstance(body["margin"], float)
+
+
+@pytest.mark.parametrize("argv,desc", [
+    (["coefficients-table"], {"t": [0.5], "K": [-1e6], "N": [2.0], "theta": [2.0]}),
+    (["bg-scan", "--k=-1e6"], {"topology": "line", "window": [-4, 4]}),
+], ids=["coefficients-table", "bg-scan"])
+def test_coefficient_overflow_exits_one(argv, desc, tmp_path, capsys):
+    # sinh(r sqrt(-K / (N - 1))) overflows: s_vol at theta = 2, f_vol at the radii
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(desc))
+    out = tmp_path / "o.json"
+    assert run(argv + ["--input", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert not out.exists()
+
+
+@st.composite
+def _space_descs(draw, kind):
+    """A valid space description of the topology: 2-200 weight knots
+    spanning its domain, weight values in [-3, 3]."""
+    size = draw(st.floats(0.5, 4.0))
+    lo = draw(st.floats(-3.0, 0.0)) if kind == "line" else 0.0
+    hi = lo + size
+    desc = {"topology": kind}
+    if kind in ("line", "halfline"):
+        desc["window"] = [lo, hi]
+    else:
+        desc["param"] = size
+    n = draw(st.integers(2, 200))
+    if kind == "circle":
+        coords = np.linspace(0.0, 2.0 * math.pi * size, n, endpoint=False)
+    else:
+        coords = np.linspace(lo, hi, n)
+    f = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    desc["weight"] = {"coords": coords.tolist(), "f": f}
+    return desc
+
+
+@pytest.mark.parametrize("kind", ["line", "halfline", "interval", "circle"])
+@settings(max_examples=5)
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_fuzzed_spaces_give_byte_identical_bodies(kind, data, seed):
+    # every command runs twice on the same input: same exit code, same bytes
+    desc = data.draw(_space_descs(kind))
+    commands = (["check-kn-convex", "--k=-0.5"], ["classify", "--k=-1,0.5", "--n=2,3"],
+                ["bg-scan"], ["circle-obstruction", "--k=1"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "space.json")
+        with open(path, "w") as fh:
+            json.dump(desc, fh)
+        for cmd in commands:
+            runs = []
+            for k in range(2):
+                out = os.path.join(tmp, f"{cmd[0]}{k}.json")
+                code = run(cmd + ["--input", path, f"--seed={seed}", "--output", out])
+                body = open(out, "rb").read() if os.path.exists(out) else None
+                runs.append((code, body))
+            assert runs[0] == runs[1]
+            assert runs[0][0] in (0, 1, 2)

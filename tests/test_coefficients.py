@@ -204,3 +204,21 @@ def test_f_vol_domain_error_past_conjugate_radius():
         f_vol(params, math.pi + 0.1)
     with pytest.raises(ValueError):
         f_vol(params, -0.5)
+
+
+def test_model_coefficient_overflow_raises_value_error():
+    # sinh(t c), c = sqrt(-K / (N - 1)), passes math.sinh's overflow at 710.48
+    with pytest.raises(ValueError, match=r"t = 2\.0 for K = -1000000\.0, N = 2"):
+        s_vol(CurvatureParams(-1e6, 2.0), 2.0)
+    with pytest.raises(ValueError, match=r"r = 800\.0 for K = -1, N = 2"):
+        f_vol(CurvatureParams(-1, 2), 800.0)
+    with pytest.raises(ValueError, match=r"r = 2\.0 for K = -1000000\.0"):
+        f_vol(CurvatureParams(-1e6, 2.0), 2.0)
+    # s_vol(500) is about 2e125, finite, but its cube is not
+    params = CurvatureParams(-1.0, 4.0)
+    assert math.isfinite(s_vol(params, 500.0))
+    with pytest.raises(ValueError, match=r"r = 500\.0 for K = -1\.0, N = 4\.0"):
+        f_vol(params, 500.0)
+    # just below the overflow both stay numbers
+    assert math.isfinite(f_vol(CurvatureParams(-1.0, 2.0), 700.0))
+    assert math.isfinite(f_vol(params, 400.0))

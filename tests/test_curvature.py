@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvlab1d.coefficients import CurvatureParams, sigma
+from curvlab1d.coefficients import CurvatureParams, _sigma_branch, sigma
 from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError
-from curvlab1d import transport1d
+from curvlab1d import curvature, transport1d
 from curvlab1d.transport1d import uniform_measure
 from curvlab1d.curvature import (
     TripleBattery, TriplePlan, _battery_sigmas, _random_plans, check_kn_convex,
@@ -347,6 +347,57 @@ def test_battery_makes_one_weight_lookup(monkeypatch):
     assert calls == [2 + 7]  # the kept plan's x0, x1 and its 7 points x_t only
     with pytest.raises(WindowError):
         check_kn_convex(space.weight, space, params, [TriplePlan(0.2, 1.1)], tol=1e-6)
+
+
+class _CountingMath:
+    """The math module, counting calls to exp, sin and sinh."""
+
+    def __init__(self):
+        self.calls = {"exp": 0, "sin": 0, "sinh": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(math, name)
+        if name not in self.calls:
+            return fn
+
+        def counted(x):
+            self.calls[name] += 1
+            return fn(x)
+        return counted
+
+
+def test_battery_evaluates_each_distinct_value_once(monkeypatch):
+    # a cli classify input: the interval [0, 1] with 1001 knots, K < 0
+    looked_up = []
+    lookup = WeightFn.__call__
+
+    def counting(self, x):
+        looked_up.append(np.size(x))
+        return lookup(self, x)
+
+    xs = np.linspace(0.0, 1.0, 1001)
+    space = Space1D(Topology1D("interval", 1.0), WeightFn(xs, 0.5 * np.sin(3.0 * xs) + xs * xs),
+                    grid_step=1e-3)
+    battery = default_triple_battery(space, seed=5)
+    params = CurvatureParams(-15.0, 2.0)  # every plan on the sinh branch
+    expected = check_kn_convex(space.weight, space, params, battery)
+    counted = _CountingMath()
+    monkeypatch.setattr(WeightFn, "__call__", counting)
+    monkeypatch.setattr(curvature, "math", counted)
+    report = check_kn_convex(space.weight, space, params, battery)
+    assert repr(report) == repr(expected)
+    b = battery
+    xt = (1.0 - b.t) * b.x0[b.plan_of] + b.t * b.x1[b.plan_of]
+    points = np.concatenate([b.x0, b.x1, xt])
+    assert points.size == 18912
+    distinct = np.unique(points).size
+    assert distinct < 2100
+    assert looked_up == [distinct]  # one lookup, of the distinct points only
+    assert counted.calls["exp"] == distinct
+    x = np.array([_sigma_branch(params, d)[1] for d in np.abs(b.x1 - b.x0).tolist()])[b.plan_of]
+    distinct_args = np.unique((1.0 - b.t) * x).size + np.unique(b.t * x).size
+    assert counted.calls["sinh"] == distinct_args < 2500  # against 2 x 14,368 rows
+    assert counted.calls["sin"] == 0
 
 
 # sigma's branches as (K, N) -> a strategy for the plan length d

@@ -11,8 +11,8 @@ Three closed-form families drive every inequality in the toolkit:
 * ``f_vol(params, r)`` -- the antiderivative of ``s_vol**(N-1)``, computed
   by adaptive Simpson quadrature to absolute tolerance 1e-10.
 
-Where s_vol or f_vol is too large for a float (K < 0, large radius) they
-raise ValueError naming K, N and the radius, never OverflowError.
+s_vol and f_vol raise ValueError naming K, N and the radius where it is
+not finite and >= 0 or their value overflows (never OverflowError or a hang).
 
 sigma's rule for one theta -- the conjugate test, the branch and the
 t-free denominator -- lives in ``_sigma_branch`` alone.  Scalar sigma and
@@ -30,6 +30,7 @@ both branches (the series is analytic in the signed argument).  Where
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from math import exp as _exp, expm1 as _expm1, inf as _INF, pi as _PI, sin as _sin
@@ -149,14 +150,15 @@ def _s_vol(params: CurvatureParams, t: float) -> float:
 def s_vol(params: CurvatureParams, t: float) -> float:
     """Model volume density S_{K,N}(t); S(0) = 0 and S'(0) = 1.
 
-    Raises ValueError where the sinh of K < 0 is not representable."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    try:
-        return _s_vol(params, t)
-    except OverflowError:
-        raise ValueError(f"s_vol overflows at t = {t!r} for K = {params.K!r}, "
-                         f"N = {params.N!r}") from None
+    Raises ValueError, naming K, N and t, unless t and the value are finite."""
+    if not 0.0 <= t < _INF:  # nan fails too
+        raise ValueError(f"s_vol at t = {t!r} for K = {params.K!r}, N = {params.N!r}: "
+                         "t must be finite and >= 0")
+    with contextlib.suppress(OverflowError, ValueError):  # sinh overflowed; sin(inf)
+        value = _s_vol(params, t)
+        if value < _INF:
+            return value
+    raise ValueError(f"s_vol overflows at t = {t!r} for K = {params.K!r}, N = {params.N!r}")
 
 
 def conjugate_radius(params: CurvatureParams) -> float:
@@ -177,11 +179,12 @@ def f_vol(params: CurvatureParams, r: float) -> float:
 
     For K > 0 the radius must not exceed the conjugate radius
     pi*sqrt((N-1)/K); past it the comparison density is meaningless.
-    Raises ValueError where the integral, or s_vol or its power on the way,
-    is not representable (K < 0 and a large radius).
+    Raises ValueError, naming K, N and r, unless r, s_vol**(N-1) on the way
+    and the integral are finite (K < 0 or large N overflow at large r).
     """
-    if r < 0.0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    if not 0.0 <= r < _INF:  # nan fails too
+        raise ValueError(f"f_vol at r = {r!r} for K = {params.K!r}, N = {params.N!r}: "
+                         "r must be finite and >= 0")
     if _beyond_conjugate_radius(params, r):
         raise ValueError(
             f"r={r} exceeds the conjugate radius {conjugate_radius(params)} "
@@ -229,6 +232,8 @@ def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
+    if math.isnan(delta):  # inf - inf, or NaN values: both halves would bisect to max_depth
+        raise OverflowError("a Simpson estimate is not finite")
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     return (

@@ -19,7 +19,7 @@ The unrolled cost dominates the arc cost, the optimal plan leaves some
 point uncrossed, and the shift objective is convex for the squared cost
 (Delon, Salomon & Sobolevski 2010), so the first minimum over a grid of
 >= 256 shifts per winding is found by derivative-sign bisection (about
-18 objective evaluations) and then refined by golden section.
+18 objective evaluations) and then refined by golden section (80 more).
 """
 
 from __future__ import annotations
@@ -150,16 +150,13 @@ def _breakpoints(mu: ProbMeasure1D) -> tuple[np.ndarray, np.ndarray]:
 def _eval_quantile(U: np.ndarray, X: np.ndarray, q) -> np.ndarray:
     """Q(u) = inf{x : CDF(x) >= u}, vectorized over q in [0, 1]."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    out = np.empty_like(q)
-    idx = np.searchsorted(U, q, side="left")
+    idx = U.searchsorted(q, "left")
     exact = (idx < len(U)) & (U[np.minimum(idx, len(U) - 1)] == q)
-    out[exact] = X[np.minimum(idx[exact], len(X) - 1)]
-    inner = ~exact
-    k = np.clip(idx[inner] - 1, 0, len(U) - 2)
-    du = U[k + 1] - U[k]
-    frac = np.where(du > 0, (q[inner] - U[k]) / np.where(du > 0, du, 1.0), 0.0)
-    out[inner] = X[k] + frac * (X[k + 1] - X[k])
-    return out
+    k = np.minimum(np.maximum(idx - 1, 0), len(U) - 2)
+    Uk, Xk = U[k], X[k]
+    du = U[k + 1] - Uk
+    frac = np.where(du > 0, (q - Uk) / np.where(du > 0, du, 1.0), 0.0)
+    return np.where(exact, X[np.minimum(idx, len(X) - 1)], Xk + frac * (X[k + 1] - Xk))
 
 
 @dataclass(frozen=True)
@@ -182,15 +179,14 @@ def quantile(mu: ProbMeasure1D) -> QuantileFn:
 def _affine_ends(U, X, ua, ub):
     """Values at (ua, ub) of the affine quantile piece covering (ua, ub).
 
-    The piece is located by its left end: the midpoint of a piece one ulp
-    wide below 1 rounds to 1 and would select a zero-width piece between
-    repeated anchors there.
+    The piece is located by its left end among U[1:-1] (clipping the index
+    into U otherwise): the midpoint of a piece one ulp wide below 1 rounds
+    to 1 and would select a zero-width piece between repeated anchors.
     """
-    k = np.searchsorted(U, ua, side="right") - 1
-    k = np.clip(k, 0, len(U) - 2)
-    du = U[k + 1] - U[k]
-    slope = (X[k + 1] - X[k]) / du
-    return X[k] + slope * (ua - U[k]), X[k] + slope * (ub - U[k])
+    k = U[1:-1].searchsorted(ua, "right")
+    Uk, Xk = U[k], X[k]
+    slope = (X[1:][k] - Xk) / (U[1:][k] - Uk)
+    return Xk + slope * (ua - Uk), Xk + slope * (ub - Uk)
 
 
 def _merged_pieces(bp0, bp1):
@@ -201,7 +197,8 @@ def _merged_pieces(bp0, bp1):
     """
     U0, X0 = bp0
     U1, X1 = bp1
-    mu = np.unique(np.concatenate([U0, U1]))
+    mu = np.concatenate([U0, U1])
+    mu.sort()
     ua, ub = mu[:-1], mu[1:]
     keep = ub > ua
     ua, ub = ua[keep], ub[keep]
@@ -215,7 +212,7 @@ def _w2sq_line_bp(bp0, bp1) -> float:
     du, a0, b0, a1, b1 = _merged_pieces(bp0, bp1)
     da, db = a0 - a1, b0 - b1
     dm = 0.5 * (da + db)
-    return float(np.sum(du / 6.0 * (da * da + 4.0 * dm * dm + db * db)))
+    return float((du / 6.0 * (da * da + 4.0 * dm * dm + db * db)).sum())
 
 
 def _extended_bp(mu: ProbMeasure1D) -> tuple[np.ndarray, np.ndarray]:
@@ -231,14 +228,14 @@ def _extended_bp(mu: ProbMeasure1D) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([X - circ, [X[0]], X[1:], [X[0] + circ], X[1:] + circ]))
 
 
-def _eval_quantile_right(U: np.ndarray, X: np.ndarray, q: float) -> float:
-    """Right-limit of the quantile graph at q (start of the next segment)."""
-    idx = int(np.searchsorted(U, q, side="right"))
-    k = min(max(idx - 1, 0), len(U) - 2)
-    du = U[k + 1] - U[k]
-    if du <= 0.0:
-        return float(X[k + 1])
-    return float(X[k] + (q - U[k]) / du * (X[k + 1] - X[k]))
+def _quantile_end(U: np.ndarray, X: np.ndarray, q: float, side: str):
+    """(i, Q(q)) with i = searchsorted(U, q, side), for U[0] <= q < U[-1]: the
+    right limit at q, or the inf-quantile (an anchor's own X at q) for "left"."""
+    i = int(U.searchsorted(q, side))
+    if side == "left" and U[i] == q:
+        return i, X[i]
+    k = i - 1  # q lies inside the piece (U[k], U[i]), which has du > 0
+    return i, X[k] + (q - U[k]) / (U[i] - U[k]) * (X[i] - X[k])
 
 
 def _shifted_bp(ext: tuple[np.ndarray, np.ndarray],
@@ -251,12 +248,10 @@ def _shifted_bp(ext: tuple[np.ndarray, np.ndarray],
     are collapsed; jump anchors (du = 0 but dx > 0) are always kept.
     """
     Ue, Xe = ext
-    lo, hi = alpha, alpha + 1.0
-    mask = (Ue > lo) & (Ue < hi)
-    U = np.concatenate([[0.0], Ue[mask] - alpha, [1.0]])
-    x_lo = _eval_quantile_right(Ue, Xe, lo)
-    x_hi = float(_eval_quantile(Ue, Xe, np.array([hi]))[0])
-    X = np.concatenate([[x_lo], Xe[mask], [x_hi]])
+    i0, x_lo = _quantile_end(Ue, Xe, alpha, "right")
+    i1, x_hi = _quantile_end(Ue, Xe, alpha + 1.0, "left")
+    U = np.concatenate([[0.0], Ue[i0:i1] - alpha, [1.0]])
+    X = np.concatenate([[x_lo], Xe[i0:i1], [x_hi]])
     x_scale = max(abs(X[0]), abs(X[-1]), 1.0)
     keep = [0]
     for i in range(1, len(U)):

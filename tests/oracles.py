@@ -4,7 +4,9 @@ Each oracle recomputes a target quantity by a route disjoint from the
 library implementation: high-precision closed forms (mpmath), refined
 trapezoid quadrature, LP transport plans (scipy HiGHS), shrinking-cover
 limits, and bisection CDF inversion.  Library code is only called where an
-oracle needs raw measure evaluations that are themselves exact.
+oracle needs raw measure evaluations that are themselves exact.  Frozen
+copies of earlier library routines (the plan-by-plan battery, the circle
+cut's objective helpers) pin rewrites that must keep every bit.
 """
 
 from __future__ import annotations
@@ -256,3 +258,129 @@ class TripodEnsemble:
         xi = s * (1.0 - t / tau)  # >0 stem, <0 target
         edges = np.where(xi >= 0.0, 0, 1 if which == "u" else 2)
         return edges.ravel(), np.abs(xi).ravel()
+
+
+# -- frozen circle-cut helpers -------------------------------------------------------
+
+# Copies of the transport1d objective helpers as they were before the
+# small-array rewrite (np.unique merge, np.clip index, boolean window mask,
+# two quantile routines).  The rewrite keeps every float operation and its
+# order, so the library must reproduce these values with ==, not within a
+# tolerance.
+
+def frozen_eval_quantile(U, X, q):
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    out = np.empty_like(q)
+    idx = np.searchsorted(U, q, side="left")
+    exact = (idx < len(U)) & (U[np.minimum(idx, len(U) - 1)] == q)
+    out[exact] = X[np.minimum(idx[exact], len(X) - 1)]
+    inner = ~exact
+    k = np.clip(idx[inner] - 1, 0, len(U) - 2)
+    du = U[k + 1] - U[k]
+    frac = np.where(du > 0, (q[inner] - U[k]) / np.where(du > 0, du, 1.0), 0.0)
+    out[inner] = X[k] + frac * (X[k + 1] - X[k])
+    return out
+
+
+def _frozen_affine_ends(U, X, ua, ub):
+    k = np.searchsorted(U, ua, side="right") - 1
+    k = np.clip(k, 0, len(U) - 2)
+    du = U[k + 1] - U[k]
+    slope = (X[k + 1] - X[k]) / du
+    return X[k] + slope * (ua - U[k]), X[k] + slope * (ub - U[k])
+
+
+def frozen_merged_pieces(bp0, bp1):
+    U0, X0 = bp0
+    U1, X1 = bp1
+    mu = np.unique(np.concatenate([U0, U1]))
+    ua, ub = mu[:-1], mu[1:]
+    keep = ub > ua
+    ua, ub = ua[keep], ub[keep]
+    a0, b0 = _frozen_affine_ends(U0, X0, ua, ub)
+    a1, b1 = _frozen_affine_ends(U1, X1, ua, ub)
+    return ub - ua, a0, b0, a1, b1
+
+
+def frozen_w2sq_line_bp(bp0, bp1):
+    du, a0, b0, a1, b1 = frozen_merged_pieces(bp0, bp1)
+    da, db = a0 - a1, b0 - b1
+    dm = 0.5 * (da + db)
+    return float(np.sum(du / 6.0 * (da * da + 4.0 * dm * dm + db * db)))
+
+
+def _frozen_eval_quantile_right(U, X, q):
+    idx = int(np.searchsorted(U, q, side="right"))
+    k = min(max(idx - 1, 0), len(U) - 2)
+    du = U[k + 1] - U[k]
+    if du <= 0.0:
+        return float(X[k + 1])
+    return float(X[k] + (q - U[k]) / du * (X[k + 1] - X[k]))
+
+
+def frozen_shifted_bp(ext, alpha):
+    Ue, Xe = ext
+    lo, hi = alpha, alpha + 1.0
+    mask = (Ue > lo) & (Ue < hi)
+    U = np.concatenate([[0.0], Ue[mask] - alpha, [1.0]])
+    x_lo = _frozen_eval_quantile_right(Ue, Xe, lo)
+    x_hi = float(frozen_eval_quantile(Ue, Xe, np.array([hi]))[0])
+    X = np.concatenate([[x_lo], Xe[mask], [x_hi]])
+    x_scale = max(abs(X[0]), abs(X[-1]), 1.0)
+    keep = [0]
+    for i in range(1, len(U)):
+        if (U[i] - U[keep[-1]] > 1e-14
+                or abs(X[i] - X[keep[-1]]) > 1e-12 * x_scale):
+            keep.append(i)
+    if keep[-1] != len(U) - 1:
+        keep.append(len(U) - 1)
+    return U[keep], X[keep]
+
+
+_FROZEN_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _frozen_golden_min(fn, a, b, iters=80):
+    x1 = b - _FROZEN_GOLDEN * (b - a)
+    x2 = a + _FROZEN_GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _FROZEN_GOLDEN * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _FROZEN_GOLDEN * (b - a)
+            f2 = fn(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def frozen_circle_cut(bp0, ext1, n_cuts=256):
+    """(W2^2, shift) of the circle cut from the source graph and the
+    target's extended graph (`_breakpoints`, `_extended_bp`)."""
+    def obj(alpha):
+        return frozen_w2sq_line_bp(bp0, frozen_shifted_bp(ext1, alpha))
+
+    shifts = np.linspace(-1.0, 1.0, 2 * n_cuts, endpoint=False)
+    vals = {}
+
+    def grid_val(i):
+        if i not in vals:
+            vals[i] = obj(shifts[i])
+        return vals[i]
+
+    lo, hi = 0, len(shifts) - 1
+    while lo < hi:
+        m = (lo + hi) // 2
+        if grid_val(m) <= grid_val(m + 1):
+            hi = m
+        else:
+            lo = m + 1
+    k = lo
+    step = 1.0 / n_cuts
+    a_best, v_best = _frozen_golden_min(obj, max(shifts[k] - step, -1.0),
+                                        min(shifts[k] + step, 1.0 - 1e-12))
+    if grid_val(k) < v_best:
+        a_best, v_best = shifts[k], vals[k]
+    return v_best, a_best

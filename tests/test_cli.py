@@ -310,6 +310,31 @@ def test_coefficient_overflow_exits_one(argv, desc, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("K,what", [(0.0, "f_vol overflows at r = 1e+308 for K = 0.0"),
+                                     (4.0, "s_vol overflows at t = 1e+308 for K = 4.0")])
+def test_coefficients_table_at_a_huge_radius_exits_one(K, what, tmp_path, capsys,
+                                                       monkeypatch):
+    # f_vol's quadrature of x on [0, 1e308] overflowed and ran on for hours;
+    # s_vol's sin of an infinite t c said only "math domain error"
+    from curvlab1d import coefficients
+
+    inner, calls = coefficients._s_vol, [0]
+
+    def guarded(params, t):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise RuntimeError("more than 10000 integrand calls")
+        return inner(params, t)
+
+    monkeypatch.setattr(coefficients, "_s_vol", guarded)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"t": [0.5], "K": [K], "N": [2.0], "theta": [1e308]}))
+    out = tmp_path / "o.json"
+    assert run(["coefficients-table", "--input", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {what}, N = 2.0")
+    assert not out.exists()
+
+
 @st.composite
 def _space_descs(draw, kind):
     """A valid space description of the topology: 2-200 weight knots

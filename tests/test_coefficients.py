@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from curvlab1d.coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol, sigma
+from curvlab1d import coefficients
+from curvlab1d.coefficients import (CurvatureParams, adaptive_simpson, conjugate_radius,
+                                    f_vol, s_vol, sigma)
 
 from oracles import s_vol_hp, sigma_hp, trapezoid_refined
 
@@ -61,6 +65,43 @@ def test_sigma_seam_continuity_in_k():
         K = mag / theta ** 2 * (1 if rng.random() < 0.5 else -1)
         val = sigma(t, CurvatureParams(K, N), theta)
         assert abs(val - t) <= 10.0 * abs(K) * theta ** 2 + 1e-15
+
+
+def _seam_pair(N, theta, sign):
+    """Adjacent floats K_in, K_out of one sign: |K| theta^2 / N is below the
+    seam threshold at K_in and not at K_out, as sigma computes it."""
+    def inside(K):
+        return abs(K * theta * theta / N) < coefficients._SEAM
+
+    K = sign * coefficients._SEAM * N / (theta * theta)
+    while inside(K):
+        K = math.nextafter(K, sign * math.inf)
+    while not inside(K):
+        K = math.nextafter(K, 0.0)
+    return K, math.nextafter(K, sign * math.inf)
+
+
+def _close(a, b, rel=1e-14):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@given(t=st.floats(0.0, 1.0), N=st.floats(1.01, 50.0), theta=st.floats(1e-3, 1e3),
+       sign=st.sampled_from([-1.0, 1.0]))
+@example(t=0.5, N=2.0, theta=1.0, sign=1.0)
+@example(t=0.999, N=3.0, theta=1.0, sign=-1.0)
+def test_sigma_continuous_across_the_seam(t, N, theta, sign):
+    # the series branch and the sin / sinh branch meet at |K| theta^2 / N = 1e-8:
+    # adjacent K on either side give the same value within 1e-14 relative
+    K_in, K_out = _seam_pair(N, theta, sign)
+    branch = {K: coefficients._sigma_branch(CurvatureParams(K, N), theta)[0]
+              for K in (K_in, K_out)}
+    assert branch == {K_in: coefficients.SEAM,
+                      K_out: coefficients.SIN if sign > 0 else coefficients.SINH}
+    assert _close(sigma(t, CurvatureParams(K_in, N), theta),
+                  sigma(t, CurvatureParams(K_out, N), theta))
+    # K = +-1e-300 against K = 0, where sigma is exactly t
+    for K in (1e-300, -1e-300):
+        assert _close(sigma(t, CurvatureParams(K, N), theta), t)
 
 
 def test_sigma_strictly_increasing_in_t():
@@ -222,3 +263,72 @@ def test_model_coefficient_overflow_raises_value_error():
     # just below the overflow both stay numbers
     assert math.isfinite(f_vol(CurvatureParams(-1.0, 2.0), 700.0))
     assert math.isfinite(f_vol(params, 400.0))
+
+
+def _call_limited(fn, limit=10_000):
+    """(fn raising after `limit` calls, its call count): a quadrature that
+    would run on for hours fails instead."""
+    calls = [0]
+
+    def limited(*args):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise RuntimeError(f"more than {limit} integrand calls")
+        return fn(*args)
+
+    return limited, calls
+
+
+@pytest.mark.parametrize("fn", [lambda x: 1e308, lambda x: math.nan, lambda x: x * 1e300])
+def test_adaptive_simpson_raises_on_a_non_finite_estimate(fn):
+    # an inf - inf or NaN error estimate passes no tolerance: it used to bisect
+    # to depth 40 on both halves
+    limited, calls = _call_limited(fn)
+    with pytest.raises(OverflowError):
+        adaptive_simpson(limited, 0.0, 1e10, 1e-10)
+    assert calls[0] <= 5
+
+
+@pytest.mark.parametrize("K,N,r", [
+    (0.0, 2.0, 1e160),   # x on [0, r]: the first Simpson estimate is inf
+    (-1.0, 2.0, 709.0),  # sinh x: partial estimates overflow, inf - inf = NaN
+    (0.0, 2.0, math.nan), (1.0, 2.0, math.nan), (-1.0, 3.0, math.nan),
+    (0.0, 2.0, math.inf), (-1.0, 2.0, math.inf), (1.0, 2.0, math.inf),
+    (-0.5, 2.0, -math.inf),
+])
+def test_f_vol_raises_instead_of_hanging(K, N, r, monkeypatch):
+    limited, calls = _call_limited(coefficients._s_vol)
+    monkeypatch.setattr(coefficients, "_s_vol", limited)
+    with pytest.raises(ValueError, match=rf"at r = {re.escape(repr(r))} for K = "
+                                         rf"{re.escape(repr(K))}, N = {re.escape(repr(N))}"):
+        f_vol(CurvatureParams(K, N), r)
+    assert calls[0] <= 100
+
+
+def test_f_vol_finite_values_unchanged_by_the_overflow_check():
+    # large finite integrals, as computed before the check
+    assert f_vol(CurvatureParams(-1.0, 2.0), 700.0) == 5.0711602736751114e+303
+    assert f_vol(CurvatureParams(-1.0, 4.0), 400.0) == 2.8978407083513574e+300
+    assert f_vol(CurvatureParams(0.0, 2.0), 1e150) == 4.9999999999999995e+299
+    # the whole-interval estimate overflows, its two halves do not
+    assert f_vol(CurvatureParams(-1.0, 2.0), 706.0) == 2.045852070817122e+306
+    assert f_vol(CurvatureParams(0.0, 11.0), 1.26e28) == 1.1552695089068813e+308
+
+
+@pytest.mark.parametrize("K,N,t", [
+    (4.0, 2.0, 1e308),   # t c = inf: math.sin raised "math domain error"
+    (-4.0, 2.0, 1e308),  # t c = inf: sinh(inf) / c returned inf
+    (-1e-300, 2.0, 7e152),  # sinh(t c) finite, divided by c = 1e-150 it is not
+])
+def test_s_vol_names_an_unrepresentable_value(K, N, t):
+    with pytest.raises(ValueError, match=rf"s_vol overflows at t = {re.escape(repr(t))} "
+                                         rf"for K = {re.escape(repr(K))}, N = {N!r}"):
+        s_vol(CurvatureParams(K, N), t)
+
+
+@pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_s_vol_names_a_non_finite_radius(K, t):
+    # nan returned nan, and inf returned inf for K <= 0
+    with pytest.raises(ValueError, match=rf"at t = {t!r} for K = {K!r}, N = 2\.0"):
+        s_vol(CurvatureParams(K, 2.0), t)

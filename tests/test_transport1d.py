@@ -770,3 +770,61 @@ def test_quantile_anchors_stay_monotone_before_trailing_empty_cells():
     U, _ = _breakpoints(mu)
     assert np.all(np.diff(U) >= 0.0) and U[-1] == 1.0
     assert w2(space, mu, mu) == 0.0
+
+
+# -- circle cut helpers against their frozen copies -----------------------------------
+
+@st.composite
+def cut_histograms(draw, circ):
+    """(edges, density) on [0, circ): an arc, or 1-40 cells with zero-density
+    cells, optionally trailing ones and cells whose mass vanishes in the
+    cumulative sum (both repeat the anchor u = 1)."""
+    start = draw(st.floats(0.0, 0.9 * circ))
+    span = draw(st.floats(1e-3, 1.0)) * (circ * (1.0 - 1e-9) - start)
+    n = draw(st.integers(1, 40))
+    if n == 1:
+        return np.array([start, start + span]), np.array([1.0 / span])
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    edges = start + span * np.concatenate([[0.0], np.cumsum(gaps) / np.sum(gaps)])
+    dens = np.array(draw(st.lists(st.just(0.0) | st.just(1e-17) | st.floats(0.05, 1.0),
+                                  min_size=n, max_size=n)))
+    dens[n - draw(st.integers(0, min(3, n - 1))):] = 0.0
+    if not np.any(dens > 1e-17):
+        dens[draw(st.integers(0, n - 1))] = 1.0
+    return edges, dens / np.sum(dens * np.diff(edges))
+
+
+def same_bits(got, want):
+    """== on floats and arrays of floats, NaN equal to NaN."""
+    return np.array_equal(np.asarray(got), np.asarray(want), equal_nan=True)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), radius=st.sampled_from([0.5, 1.0, 3.0]))
+def test_circle_cut_helpers_match_frozen_copies(data, radius):
+    # the small-array rewrite of the cut's objective keeps every float
+    # operation and its order: values, anchors and the cut agree with ==.
+    # A subnormal shift gives NaN pieces on both sides (see CHANGES.md), so
+    # NaN counts as equal to NaN and numpy's warnings are off here.
+    from oracles import (frozen_circle_cut, frozen_eval_quantile, frozen_merged_pieces,
+                         frozen_shifted_bp, frozen_w2sq_line_bp)
+
+    space = circle_space(radius)
+    circ = space.topology.circumference
+    mu0, mu1 = (ProbMeasure1D(space, *data.draw(cut_histograms(circ))) for _ in range(2))
+    bp0, ext1 = _breakpoints(mu0), _extended_bp(mu1)
+    U1 = _breakpoints(mu1)[0]
+    alphas = [-1.0, 1.0 - 1e-12, *U1, *(U1[1:] - 1.0),
+              *data.draw(st.lists(st.floats(-1.0, 1.0 - 1e-12), max_size=8))]
+    with np.errstate(all="ignore"):
+        for alpha in alphas:
+            got, want = _shifted_bp(ext1, alpha), frozen_shifted_bp(ext1, alpha)
+            assert all(same_bits(g, w) for g, w in zip(got, want)), alpha
+            assert all(same_bits(g, w) for g, w in zip(transport1d._merged_pieces(bp0, got),
+                                                      frozen_merged_pieces(bp0, want)))
+            assert same_bits(_w2sq_line_bp(bp0, got), frozen_w2sq_line_bp(bp0, want))
+        assert _circle_cut(space, mu0, mu1) == frozen_circle_cut(bp0, ext1)
+    q = np.concatenate([np.linspace(0.0, 1.0, 17), bp0[0]])
+    fn = quantile(mu0)
+    assert np.array_equal(fn(q), frozen_eval_quantile(*bp0, q))
+    assert all(fn(float(u)) == frozen_eval_quantile(*bp0, u)[0] for u in q)

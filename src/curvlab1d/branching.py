@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .coefficients import _DE_W, _DE_X  # tanh-sinh: x log x at piece edges is fine
 from .space1d import Space1D, Topology1D, WeightFn
 from . import transport1d as tr
 
@@ -143,14 +144,6 @@ class BranchingScenario:
     @property
     def tau_window(self) -> tuple[float, float]:
         return self.a + self.eps / 4.0, self.a + 3.0 * self.eps / 4.0
-
-
-# double-exponential quadrature nodes on (-1, 1): handles the x*log(x)
-# behaviour of the entropy integrand at piece edges at spectral accuracy
-_DE_H = 7.0 / 240.0
-_DE_T = np.arange(-120, 121) * _DE_H
-_DE_X = np.tanh(0.5 * math.pi * np.sinh(_DE_T))
-_DE_W = _DE_H * 0.5 * math.pi * np.cosh(_DE_T) / np.cosh(0.5 * math.pi * np.sinh(_DE_T)) ** 2
 
 
 class _HalfDensity:

@@ -25,8 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import adaptive_simpson
-
 __all__ = [
     "WindowError",
     "Topology1D",
@@ -165,17 +163,25 @@ class WeightFn:
             total += _seg_exp_integral(vals[i], vals[i + 1], pts[i + 1] - pts[i])
         return total
 
-    def integrate_weighted(self, lo: float, hi: float, g: Callable[[float], float],
-                           tol: float = 1e-12) -> float:
-        """Integral of g(x)*exp(-f(x)) over [lo, hi], split at interpolation knots."""
+    def integrate_weighted(self, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
+        """Exact integral of g*exp(-f) over [lo, hi] (unwrapped coords), g affine
+        from g_lo to g_hi: h exp(-f0) (g0 A + g1 B) on each segment, taken from
+        its end f0 = min f, with d = |df|, A = (expm1(-d) + d) / d^2 and
+        B = (-expm1(-d) - d exp(-d)) / d^2, or their Taylor series where d < 1e-2."""
         if hi <= lo:
             return 0.0
         pts = self.knots_in(lo, hi)
-        total = 0.0
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            total += adaptive_simpson(lambda x: g(x) * math.exp(-self(x)), a, b, tol)
-        return total
+        f = self(pts)
+        g = g_lo + (g_hi - g_lo) * ((pts - lo) / (hi - lo))
+        g0, g1 = np.where(f[1:] >= f[:-1], (g[:-1], g[1:]), (g[1:], g[:-1]))
+        f0, d = np.minimum(f[:-1], f[1:]), np.abs(np.diff(f))
+        ds, dl = np.minimum(d, 1e-2), np.maximum(d, 1e-2)  # the closed forms cancel below
+        A = np.where(d < 1e-2, np.polyval([-1/5040, 1/720, -1/120, 1/24, -1/6, 1/2], ds),
+                     (np.expm1(-dl) + dl) / (dl * dl))
+        B = np.where(d < 1e-2, np.polyval([-1/840, 1/144, -1/30, 1/8, -1/3, 1/2], ds),
+                     (-np.expm1(-dl) - dl * np.exp(-dl)) / (dl * dl))
+        peak = math.exp(-f0.min())  # OverflowError where the density does, as in measure_ball
+        return peak * float(np.sum(np.diff(pts) * np.exp(f0.min() - f0) * (g0 * A + g1 * B)))
 
 
 @dataclass(frozen=True)
@@ -385,16 +391,20 @@ def disintegrate(space: Space1D, origin: float, r: float) -> SphereMeasure:
 
 
 def rescale(space: Space1D, x: float, r: float) -> RescaledSpace:
-    """Pointed rescaled space with normalization int_{B_r(x)} (1 - d/r) dm."""
+    """Pointed rescaled space with normalization int_{B_r(x)} (1 - d/r) dm,
+    the exact integral of the tent over [x - a, x] and [x, x + b]: on a circle
+    a = b = min(r, c/2), else (x - a, x + b) is the ball's one interval."""
     if not (r > 0.0):
         raise ValueError(f"scale must be > 0, got {r}")
     if not space.contains(x):
         raise ValueError(f"center {x} outside the domain {space.domain()}")
-    total = 0.0
-    for lo, hi in space._ball_intervals(x, r):
-        total += space.weight.integrate_weighted(
-            lo, hi, lambda y: max(0.0, 1.0 - space.distance(x, y) / r)
-        )
+    if space.topology.kind == "circle":
+        a = b = min(r, space.topology.circumference / 2.0)
+    else:
+        [(lo, hi)] = space._ball_intervals(x, r)
+        a, b = x - lo, hi - x
+    total = (space.weight.integrate_weighted(x - a, x, 1.0 - a / r, 1.0)
+             + space.weight.integrate_weighted(x, x + b, 1.0, 1.0 - b / r))
     if total <= 0.0:
         raise ValueError("normalization underflowed; weight support violated")
     return RescaledSpace(base=space, center=x, scale=r, normalization=total)

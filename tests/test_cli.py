@@ -166,6 +166,19 @@ def test_json_is_strict(spaces, tmp_path):
     assert row[4] == "inf" and row[6] == "nan"
 
 
+@pytest.mark.parametrize("K,N,scale", [(4.0, 1.3, 1.0), (1.0, 2.5, 1.0 + 5e-13)])
+def test_coefficients_table_at_the_conjugate_radius(K, N, scale, tmp_path):
+    # f_vol there raised "TypeError: must be real number, not complex" (a traceback)
+    theta = math.pi * math.sqrt((N - 1.0) / K) * scale
+    grid = tmp_path / "conj.json"
+    grid.write_text(json.dumps({"t": [0.5], "K": [K], "N": [N], "theta": [theta]}))
+    out = str(tmp_path / "coef.json")
+    assert run(["coefficients-table", "--input", str(grid), "--format", "json",
+                "--output", out]) == 0
+    row = _strict_loads(open(out).read())["rows"][0]
+    assert row[3] == theta and math.isfinite(row[6]) and row[6] > 0.0
+
+
 def test_explicit_zero_tol_is_honoured(spaces, tmp_path):
     out = str(tmp_path / "z.json")
     run(["verify-cde", "--input", spaces["interval"], "--tol", "0", "--output", out])

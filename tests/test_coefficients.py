@@ -1,15 +1,15 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from curvlab1d import coefficients
-from curvlab1d.coefficients import (CurvatureParams, adaptive_simpson, conjugate_radius,
-                                    f_vol, s_vol, sigma)
+from curvlab1d.coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol, sigma
 
-from oracles import s_vol_hp, sigma_hp, trapezoid_refined
+from oracles import f_vol_hp, s_vol_hp, sigma_hp, trapezoid_refined
 
 
 def test_sigma_zero_curvature_is_exactly_t():
@@ -279,19 +279,8 @@ def _call_limited(fn, limit=10_000):
     return limited, calls
 
 
-@pytest.mark.parametrize("fn", [lambda x: 1e308, lambda x: math.nan, lambda x: x * 1e300])
-def test_adaptive_simpson_raises_on_a_non_finite_estimate(fn):
-    # an inf - inf or NaN error estimate passes no tolerance: it used to bisect
-    # to depth 40 on both halves
-    limited, calls = _call_limited(fn)
-    with pytest.raises(OverflowError):
-        adaptive_simpson(limited, 0.0, 1e10, 1e-10)
-    assert calls[0] <= 5
-
-
 @pytest.mark.parametrize("K,N,r", [
-    (0.0, 2.0, 1e160),   # x on [0, r]: the first Simpson estimate is inf
-    (-1.0, 2.0, 709.0),  # sinh x: partial estimates overflow, inf - inf = NaN
+    (0.0, 2.0, 1e160),   # r^2 / 2 overflows; an adaptive Simpson rule once ran on for hours
     (0.0, 2.0, math.nan), (1.0, 2.0, math.nan), (-1.0, 3.0, math.nan),
     (0.0, 2.0, math.inf), (-1.0, 2.0, math.inf), (1.0, 2.0, math.inf),
     (-0.5, 2.0, -math.inf),
@@ -306,13 +295,65 @@ def test_f_vol_raises_instead_of_hanging(K, N, r, monkeypatch):
 
 
 def test_f_vol_finite_values_unchanged_by_the_overflow_check():
-    # large finite integrals, as computed before the check
-    assert f_vol(CurvatureParams(-1.0, 2.0), 700.0) == 5.0711602736751114e+303
-    assert f_vol(CurvatureParams(-1.0, 4.0), 400.0) == 2.8978407083513574e+300
-    assert f_vol(CurvatureParams(0.0, 2.0), 1e150) == 4.9999999999999995e+299
-    # the whole-interval estimate overflows, its two halves do not
-    assert f_vol(CurvatureParams(-1.0, 2.0), 706.0) == 2.045852070817122e+306
-    assert f_vol(CurvatureParams(0.0, 11.0), 1.26e28) == 1.1552695089068813e+308
+    # large finite integrals stay numbers, judged by the 40-digit oracle; at the
+    # last two a whole-interval Simpson estimate overflowed, its halves did not
+    for K, N, r in [(-1.0, 2.0, 700.0), (-1.0, 4.0, 400.0), (0.0, 2.0, 1e150),
+                    (-1.0, 2.0, 706.0), (0.0, 11.0, 1.26e28)]:
+        want = float(f_vol_hp(K, N, r))
+        assert f_vol(CurvatureParams(K, N), r) == pytest.approx(want, rel=1e-13), (K, N, r)
+
+
+def test_f_vol_returns_cosh_709_minus_one():
+    # 4.1e307 is a float; Simpson's whole-interval estimate, about 118 times it, was not
+    got = f_vol(CurvatureParams(-1.0, 2.0), 709.0)
+    assert got == pytest.approx(4.1092037307774861e307, rel=1e-13)
+
+
+def test_f_vol_hp_matches_closed_forms():
+    # F = r^N / N at K = 0; (1 - cos(sqrt(K) r)) / K and (cosh(sqrt(-K) r) - 1) / -K at N = 2
+    for N, r in [(2.0, 1.7), (11.8, 2.6e-5), (40.0, 3.0), (1.01, 1e-200), (3.5, 1e80)]:
+        assert f_vol_hp(0.0, N, r) == pytest.approx(mp.mpf(r) ** N / N, rel=1e-30)
+    for K, r in [(4.0, 0.3), (4.0, math.pi / 2), (-1.0, 1.0), (-2.0, 30.0), (-1.0, 709.0)]:
+        c = mp.sqrt(abs(mp.mpf(K)))
+        exact = (1 - mp.cos(c * r)) / K if K > 0 else (mp.cosh(c * r) - 1) / -K
+        assert f_vol_hp(K, 2.0, r) == pytest.approx(exact, rel=1e-30)
+
+
+def test_f_vol_against_high_precision_oracle():
+    # Simpson's absolute 1e-10 tolerance left 11% error at F ~ 1e-12 (K = 1.893,
+    # N = 11.95, r = 0.1429); the rule is relative: 1e-13 down to tiny F
+    rng = np.random.default_rng(2024)
+    tiny = 0
+    for i in range(300):
+        K = float(rng.choice([-1.0, 0.0, 1.0]) * 10 ** rng.uniform(-2.0, 1.5))
+        N = float(rng.uniform(1.01, 12.0))
+        params = CurvatureParams(K, N)
+        r = min(float(10 ** rng.uniform(-3.0, 0.7)), conjugate_radius(params))
+        if i % 10 == 0 and K > 0:
+            r = conjugate_radius(params)
+        want = float(f_vol_hp(K, N, r))
+        tiny += want < 1e-10
+        assert f_vol(params, r) == pytest.approx(want, rel=1e-13), (K, N, r)
+    assert tiny >= 30
+
+
+@pytest.mark.parametrize("K,N,scale", [(4.0, 1.3, 1.0), (1.0, 2.5, 1.0 + 5e-13),
+                                       (1.0, 2.0, 1.0), (9.0, 40.0, 1.0 + 1e-12)])
+def test_f_vol_at_the_conjugate_radius(K, N, scale):
+    # a sin a rounding below zero, raised to a fractional power, was complex
+    params = CurvatureParams(K, N)
+    r = conjugate_radius(params) * scale
+    assert f_vol(params, r) == pytest.approx(float(f_vol_hp(K, N, r)), rel=1e-13)
+
+
+@pytest.mark.parametrize("K,N,r", [(1e-300, 1.01, 1e-170), (-1e-300, 1.01, 1e-170),
+                                   (5e-324, 2.0, 1e-100), (1e300, 2.0, 1e-150),
+                                   (-1e300, 2.0, 1e-150), (0.0, 1.5, 1e-200)])
+def test_f_vol_at_extreme_scales(K, N, r):
+    # where |K| r^2 < 1e-16 K is taken as 0 (a K x^2 / 6 correction is below
+    # rounding), so a subnormal sqrt(|K|) r never enters; K = +-1e300 at r = 1e-150
+    # take the sin and sinh branches; no warning, no lost digits
+    assert f_vol(CurvatureParams(K, N), r) == pytest.approx(float(f_vol_hp(K, N, r)), rel=1e-13)
 
 
 @pytest.mark.parametrize("K,N,t", [

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +276,63 @@ def test_rescale_weighted_against_oracle():
     orc = trapezoid_refined(
         lambda x: (1.0 - abs(x - 0.5) / 0.4) * math.exp(-x), 0.1, 0.9)
     assert rs.normalization == pytest.approx(orc, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [-13.0, -14.0, -15.0, -16.0, -18.0, -25.0, -30.0])
+def test_rescale_of_a_large_constant_density(c):
+    # an absolute 1e-12 Simpson tolerance on values near e^15 never converged
+    space = load_space({"topology": "interval", "param": 1,
+                        "weight": {"coords": [0, 1], "f": [c, c]}})
+    assert rescale(space, 0.5, 0.4).normalization == pytest.approx(0.4 * math.exp(-c),
+                                                                   rel=1e-13)
+
+
+def test_rescale_of_an_unrepresentable_density_raises():
+    # exp(800) is past the float range: OverflowError, as measure_ball raises,
+    # never an infinite normalization
+    space = load_space({"topology": "interval", "param": 1,
+                        "weight": {"coords": [0, 1], "f": [-800.0, -790.0]}})
+    for fn in (measure_ball, rescale):
+        with pytest.raises(OverflowError):
+            fn(space, 0.5, 0.4)
+
+
+def _tent_oracle(space, x, a, b, r):
+    """Refined-trapezoid tent integral over [x - a, x + b], cut at x and at the
+    weight's knots (unwrapped), so that every piece is smooth."""
+    w = space.weight
+    cuts = np.unique(np.concatenate([w.knots_in(x - a, x), w.knots_in(x, x + b)]))
+    return sum(trapezoid_refined(lambda y: (1.0 - abs(y - x) / r) * math.exp(-w(y)), lo, hi)
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("x,r", [(0.3, 0.9), (6.0, 0.7), (1.0, 2.5), (4.0, 10.0)])
+def test_rescale_on_a_circle_against_oracle(x, r):
+    # balls wrapping past 0 (x = 0.3 and 6.0 on a circle of circumference 2 pi),
+    # and whole-circle balls (r > pi), where the tent stays positive at the antipode
+    circ = 2.0 * math.pi
+    space = Space1D(Topology1D("circle", 1.0),
+                    WeightFn(np.array([0.0, 1.5, 3.0, 5.0]), np.array([0.2, -0.4, 0.9, 0.1]),
+                             period=circ))
+    a = min(r, circ / 2.0)
+    orc = _tent_oracle(space, x, a, a, r)
+    assert rescale(space, x, r).normalization == pytest.approx(orc, rel=1e-12)
+
+
+def test_integrate_weighted_against_mpmath():
+    # both sides of the 1e-2 seam between the closed forms and their series,
+    # rising and falling f, and g at either end
+    eps = 1e-2 * 2.0 ** -40
+    for d in (0.0, 1e-12, -1e-12, 1e-2 - eps, 1e-2 + eps, -1e-2 - eps, -1e-2 + eps,
+              1.0, -1.0, 30.0, -30.0):
+        for f0 in (0.0, -3.0):
+            for g_lo, g_hi in ((1.0, 0.2), (0.0, 1.0), (1.0, 0.0)):
+                w = WeightFn(np.array([0.25, 0.75]), np.array([f0, f0 + d]))
+                f_lo, f_hi = (mp.mpf(v) for v in w.values)
+                exact = 0.5 * mp.quad(lambda u: (g_lo + (g_hi - g_lo) * u)
+                                      * mp.exp(-(f_lo + (f_hi - f_lo) * u)), [0, 1])
+                got = w.integrate_weighted(0.25, 0.75, g_lo, g_hi)
+                assert got == pytest.approx(float(exact), rel=1e-13), (d, f0, g_lo, g_hi)
 
 
 # -- weight interpolation rule ------------------------------------------------------

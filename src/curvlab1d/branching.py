@@ -213,12 +213,6 @@ class _HalfDensity:
         out[ok] = self.rho0 * res
         return out
 
-    def stem(self, v: float) -> float:
-        return float(self.stem_arr(np.array([v]))[0])
-
-    def target(self, u: float) -> float:
-        return float(self.target_arr(np.array([u]))[0])
-
     def stem_support(self) -> tuple[float, float]:
         t = self.t
         if t >= self.tau_hi:
@@ -353,6 +347,26 @@ def _density_certificate(pair: PlanPair) -> dict:
     }
 
 
+def _pieces_integral(pair: PlanPair, tripod: Tripod, t: float, pieces,
+                     integrand: Callable[[float, np.ndarray], np.ndarray]) -> float:
+    """Sum over (side, edge, scale) pieces of int integrand(c_e, rho_hat) dy,
+    rho_hat = scale * rho_len / c_e, with the integrand 0 where rho_hat is 0."""
+    hd = pair.half_density(t)
+    total = 0.0
+    for side, edge, scale in pieces:
+        c = tripod.densities[edge]
+
+        def g(rho_len: np.ndarray) -> np.ndarray:
+            rh = scale * rho_len / c
+            out = np.zeros_like(rh)
+            pos = rh > 0.0
+            out[pos] = integrand(c, rh[pos])
+            return out
+
+        total += hd.integrate(side, g)
+    return total
+
+
 def entropy_along(pair: PlanPair, tripod: Tripod, t: float, which: str = "mixed") -> float:
     """Entropy of the normalized pushforward at time t against the tripod measure.
 
@@ -362,63 +376,30 @@ def entropy_along(pair: PlanPair, tripod: Tripod, t: float, which: str = "mixed"
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0,1]")
-    sc = pair.scenario
-    beta = sc.beta
-    hd = pair.half_density(t)
-    cs = tripod.densities
-
-    def ent_piece(side: str, edge: int, scale: float) -> float:
-        # integral of rho_hat log(rho_hat) dm with rho_hat = scale*rho_len/c_e
-        c = cs[edge]
-
-        def g(rho_len: np.ndarray) -> np.ndarray:
-            rh = scale * rho_len / c
-            out = np.zeros_like(rh)
-            pos = rh > 0.0
-            out[pos] = c * rh[pos] * np.log(rh[pos])
-            return out
-
-        return hd.integrate(side, g)
-
+    beta = pair.scenario.beta
     if which in ("u", "d"):
-        edge = 1 if which == "u" else 2
-        return ent_piece("stem", 0, 1.0 / beta) + ent_piece("target", edge, 1.0 / beta)
-    if which != "mixed":
+        pieces = [("stem", 0, 1.0 / beta), ("target", 1 if which == "u" else 2, 1.0 / beta)]
+    elif which == "mixed":
+        # stem parts of the two halves coincide: mixture density = rho_len/beta there
+        pieces = [("stem", 0, 1.0 / beta), ("target", 1, 0.5 / beta), ("target", 2, 0.5 / beta)]
+    else:
         raise ValueError("which must be 'u', 'd' or 'mixed'")
-    # stem parts of the two halves coincide: mixture density = rho_len/beta there
-    total = ent_piece("stem", 0, 1.0 / beta)
-    total += ent_piece("target", 1, 0.5 / beta)
-    total += ent_piece("target", 2, 0.5 / beta)
-    return total
+    return _pieces_integral(pair, tripod, t, pieces, lambda c, rh: c * rh * np.log(rh))
 
 
 def renyi_raw(pair: PlanPair, tripod: Tripod, t: float, which: str, N: float) -> float:
     """int rho^(1-1/N) dm of the unnormalized pushforward (mass beta)."""
     if not N > 1.0:
         raise ValueError("N must be > 1")
-    hd = pair.half_density(t)
-    cs = tripod.densities
     expo = 1.0 - 1.0 / N
-
-    def piece(side: str, edge: int, scale: float) -> float:
-        c = cs[edge]
-
-        def g(rho_len: np.ndarray) -> np.ndarray:
-            rh = scale * rho_len / c
-            out = np.zeros_like(rh)
-            pos = rh > 0.0
-            out[pos] = c * rh[pos] ** expo
-            return out
-
-        return hd.integrate(side, g)
-
     if which in ("u", "d"):
-        edge = 1 if which == "u" else 2
-        return piece("stem", 0, 1.0) + piece("target", edge, 1.0)
-    if which == "mixed_sum":
+        pieces = [("stem", 0, 1.0), ("target", 1 if which == "u" else 2, 1.0)]
+    elif which == "mixed_sum":
         # int (rho_u + rho_d)^(1-1/N) dm; stem parts add, targets are disjoint
-        return piece("stem", 0, 2.0) + piece("target", 1, 1.0) + piece("target", 2, 1.0)
-    raise ValueError("which must be 'u', 'd' or 'mixed_sum'")
+        pieces = [("stem", 0, 2.0), ("target", 1, 1.0), ("target", 2, 1.0)]
+    else:
+        raise ValueError("which must be 'u', 'd' or 'mixed_sum'")
+    return _pieces_integral(pair, tripod, t, pieces, lambda c, rh: c * rh ** expo)
 
 
 def entropy_chain_inequality(pair: PlanPair, tripod: Tripod,

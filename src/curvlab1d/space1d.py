@@ -13,7 +13,9 @@ extrapolating, because silent extrapolation would corrupt the growth scans
 downstream.
 
 Coordinates: half-line and interval use [0, L] / [0, l]; the circle uses
-arc length in [0, 2*pi*r) with the arc metric.
+arc length in [0, 2*pi*r) with the arc metric.  Circle arcs stay unwrapped
+(a ball around x is the one interval (x - r, x + r)); only `WeightFn`
+wraps a coordinate, in `__call__` and `knots_in`.
 """
 
 from __future__ import annotations
@@ -75,9 +77,11 @@ def _seg_exp_integral(f0: float, f1: float, h: float) -> float:
     if h <= 0.0:
         return 0.0
     df = f1 - f0
-    if abs(df) < 1e-12:
+    if -1e-12 < df < 1e-12:
         return h * math.exp(-0.5 * (f0 + f1))
-    return h * (math.exp(-f0) - math.exp(-f1)) / df
+    if df > 0.0:  # from the lower end, by expm1: exp(-f0) - exp(-f1) cancels
+        return h * math.exp(-f0) * -math.expm1(-df) / df
+    return h * math.exp(-f1) * math.expm1(df) / df
 
 
 @dataclass(frozen=True)
@@ -248,34 +252,29 @@ class Space1D:
             return abs(y) <= _ENDPOINT_TOL or abs(y - self.topology.param) <= _ENDPOINT_TOL
         return False
 
-    def _ball_intervals(self, x: float, r: float) -> list[tuple[float, float]]:
-        """Ball B_r(x) as coordinate intervals (clipped to domain/window)."""
+    def _ball_interval(self, x: float, r: float) -> tuple[float, float]:
+        """Ball B_r(x) as one coordinate interval, clipped to the domain (unwrapped on a circle)."""
         kind = self.topology.kind
         if kind == "circle":
             c = self.topology.circumference
             if 2.0 * r >= c:
-                return [(0.0, c)]
+                return 0.0, c
             x = x % c
-            lo, hi = x - r, x + r
-            if lo < 0.0:
-                return [(0.0, hi), (lo + c, c)]
-            if hi > c:
-                return [(lo, c), (0.0, hi - c)]
-            return [(lo, hi)]
+            return x - r, x + r
         if kind == "line":
             wlo, whi = self.window
             if x - r < wlo - _ENDPOINT_TOL or x + r > whi + _ENDPOINT_TOL:
                 raise WindowError(
                     f"ball B_{r}({x}) leaves the working window [{wlo}, {whi}]"
                 )
-            return [(x - r, x + r)]
+            return x - r, x + r
         if kind == "halfline":
             whi = self.window[1]
             if x + r > whi + _ENDPOINT_TOL:
                 raise WindowError(f"ball B_{r}({x}) leaves the working window [0, {whi}]")
-            return [(max(0.0, x - r), x + r)]
+            return max(0.0, x - r), x + r
         l = self.topology.param
-        return [(max(0.0, x - r), min(l, x + r))]
+        return max(0.0, x - r), min(l, x + r)
 
     def _sphere_sides(self, x: float, r: float) -> list[float]:
         """For r > 0: the point at distance r from x in each direction that
@@ -347,10 +346,7 @@ def measure_ball(space: Space1D, x: float, r: float) -> float:
         raise ValueError(f"center {x} outside the domain {space.domain()}")
     if r == 0.0:
         return 0.0
-    total = 0.0
-    for lo, hi in space._ball_intervals(x, r):
-        total += space.weight.integrate_density(lo, hi)
-    return total
+    return space.weight.integrate_density(*space._ball_interval(x, r))
 
 
 def boundary_measure(space: Space1D, x0: float, t: float) -> float:
@@ -401,7 +397,7 @@ def rescale(space: Space1D, x: float, r: float) -> RescaledSpace:
     if space.topology.kind == "circle":
         a = b = min(r, space.topology.circumference / 2.0)
     else:
-        [(lo, hi)] = space._ball_intervals(x, r)
+        lo, hi = space._ball_interval(x, r)
         a, b = x - lo, hi - x
     total = (space.weight.integrate_weighted(x - a, x, 1.0 - a / r, 1.0)
              + space.weight.integrate_weighted(x, x + b, 1.0, 1.0 - b / r))

@@ -20,6 +20,7 @@ point uncrossed, and the shift objective is convex for the squared cost
 (Delon, Salomon & Sobolevski 2010), so the first minimum over a grid of
 >= 256 shifts per winding is found by derivative-sign bisection (about
 18 objective evaluations) and then refined by golden section (80 more).
+Circle arcs stay unwrapped: only `WeightFn` wraps a coordinate.
 """
 
 from __future__ import annotations
@@ -394,16 +395,14 @@ def displacement_interpolate(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasur
     _, bp0, bp1 = _coupling(space, mu0, mu1)
     xs, xe, masses = _interpolant_segments(bp0, bp1, t)
     if space.topology.kind == "circle":
-        # wrap segments back onto [0, circ), splitting mass by piece length
-        xs_w, xe_w, ms_w = [], [], []
-        for s, e, m in zip(xs, xe, masses):
-            pieces = _circle_split(space, s, e)
-            width = sum(b - a for a, b in pieces)
-            for a, b in pieces:
-                xs_w.append(a), xe_w.append(b)
-                ms_w.append(m if len(pieces) == 1 else m * (b - a) / width)
-        edges, hist = _bin_segments(np.array(xs_w), np.array(xe_w), np.array(ms_w),
-                                    0.0, space.topology.circumference, space.grid_step)
+        # the segments span at most one turn: bin on two from the first start's,
+        # then add all cells past n (rounding can add one past 2c) onto the first n
+        c = space.topology.circumference
+        n = math.ceil(c / space.grid_step)
+        base = math.floor(float(np.min(xs)) / c) * c
+        _, hist = _bin_segments(xs - base, xe - base, masses, 0.0, 2.0 * c, c / n)
+        edges = np.linspace(0.0, c, n + 1)
+        hist = np.pad(hist, (0, -len(hist) % n)).reshape(-1, n).sum(axis=0)
     else:
         edges, hist = _bin_segments(xs, xe, masses, float(np.min(xs)), float(np.max(xe)),
                                     space.grid_step)
@@ -416,29 +415,12 @@ def displacement_interpolate(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasur
 
 # -- entropy functionals ------------------------------------------------------
 
-def _circle_split(space: Space1D, lo: float, hi: float):
-    """Split an unwrapped circle interval into in-range pieces."""
-    circ = space.topology.circumference
-    lo_m = lo % circ
-    shift = lo_m - lo
-    hi_m = hi + shift
-    if hi_m <= circ + 1e-12:
-        return [(lo_m, min(hi_m, circ))]
-    return [(lo_m, circ), (0.0, hi_m - circ)]
-
-
-def _segment_pieces(space: Space1D, s: float, e: float):
-    if space.topology.kind == "circle":
-        return _circle_split(space, s, e)
-    return [(s, e)]
-
-
 def entropy_of_segments(space: Space1D, xs, xe, masses) -> float:
     """Ent(mu | m) for a disjoint union of uniform segments (exact).
 
     The weight term rho * int f is the trapezoid over the weight's knots in
-    each piece (exact: f is linear between knots), with one vectorised
-    weight lookup per piece, so a circle segment that wraps costs two.
+    each segment (exact: f is linear between knots), with one vectorised
+    weight lookup per segment.
     Sliver segments with negligible mass (float-noise artifacts of merged
     breakpoint grids) contribute nothing in the limit and are skipped; a
     zero-width segment carrying real mass is a genuine atom and gives inf.
@@ -453,10 +435,9 @@ def entropy_of_segments(space: Space1D, xs, xe, masses) -> float:
             return math.inf
         rho = m / width
         total += m * math.log(rho)
-        for a, b in _segment_pieces(space, s, e):
-            pts = w.knots_in(a, b)
-            vals = w(pts)
-            total += rho * float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
+        pts = w.knots_in(s, e)
+        vals = w(pts)
+        total += rho * float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
     return total
 
 
@@ -488,14 +469,11 @@ def renyi_of_segments(space: Space1D, xs, xe, masses, N: float) -> float:
     if N <= 1.0:
         raise ValueError("N must be > 1")
     acc = 0.0
-    w = space.weight
     for s, e, m in zip(xs, xe, masses):
         if m <= 1e-12 or e - s <= 1e-300:
             continue
         rho = m / (e - s)
-        pw = rho ** (1.0 - 1.0 / N)
-        for a, b in _segment_pieces(space, s, e):
-            acc += pw * w.integrate_density(a, b, scale=1.0 / N)
+        acc += rho ** (1.0 - 1.0 / N) * space.weight.integrate_density(s, e, scale=1.0 / N)
     return N - N * acc
 
 

@@ -75,6 +75,12 @@ def test_ball_circle_caps_at_total_mass():
     assert measure_ball(space, 1.0, 10.0) == pytest.approx(total, abs=1e-12)
 
 
+def test_ball_circle_narrow_across_the_cut():
+    # (-1e-9, 1e-9) reaches the weight unwrapped; split at 0 and shifted by
+    # 2 pi, its left half came out 4.1e-8 relative high
+    assert measure_ball(flat_circle(), 0.0, 1e-9) == pytest.approx(2e-9, rel=1e-15, abs=0)
+
+
 def test_ball_circle_translation_invariance():
     circ = 2 * math.pi
     coords = np.linspace(0.0, circ, 64, endpoint=False)
@@ -128,7 +134,7 @@ def test_measure_ball_is_additive(kind, weight, at, size, cut):
         r = (hi - x) * size
     else:
         r = 8.0 * size
-    parts = space._ball_intervals(x, r)
+    parts = [space._ball_interval(x, r)]
     # the ball is the sum of its intervals, each a sum over its own segments:
     # a difference of running totals from the left end cancels on weights
     # like these (2.5x^2: 6.6e-6 relative), a slice sum stays near 1e-13
@@ -333,6 +339,19 @@ def test_integrate_weighted_against_mpmath():
                                       * mp.exp(-(f_lo + (f_hi - f_lo) * u)), [0, 1])
                 got = w.integrate_weighted(0.25, 0.75, g_lo, g_hi)
                 assert got == pytest.approx(float(exact), rel=1e-13), (d, f0, g_lo, g_hi)
+
+
+def test_integrate_density_against_mpmath():
+    # each segment is taken from its lower end by expm1: the difference
+    # exp(-f0) - exp(-f1) lost eps / |df| relative (1.5e-5 at df = 3e-12)
+    ends = [(f0, f0 + sign * d) for d in (0.0, 5e-13, 3e-12, 1e-9, 1e-6, 1e-2, 1.0, 30.0)
+            for sign in (1.0, -1.0) for f0 in (0.0, -40.0)]
+    for f in ends + [(50.0, 800.0), (800.0, 50.0)]:
+        w = WeightFn(np.array([0.25, 0.75]), np.array(f))
+        f_lo, f_hi = (mp.mpf(v) for v in w.values)
+        exact = (0.5 * mp.exp(-f_lo) if f_lo == f_hi
+                 else 0.5 * (mp.exp(-f_lo) - mp.exp(-f_hi)) / (f_hi - f_lo))
+        assert w.integrate_density(0.25, 0.75) == pytest.approx(float(exact), rel=1e-14), f
 
 
 # -- weight interpolation rule ------------------------------------------------------

@@ -12,7 +12,7 @@ from curvlab1d.transport1d import (
     ProbMeasure1D, displacement_interpolate, entropies_along, entropy,
     entropy_of_segments, measure_from_atoms, measure_from_density, quantile, renyi,
     renyi_of_segments, uniform_measure, w2, _breakpoints, _circle_cut, _extended_bp,
-    _golden_min, _segment_pieces, _shifted_bp, _w2sq_line_bp,
+    _golden_min, _shifted_bp, _w2sq_line_bp,
 )
 
 from oracles import bisect_quantile, lp_transport_cost, trapezoid_refined
@@ -466,8 +466,9 @@ def test_entropy_weight_decomposition_identity():
 
 
 def per_knot_entropy(space, xs, xe, masses):
-    """entropy_of_segments with one scalar weight call per knot: the
-    reference the one-lookup-per-piece version must reproduce bit for bit."""
+    """entropy_of_segments with one scalar weight call per knot of each
+    unwrapped segment: the reference the one-lookup-per-segment version must
+    reproduce bit for bit."""
     total = 0.0
     w = space.weight
     for s, e, m in zip(xs, xe, masses):
@@ -478,10 +479,9 @@ def per_knot_entropy(space, xs, xe, masses):
             return math.inf
         rho = m / width
         total += m * math.log(rho)
-        for a, b in _segment_pieces(space, s, e):
-            pts = w.knots_in(a, b)
-            vals = np.array([w(p) for p in pts])
-            total += rho * float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
+        pts = w.knots_in(s, e)
+        vals = np.array([w(p) for p in pts])
+        total += rho * float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
     return total
 
 
@@ -560,15 +560,48 @@ def test_entropy_of_segments_one_weight_lookup_per_piece(monkeypatch):
         return lookup(self, x)
 
     monkeypatch.setattr(WeightFn, "__call__", counting)
-    # on the circle (c = 2 pi) the second segment wraps through 0
+    # on the circle (c = 2 pi) the second segment wraps through 0 and is
+    # still looked up once, unwrapped
     for kind, xs, xe in (("line", [0.1, 2.0], [1.4, 2.9]), ("circle", [0.1, 6.0], [1.4, 6.9])):
         space, ms = weighted_space(kind), [0.5, 0.5]
-        pieces = [p for s, e in zip(xs, xe) for p in _segment_pieces(space, s, e)]
         calls.clear()
         entropy_of_segments(space, xs, xe, ms)
-        assert len(calls) == len(pieces) <= 2 * len(xs)
-        assert calls == [len(space.weight.knots_in(a, b)) for a, b in pieces]
-        assert (len(pieces) == 3) == (kind == "circle")
+        assert calls == [len(space.weight.knots_in(s, e)) for s, e in zip(xs, xe)]
+        assert len(calls) == 2
+
+
+def test_entropy_of_a_narrow_arc_before_the_cut():
+    # the arc reaches the weight unwrapped; shifting it into [0, 2 pi) first
+    # rounds its width 9.999999717e-10 to 1.0000000827e-9 (19.899099257487638)
+    space = weighted_space("circle")
+    s, e = -1.0, -1.0 + 1e-9
+    f = space.weight
+    want = math.log(1.0 / (e - s)) + 0.5 * (f(s) + f(e))
+    assert abs(want - 19.899099348988504) <= 1e-12
+    assert abs(entropy_of_segments(space, [s], [e], [1.0]) - want) <= 1e-12
+
+
+def test_renyi_of_a_narrow_arc_across_the_cut():
+    # int rho^(1/2) dm of the uniform law on [-1e-9, 1e-9] is sqrt(2e-9); the
+    # arc split at 0 gave 7.4e-12 off
+    space = circle_space()
+    want = 2.0 - 2.0 * math.sqrt(2e-9)
+    assert abs(renyi_of_segments(space, [-1e-9], [1e-9], [1.0], 2.0) - want) <= 1e-15
+
+
+def test_circle_interpolant_cells_tile_one_turn():
+    # the interpolant at t = 1/2 is uniform on [6.1416, 6.4416], across the cut
+    # at c = 2 pi: its cells end exactly at c, and the cells on both sides of
+    # the cut carry its density 10/3 (a last edge at 6.284 > c gave 0.6177)
+    space = circle_space()
+    c = space.topology.circumference
+    mu0, mu1 = uniform_measure(space, 5.9, 6.2), uniform_measure(space, 0.1, 0.4)
+    mu_t = displacement_interpolate(space, mu0, mu1, 0.5)
+    assert mu_t.edges[0] == 0.0 and mu_t.edges[-1] == c
+    assert len(mu_t.density) == math.ceil(c / space.grid_step)
+    assert mu_t.density[0] == pytest.approx(10.0 / 3.0, rel=1e-12)
+    assert mu_t.density[-1] == pytest.approx(10.0 / 3.0, rel=1e-12)
+    assert abs(float(np.sum(mu_t.cell_masses())) - 1.0) <= 1e-12
 
 
 def test_entropy_of_segments_outside_window_raises():
@@ -738,8 +771,8 @@ def test_circle_w2_at_most_unrolled_line_w2(a, b):
 @given(a=histogram_edges(), b=histogram_edges(), t=st.floats(0.0, 1.0),
        kind=st.sampled_from(("line", "circle")))
 def test_interpolant_conserves_mass(a, b, t, kind):
-    # the exact interpolant segments carry mass 1, and re-binning them (after
-    # splitting at the cut point on the circle) loses none of it
+    # the exact interpolant segments carry mass 1, and re-binning them (on two
+    # turns, folded onto one, on the circle) loses none of it
     space = unrolled_line() if kind == "line" else circle_space()
     mu0, mu1 = ProbMeasure1D(space, *a), ProbMeasure1D(space, *b)
     _, bp0, bp1 = transport1d._coupling(space, mu0, mu1)

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol
-from .space1d import Space1D, WeightFn, WindowError, measure_ball, boundary_measure
+from .space1d import (Space1D, WeightFn, _nested_ball_masses, boundary_measure,
+                      measure_ball)
 from .curvature import (CurvatureReport, check_kn_convex, circle_obstruction,
                         default_triple_battery, default_tolerance)
 from .branching import Tripod, TripodPoint
@@ -119,8 +120,14 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
                            s_grid: Sequence[float], params: CurvatureParams,
                            n_centers: int = 200) -> tuple[float, CurvatureReport]:
     """Empirical sup of m(B_s(x))/s over x in B_R(y), plus the growth envelope
-    2*5^(N-1) * sup_t F'(t) m(B_t(y)) / F(t); the empirical value must stay
-    below the envelope.
+    2*5^(N-1) * sup_t F'(t) m(B_t(y)) / F(t) over 50 radii t; the empirical
+    value must stay below the envelope.
+
+    The balls around one point are nested, so each centre's balls (s_grid in
+    increasing order) and the envelope's grow from the last one by their two
+    new end pieces.  Pairs whose ball leaves the window are counted in
+    `skipped_pairs`, the envelope radii checked in `envelope_radii`; raises
+    ValueError when every pair, or every envelope ball, leaves the window.
     """
     if not R > 0.0:
         raise ValueError("R must be > 0")
@@ -132,36 +139,35 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
     emp = -math.inf
     emp_w = {}
     skipped = 0
+    radii = sorted(ss)
     for x in xs:
+        # balls past the first one to leave the window are absent
+        balls = dict(zip(radii, _nested_ball_masses(space, float(x), radii)))
         for s in ss:
-            try:
-                val = measure_ball(space, float(x), s) / s
-            except WindowError:
+            if s not in balls:
                 skipped += 1
-                continue
-            if val > emp:
-                emp = val
-                emp_w = {"x": float(x), "s": s, "value": val}
+            elif balls[s] / s > emp:
+                emp = balls[s] / s
+                emp_w = {"x": float(x), "s": s, "value": emp}
     if skipped == len(xs) * len(ss):
         raise ValueError(f"nothing checked: all {skipped} (centre, s) pairs have "
                          f"B_s(x) outside the window")
     conj = conjugate_radius(params)
     t_hi = min(R, 0.95 * conj)
-    t_grid = np.linspace(t_hi / 50.0, t_hi, 50)
-    env = 0.0
-    for t in t_grid:
-        try:
-            mb = measure_ball(space, y, float(t))
-        except WindowError:
-            break
-        env = max(env, s_vol(params, float(t)) ** (params.N - 1.0) * mb / f_vol(params, float(t)))
+    t_grid = [float(t) for t in np.linspace(t_hi / 50.0, t_hi, 50)]
+    balls = _nested_ball_masses(space, y, t_grid)
+    if not balls:
+        raise ValueError(f"nothing checked: every envelope ball B_t({y}), "
+                         f"t <= {t_hi}, leaves the window")
+    env = max(s_vol(params, t) ** (params.N - 1.0) * mb / f_vol(params, t)
+              for t, mb in zip(t_grid, balls))
     envelope = 2.0 * 5.0 ** (params.N - 1.0) * env
     report = CurvatureReport(
         kind="linear-growth", K=params.K, N=params.N,
         max_violation=emp - envelope, witness=emp_w, tolerance=0.0,
         grid_step=space.grid_step,
         extra={"empirical_C": emp, "envelope": envelope, "y": y, "R": R,
-               "skipped_pairs": skipped},
+               "skipped_pairs": skipped, "envelope_radii": len(balls)},
     )
     return emp, report
 

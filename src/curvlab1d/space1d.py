@@ -349,6 +349,27 @@ def measure_ball(space: Space1D, x: float, r: float) -> float:
     return space.weight.integrate_density(*space._ball_interval(x, r))
 
 
+def _nested_ball_masses(space: Space1D, x: float, radii) -> list[float]:
+    """m(B_r(x)) for increasing radii, up to the first ball that leaves the
+    window: each ball is the last one plus the two end pieces it grows by, a
+    sum of positive terms (a difference of running totals would cancel)."""
+    if not space.contains(x):
+        raise ValueError(f"center {x} outside the domain {space.domain()}")
+    masses = []
+    for r in radii:
+        try:
+            lo, hi = space._ball_interval(x, r)
+        except WindowError:
+            break
+        if masses and lo <= last[0] and last[1] <= hi:
+            masses.append(masses[-1] + space.weight.integrate_density(lo, last[0])
+                          + space.weight.integrate_density(last[1], hi))
+        else:  # the first ball, or a circle ball that became the whole circle
+            masses.append(space.weight.integrate_density(lo, hi))
+        last = lo, hi
+    return masses
+
+
 def boundary_measure(space: Space1D, x0: float, t: float) -> float:
     """Codimension-1 mass of the sphere of radius t around x0.
 

@@ -133,6 +133,47 @@ def test_linear_growth_all_pairs_skipped_raises():
                                CurvatureParams(0.0, 2.0))
 
 
+@pytest.mark.parametrize("space,y", [
+    (flat_line(half=1.0), 1.0),
+    (Space1D(Topology1D("halfline"), WeightFn.constant(0.0, 0, 2), window=(0, 2)), 2.0),
+])
+def test_linear_growth_no_envelope_ball_raises(space, y):
+    # B_0.1(x) fits for some x in B_0.5(y), but every envelope ball B_t(y)
+    # leaves the window: an envelope of 0 would be a FAIL that checked nothing
+    with pytest.raises(ValueError, match="nothing checked"):
+        linear_growth_constant(space, y, 0.5, [0.1], CurvatureParams(0.0, 2.0))
+
+
+def test_linear_growth_reports_envelope_radii():
+    params = CurvatureParams(0.0, 2.0)
+    _, report = linear_growth_constant(flat_line(half=1.0), 0.99, 0.5, [0.1], params)
+    assert report.extra["envelope_radii"] == 1  # only t = 0.01 fits
+    _, report = linear_growth_constant(flat_line(), 0.0, 0.5, [0.1], params)
+    assert report.extra["envelope_radii"] == 50
+
+
+def test_linear_growth_reads_each_knot_about_once(monkeypatch):
+    # nested balls around a centre grow by their two end pieces: each knot
+    # of the centre's largest ball is read once, plus the piece ends
+    space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
+    y, R, s_grid = 0.3, 0.4, [0.5, 0.2]
+    calls = []
+    lookup = WeightFn.__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return lookup(self, x)
+
+    monkeypatch.setattr(WeightFn, "__call__", counting)
+    linear_growth_constant(space, y, R, s_grid, CurvatureParams(0.0, 2.0), n_centers=4)
+    largest = [(float(x), max(s_grid), len(s_grid)) for x in np.linspace(y - R, y + R, 4)]
+    largest.append((y, R, 50))  # the envelope's 50 radii reach R
+    bound = sum(len(space.weight.knots_in(*space._ball_interval(x, r))) + 4 * (k - 1)
+                for x, r, k in largest)
+    assert sum(calls) <= bound
+    assert bound < 6000  # about 26,000 with every ball read whole
+
+
 # -- density-ratio traces --------------------------------------------------------------
 
 def test_trace_flat_line_never_in_m1():

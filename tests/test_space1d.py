@@ -11,7 +11,7 @@ from curvlab1d.space1d import (
     boundary_measure, disintegrate, load_space, measure_ball, rescale,
     space_to_dict,
 )
-from curvlab1d.space1d import _seg_exp_integral
+from curvlab1d.space1d import _nested_ball_masses, _seg_exp_integral
 
 from oracles import cover_boundary_mass, trapezoid_refined
 
@@ -166,6 +166,51 @@ def test_ball_window_errors():
         measure_ball(flat_halfline(3.0), 2.0, 1.5)
     with pytest.raises(ValueError):
         measure_ball(flat_line(), 99.0, 0.1)
+
+
+def random_pl_space(kind, gaps, f, length=4.0):
+    """kind over a domain of the given length, knots spaced by the gaps."""
+    if kind == "circle":  # first knot at 0, last one gap short of the period
+        coords = np.cumsum(gaps) * (length / np.sum(gaps))
+        return Space1D(Topology1D("circle", length / (2 * math.pi)),
+                       WeightFn(coords - coords[0], f, period=length))
+    coords = np.concatenate([[0.0], np.cumsum(gaps[:-1])]) * (length / np.sum(gaps[:-1]))
+    coords[-1] = length
+    if kind == "interval":
+        return Space1D(Topology1D("interval", length), WeightFn(coords, f))
+    lo = -length / 2.0 if kind == "line" else 0.0
+    return Space1D(Topology1D(kind), WeightFn(coords + lo, f), window=(lo, lo + length))
+
+
+@settings(max_examples=80)
+@given(data=st.data(), kind=st.sampled_from(("line", "halfline", "interval", "circle")),
+       at=st.floats(0.0, 1.0), repeats=st.integers(0, 3))
+def test_nested_ball_masses_match_measure_ball(data, kind, at, repeats):
+    n = data.draw(st.integers(2, 40))
+    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    f = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    space = random_pl_space(kind, np.array(gaps), np.array(f))
+    lo, hi = space.domain()
+    x = lo + (hi - lo) * at
+    # up to 1.2 domain lengths: circle balls past c/2 and c, half-line and
+    # interval balls clipped at an end, line balls past the window
+    rs = data.draw(st.lists(st.floats(0.0, 4.8, exclude_min=True), min_size=1, max_size=8))
+    radii = sorted(rs + rs[:repeats])
+    want = []
+    for r in radii:
+        try:
+            want.append(measure_ball(space, x, r))
+        except WindowError:  # the line stops at the window, and so does the helper
+            break
+    got = _nested_ball_masses(space, x, radii)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * w
+
+
+def test_nested_ball_masses_rejects_a_centre_outside_the_domain():
+    with pytest.raises(ValueError, match="outside the domain"):
+        _nested_ball_masses(flat_line(), 99.0, [0.1])
 
 
 # -- boundary_measure: closed form validated against the cover definition ------

@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol
-from .space1d import (Space1D, WeightFn, _nested_ball_masses, boundary_measure,
-                      measure_ball)
+from .space1d import (Space1D, WeightFn, _ball_pair_masses, _nested_ball_masses,
+                      boundary_measure, measure_ball)
 from .curvature import (CurvatureReport, check_kn_convex, circle_obstruction,
                         default_triple_battery, default_tolerance)
 from .branching import Tripod, TripodPoint
@@ -176,8 +176,11 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float],
                         threshold_factor: float = 0.1) -> DensityRatioTrace:
     """Ratios m(B_r(x))/r^k on a decreasing r_grid (Space1D or Tripod).
 
-    in_mk flags min ratio < threshold_factor * max ratio; a finite trace
-    can only approximate the liminf, so the threshold is reported.
+    On a Space1D the balls are nested: one outward pass grows each from the
+    last by its two new end pieces, and a largest ball that leaves the
+    window raises WindowError.  in_mk flags min ratio < threshold_factor *
+    max ratio; a finite trace can only approximate the liminf, so the
+    threshold is reported.
     """
     rs = [float(r) for r in r_grid]
     if not rs:
@@ -192,7 +195,10 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float],
     else:
         if rs[-1] < 10.0 * space.grid_step * (1.0 - 1e-12):
             raise ValueError("radii must stay >= 10 * grid_step")
-        ratios = [measure_ball(space, x, r) / r ** k for r in rs]
+        masses = _nested_ball_masses(space, x, rs[::-1])[::-1]
+        if len(masses) < len(rs):
+            space._ball_interval(x, rs[0])  # raises measure_ball's WindowError
+        ratios = [m / r ** k for m, r in zip(masses, rs)]
         xdesc = x
     # liminf proxy: the ratio at the smallest sampled radius (a plain min
     # would misflag traces that diverge as r shrinks)
@@ -208,6 +214,10 @@ def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
                       ) -> tuple[float, float, CurvatureReport]:
     """Empirical |m(B_r(x)) - m(B_r(y))| / (r d(x,y)) against the comparison
     bound (1/r) F'(r - d/2)/F(r + d/2) (m(B_r(x)) + m(B_r(y))) per pair.
+
+    The two balls of a pair overlap, so the overlap is integrated once and
+    the difference comes from their end pieces alone (the overlap cancels
+    exactly).  A ball that leaves the window raises WindowError.
     """
     if len(pair_battery) == 0:
         raise ValueError("pair_battery is empty: nothing checked")
@@ -221,9 +231,8 @@ def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
         d = space.distance(x, y)
         if not 0.0 < d < r / 2.0:
             raise ValueError(f"pair ({x}, {y}) must be within distance r/2")
-        mx = measure_ball(space, x, r)
-        my = measure_ball(space, y, r)
-        emp = abs(mx - my) / (r * d)
+        mx, my, diff = _ball_pair_masses(space, x, y, r)
+        emp = abs(diff) / (r * d)
         theory = (s_vol(params, r - d / 2.0) ** (params.N - 1.0)
                   / f_vol(params, r + d / 2.0)) * (mx + my) / r
         if emp > emp_best:

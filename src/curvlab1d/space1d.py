@@ -234,7 +234,7 @@ class Space1D:
     def contains(self, x: float) -> bool:
         lo, hi = self.domain()
         if self.topology.kind == "circle":
-            return True  # coordinates wrap
+            return math.isfinite(x)  # coordinates wrap
         return lo - _ENDPOINT_TOL <= x <= hi + _ENDPOINT_TOL
 
     def distance(self, x: float, y: float) -> float:
@@ -253,7 +253,13 @@ class Space1D:
         return False
 
     def _ball_interval(self, x: float, r: float) -> tuple[float, float]:
-        """Ball B_r(x) as one coordinate interval, clipped to the domain (unwrapped on a circle)."""
+        """Ball B_r(x) as one coordinate interval, clipped to the domain (unwrapped
+        on a circle); a NaN or negative radius, or a centre outside the domain,
+        is a ValueError."""
+        if not r >= 0.0:
+            raise ValueError(f"radius must be >= 0, got {r}")
+        if not self.contains(x):
+            raise ValueError(f"center {x} outside the domain {self.domain()}")
         kind = self.topology.kind
         if kind == "circle":
             c = self.topology.circumference
@@ -340,12 +346,6 @@ class RescaledSpace:
 
 def measure_ball(space: Space1D, x: float, r: float) -> float:
     """m(B_r(x)): exact piecewise-exponential integral of the density."""
-    if r < 0.0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if not space.contains(x):
-        raise ValueError(f"center {x} outside the domain {space.domain()}")
-    if r == 0.0:
-        return 0.0
     return space.weight.integrate_density(*space._ball_interval(x, r))
 
 
@@ -353,8 +353,6 @@ def _nested_ball_masses(space: Space1D, x: float, radii) -> list[float]:
     """m(B_r(x)) for increasing radii, up to the first ball that leaves the
     window: each ball is the last one plus the two end pieces it grows by, a
     sum of positive terms (a difference of running totals would cancel)."""
-    if not space.contains(x):
-        raise ValueError(f"center {x} outside the domain {space.domain()}")
     masses = []
     for r in radii:
         try:
@@ -368,6 +366,26 @@ def _nested_ball_masses(space: Space1D, x: float, radii) -> list[float]:
             masses.append(space.weight.integrate_density(lo, hi))
         last = lo, hi
     return masses
+
+
+def _ball_pair_masses(space: Space1D, x: float, y: float, r: float
+                      ) -> tuple[float, float, float]:
+    """m(B_r(x)), m(B_r(y)) and their difference, with the overlap of the two
+    balls integrated once: each ball is the overlap plus its two end pieces,
+    and the difference is taken from the end pieces alone, so the overlap
+    cancels exactly.  On a circle y's arc is shifted by the multiple of the
+    circumference that brings it nearest x's (both are (0, c) once 2r >= c)."""
+    (ax, bx), (ay, by) = space._ball_interval(x, r), space._ball_interval(y, r)
+    if space.topology.kind == "circle":
+        c = space.topology.circumference
+        shift = c * round((ax + bx - ay - by) / (2.0 * c))
+        ay, by = ay + shift, by + shift
+    w = space.weight.integrate_density
+    lo, hi = max(ax, ay), min(bx, by)  # an empty overlap when hi <= lo
+    ends_x = w(ax, min(lo, bx)) + w(max(hi, ax), bx)
+    ends_y = w(ay, min(lo, by)) + w(max(hi, ay), by)
+    common = w(lo, hi)
+    return common + ends_x, common + ends_y, ends_x - ends_y
 
 
 def boundary_measure(space: Space1D, x0: float, t: float) -> float:

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from curvlab1d.coefficients import CurvatureParams, f_vol, s_vol
-from curvlab1d.space1d import Space1D, Topology1D, WeightFn, measure_ball
+from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError, measure_ball
 from curvlab1d.branching import Tripod, TripodPoint
 from curvlab1d.geometry_scan import (
     bg_boundary_check, bg_ratio_scan, classify, density_ratio_trace,
@@ -152,11 +153,8 @@ def test_linear_growth_reports_envelope_radii():
     assert report.extra["envelope_radii"] == 50
 
 
-def test_linear_growth_reads_each_knot_about_once(monkeypatch):
-    # nested balls around a centre grow by their two end pieces: each knot
-    # of the centre's largest ball is read once, plus the piece ends
-    space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
-    y, R, s_grid = 0.3, 0.4, [0.5, 0.2]
+def count_weight_reads(monkeypatch) -> list:
+    """Patch WeightFn.__call__ to append the number of points of each call."""
     calls = []
     lookup = WeightFn.__call__
 
@@ -165,11 +163,23 @@ def test_linear_growth_reads_each_knot_about_once(monkeypatch):
         return lookup(self, x)
 
     monkeypatch.setattr(WeightFn, "__call__", counting)
+    return calls
+
+
+def knots_in_ball(space, x, r):
+    return len(space.weight.knots_in(*space._ball_interval(x, r)))
+
+
+def test_linear_growth_reads_each_knot_about_once(monkeypatch):
+    # nested balls around a centre grow by their two end pieces: each knot
+    # of the centre's largest ball is read once, plus the piece ends
+    space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
+    y, R, s_grid = 0.3, 0.4, [0.5, 0.2]
+    calls = count_weight_reads(monkeypatch)
     linear_growth_constant(space, y, R, s_grid, CurvatureParams(0.0, 2.0), n_centers=4)
     largest = [(float(x), max(s_grid), len(s_grid)) for x in np.linspace(y - R, y + R, 4)]
     largest.append((y, R, 50))  # the envelope's 50 radii reach R
-    bound = sum(len(space.weight.knots_in(*space._ball_interval(x, r))) + 4 * (k - 1)
-                for x, r, k in largest)
+    bound = sum(knots_in_ball(space, x, r) + 4 * (k - 1) for x, r, k in largest)
     assert sum(calls) <= bound
     assert bound < 6000  # about 26,000 with every ball read whole
 
@@ -217,6 +227,59 @@ def test_trace_empty_grid_raises():
         density_ratio_trace(flat_line(), 0.0, 1, [])
 
 
+def test_trace_nan_radius_raises():
+    # a NaN passed the decreasing check and gave a NaN ratio with in_mk False
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        density_ratio_trace(flat_line(), 0.0, 1, [1.0, math.nan, 0.5])
+
+
+def weight_circle(fn, knots=4001):
+    c = 2.0 * math.pi
+    coords = np.linspace(0.0, c, knots, endpoint=False)
+    return Space1D(Topology1D("circle", 1.0), WeightFn(coords, fn(coords), period=c),
+                   grid_step=c / knots)
+
+
+@pytest.mark.parametrize("space,x", [
+    (weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x)), 0.3),
+    (Space1D(Topology1D("halfline"), WeightFn.from_callable(np.cos, 0.0, 4.0, 1e-3),
+             window=(0.0, 4.0)), 0.4),  # balls clipped at 0
+    (Space1D(Topology1D("interval", 2.0), WeightFn.from_callable(np.exp, 0.0, 2.0, 1e-3)),
+     1.7),  # clipped at the far end
+    (weight_circle(lambda x: np.sin(3.0 * x)), 6.2),  # across the cut, past c/2
+])
+def test_trace_matches_measure_ball_per_radius(space, x):
+    rs = list(np.geomspace(3.5, 0.02, 17))
+    if space.topology.kind == "line":
+        rs = rs[3:]  # inside the window [-4, 4]
+    elif space.topology.kind == "halfline":
+        rs = rs[2:]
+    trace = density_ratio_trace(space, x, 2, rs)
+    for r, got in zip(rs, trace.ratios):
+        want = measure_ball(space, x, r) / r ** 2
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_trace_largest_ball_out_of_window_raises():
+    space = weight_line(np.sin)
+    with pytest.raises(WindowError) as want:
+        measure_ball(space, 3.0, 1.5)
+    with pytest.raises(WindowError, match=re.escape(str(want.value))):
+        density_ratio_trace(space, 3.0, 1, [1.5, 0.9, 0.5])
+
+
+def test_trace_reads_each_knot_about_once(monkeypatch):
+    # the balls are nested: one outward pass reads the largest ball's knots
+    # once, plus 4 piece ends per further radius
+    space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
+    rs = list(np.geomspace(1.0, 0.02, 14))
+    calls = count_weight_reads(monkeypatch)
+    density_ratio_trace(space, 0.3, 1, rs)
+    bound = knots_in_ball(space, 0.3, rs[0]) + 4 * (len(rs) - 1)
+    assert sum(calls) <= bound
+    assert bound < 2100  # about 7,500 with every ball read whole
+
+
 # -- lipschitz modulus -------------------------------------------------------------------
 
 def test_lipschitz_flat_translation_invariance():
@@ -258,6 +321,28 @@ def test_lipschitz_symmetric_difference_inequality():
         sym = (space.weight.integrate_density(x - r, y - r)
                + space.weight.integrate_density(x + r, y + r))
         assert abs(mx - my) <= sym + 1e-12
+
+
+def test_lipschitz_reads_each_knot_about_once(monkeypatch):
+    # the two balls of a pair overlap: their union's knots are read once,
+    # plus the piece ends
+    space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
+    r = 0.5
+    pairs = [(-1.0, -0.9), (0.2, 0.43), (1.5, 1.52), (2.0, 1.8)]
+    calls = count_weight_reads(monkeypatch)
+    lipschitz_modulus(space, CurvatureParams(0.0, 2.0), r, pairs)
+    bound = sum(len(space.weight.knots_in(min(x, y) - r, max(x, y) + r)) + 4
+                for x, y in pairs)
+    assert sum(calls) <= bound
+    assert bound < 4800  # about 8,000 with each ball read whole
+
+
+def test_lipschitz_ball_out_of_window_raises():
+    space = weight_line(np.sin)
+    with pytest.raises(WindowError) as want:
+        measure_ball(space, 3.6, 0.5)
+    with pytest.raises(WindowError, match=re.escape(str(want.value))):
+        lipschitz_modulus(space, CurvatureParams(0.0, 2.0), 0.5, [(3.4, 3.6)])
 
 
 def test_lipschitz_validates_pairs():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,7 @@ from curvlab1d.space1d import (
     boundary_measure, disintegrate, load_space, measure_ball, rescale,
     space_to_dict,
 )
-from curvlab1d.space1d import _nested_ball_masses, _seg_exp_integral
+from curvlab1d.space1d import _ball_pair_masses, _nested_ball_masses, _seg_exp_integral
 
 from oracles import cover_boundary_mass, trapezoid_refined
 
@@ -168,6 +169,34 @@ def test_ball_window_errors():
         measure_ball(flat_line(), 99.0, 0.1)
 
 
+@pytest.mark.parametrize("space,x", [(weighted_interval(), 0.3), (flat_line(), 0.0),
+                                     (flat_halfline(), 1.0), (flat_circle(), 1.0)])
+def test_ball_nan_radius_raises(space, x):
+    # an interval used to give its whole mass, a line or half-line NaN
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        measure_ball(space, x, math.nan)
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        _nested_ball_masses(space, x, [0.1, math.nan])
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        _ball_pair_masses(space, x, x, math.nan)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_circle_rejects_a_non_finite_centre(x):
+    space = flat_circle()
+    assert not space.contains(x)
+    with pytest.raises(ValueError, match="outside the domain"):
+        measure_ball(space, x, 0.5)
+    with pytest.raises(ValueError, match="outside the domain"):
+        _ball_pair_masses(space, 1.0, x, 0.5)
+
+
+def test_infinite_radius_leaves_a_line_window():
+    with pytest.raises(WindowError):
+        measure_ball(flat_line(), 0.0, math.inf)
+    assert measure_ball(flat_circle(), 0.0, math.inf) == pytest.approx(2 * math.pi)
+
+
 def random_pl_space(kind, gaps, f, length=4.0):
     """kind over a domain of the given length, knots spaced by the gaps."""
     if kind == "circle":  # first knot at 0, last one gap short of the period
@@ -211,6 +240,43 @@ def test_nested_ball_masses_match_measure_ball(data, kind, at, repeats):
 def test_nested_ball_masses_rejects_a_centre_outside_the_domain():
     with pytest.raises(ValueError, match="outside the domain"):
         _nested_ball_masses(flat_line(), 99.0, [0.1])
+
+
+@settings(max_examples=120)
+@given(data=st.data(), kind=st.sampled_from(("line", "halfline", "interval", "circle")),
+       at=st.floats(0.0, 1.0), offset=st.floats(-1.0, 1.0), turns=st.integers(-1, 1),
+       r=st.floats(0.0, 2.4, exclude_min=True))
+def test_ball_pair_masses_match_measure_ball(data, kind, at, offset, turns, r):
+    n = data.draw(st.integers(2, 40))
+    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    f = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    space = random_pl_space(kind, np.array(gaps), np.array(f))
+    lo, hi = space.domain()
+    x = lo + (hi - lo) * at
+    if kind == "circle":  # y anywhere on the unwrapped line: pairs across the cut
+        y = x + offset * (hi - lo) + turns * (hi - lo)
+    else:  # balls clipped at a domain end, or past the line's window
+        y = min(max(x + offset * r, lo), hi)
+    try:
+        want = [measure_ball(space, z, r) for z in (x, y)]
+    except WindowError as exc:
+        with pytest.raises(WindowError, match=re.escape(str(exc))):
+            _ball_pair_masses(space, x, y, r)
+        return
+    mx, my, diff = _ball_pair_masses(space, x, y, r)
+    assert abs(mx - want[0]) <= 1e-13 * want[0]
+    assert abs(my - want[1]) <= 1e-13 * want[1]
+    assert abs(diff - (want[0] - want[1])) <= 1e-13 * (want[0] + want[1])
+
+
+def test_ball_pair_masses_on_a_flat_circle():
+    # across the cut: y's arc is shifted next to x's, not read a circle away
+    mx, my, diff = _ball_pair_masses(flat_circle(), 0.1, 2 * math.pi - 0.1, 0.5)
+    assert mx == pytest.approx(1.0, abs=1e-14) and my == pytest.approx(1.0, abs=1e-14)
+    assert abs(diff) <= 1e-15
+    # 2r >= c: both balls are the whole circle, and the overlap cancels exactly
+    mx, my, diff = _ball_pair_masses(flat_circle(), 0.3, 2.0, 3.5)
+    assert diff == 0.0 and mx == my == pytest.approx(2 * math.pi, abs=1e-14)
 
 
 # -- boundary_measure: closed form validated against the cover definition ------

@@ -290,10 +290,6 @@ class PlanPair:
     scenario: BranchingScenario
     certificate: dict = field(default_factory=dict)
 
-    @property
-    def mass(self) -> float:
-        return self.scenario.beta
-
     def half_density(self, t: float) -> _HalfDensity:
         return _HalfDensity(self.scenario, t)
 

@@ -198,8 +198,8 @@ def _cmd_report(args):
     # verify-cd-infty reads no --n: the default N = 2 only lets K be checked
     params = CurvatureParams(args.k, args.n)
     report, extra = _REPORT_CHECKS[args.command](space, params, args)
-    body = _base_body(args, report.kind)
-    body.update(report.to_dict())
+    # the body's seed is --seed, also where the report carries none
+    body = report.to_dict() | _base_body(args, report.kind)
     # CD(K, infinity) has no dimension bound
     body["params"] = ({"K": params.K} if math.isinf(report.N)
                       else {"K": params.K, "N": params.N}) | extra

@@ -28,7 +28,6 @@ margin equals scalar sigma's arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import repeat
 from dataclasses import dataclass, field
@@ -98,9 +97,6 @@ class CurvatureReport:
             d["conjugate_flags"] = self.conjugate_flags
         d.update(self.extra)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -244,71 +244,63 @@ class Space1D:
             return min(d, c - d)
         return abs(x - y)
 
-    def is_domain_endpoint(self, y: float) -> bool:
+    def _own_ends(self) -> tuple[bool, bool]:
+        """Whether the space itself stops at the low and the high end of
+        domain(): both ends of an interval and 0 on a half-line.  The working
+        window cuts a line at both ends and a half-line at its far end; a
+        circle has no ends."""
         kind = self.topology.kind
-        if kind == "halfline":
-            return abs(y) <= _ENDPOINT_TOL
-        if kind == "interval":
-            return abs(y) <= _ENDPOINT_TOL or abs(y - self.topology.param) <= _ENDPOINT_TOL
-        return False
+        return kind in ("halfline", "interval"), kind == "interval"
+
+    def is_domain_endpoint(self, y: float) -> bool:
+        """Whether y is an end where the space itself stops (a window end is not)."""
+        (lo, hi), (own_lo, own_hi) = self.domain(), self._own_ends()
+        return ((own_lo and abs(y - lo) <= _ENDPOINT_TOL)
+                or (own_hi and abs(y - hi) <= _ENDPOINT_TOL))
 
     def _ball_interval(self, x: float, r: float) -> tuple[float, float]:
-        """Ball B_r(x) as one coordinate interval, clipped to the domain (unwrapped
-        on a circle); a NaN or negative radius, or a centre outside the domain,
-        is a ValueError."""
+        """Ball B_r(x) as one coordinate interval (unwrapped on a circle), cut
+        at the space's own ends; a ball past a window end is a WindowError, a
+        NaN or negative radius, or a centre outside the domain, a ValueError."""
         if not r >= 0.0:
             raise ValueError(f"radius must be >= 0, got {r}")
         if not self.contains(x):
             raise ValueError(f"center {x} outside the domain {self.domain()}")
-        kind = self.topology.kind
-        if kind == "circle":
+        if self.topology.kind == "circle":
             c = self.topology.circumference
             if 2.0 * r >= c:
                 return 0.0, c
             x = x % c
             return x - r, x + r
-        if kind == "line":
-            wlo, whi = self.window
-            if x - r < wlo - _ENDPOINT_TOL or x + r > whi + _ENDPOINT_TOL:
-                raise WindowError(
-                    f"ball B_{r}({x}) leaves the working window [{wlo}, {whi}]"
-                )
-            return x - r, x + r
-        if kind == "halfline":
-            whi = self.window[1]
-            if x + r > whi + _ENDPOINT_TOL:
-                raise WindowError(f"ball B_{r}({x}) leaves the working window [0, {whi}]")
-            return max(0.0, x - r), x + r
-        l = self.topology.param
-        return max(0.0, x - r), min(l, x + r)
+        (lo, hi), (own_lo, own_hi) = self.domain(), self._own_ends()
+        a, b = x - r, x + r
+        if (not own_lo and a < lo - _ENDPOINT_TOL) or (not own_hi and b > hi + _ENDPOINT_TOL):
+            raise WindowError(f"ball B_{r}({x}) leaves the working window [{lo}, {hi}]")
+        return (max(lo, a) if own_lo else a), (min(hi, b) if own_hi else b)
 
-    def _sphere_sides(self, x: float, r: float) -> list[float]:
-        """For r > 0: the point at distance r from x in each direction that
-        stays in the space (on a circle, none past the antipode)."""
-        kind = self.topology.kind
-        if kind == "circle":
+    def _sphere_points(self, x: float, r: float) -> list[tuple[float, int]]:
+        """The points at distance r from x, each with the number of directions
+        that reach it (both at r = 0 and at a circle's antipode).  They are the
+        ball's ends, less an end where the space itself stopped the ball short
+        of r, so the ball's radius, centre and window checks hold here too."""
+        lo, hi = self._ball_interval(x, r)
+        if r == 0.0:
+            return [(lo, 2)]
+        if self.topology.kind == "circle":
             c = self.topology.circumference
-            return [(x - r) % c, (x + r) % c] if r <= c / 2.0 + _ENDPOINT_TOL else []
-        pts = []
-        lo, hi = self.domain()
-        for y in (x - r, x + r):
-            if lo - _ENDPOINT_TOL <= y <= hi + _ENDPOINT_TOL:
-                if kind == "line" and not (lo + _ENDPOINT_TOL < y < hi - _ENDPOINT_TOL):
-                    raise WindowError(f"sphere point {y} leaves the working window")
-                pts.append(min(max(y, lo), hi))
-        return pts
+            if r > c / 2.0 + _ENDPOINT_TOL:
+                return []
+            if r >= c / 2.0 - _ENDPOINT_TOL:  # the antipode: both directions meet
+                return [((x + r) % c, 2)]
+            return [(y, 1) for y in sorted(((x - r) % c, (x + r) % c))]
+        (dlo, dhi), (own_lo, own_hi) = self.domain(), self._own_ends()
+        cut_lo = own_lo and x - r < dlo - _ENDPOINT_TOL
+        cut_hi = own_hi and x + r > dhi + _ENDPOINT_TOL
+        return [(y, 1) for y, cut in ((lo, cut_lo), (hi, cut_hi)) if not cut]
 
     def sphere_coords(self, x: float, r: float) -> list[float]:
         """Points at metric distance exactly r from x, within the domain."""
-        kind = self.topology.kind
-        if r == 0.0:
-            return [x % self.topology.circumference if kind == "circle" else x]
-        sides = self._sphere_sides(x, r)
-        if kind != "circle":
-            return sides
-        if abs(r - self.topology.circumference / 2.0) <= _ENDPOINT_TOL:
-            return sides[1:]  # antipode: both directions meet
-        return sorted(set(sides))
+        return [y for y, _ in self._sphere_points(x, r)]
 
     def total_mass(self) -> float:
         lo, hi = self.domain()
@@ -398,30 +390,22 @@ def boundary_measure(space: Space1D, x0: float, t: float) -> float:
     """
     if not (t > 0.0):
         raise ValueError(f"t must be > 0, got {t}")
-    pts = space.sphere_coords(x0, t)
+    pts = space._sphere_points(x0, t)
     if not pts:
         raise ValueError(f"sphere of radius {t} around {x0} is empty")
     total = 0.0
-    for y in pts:
+    for y, _ in pts:
         w = math.exp(-space.weight(y))
         total += w if space.is_domain_endpoint(y) else 2.0 * w
     return total
 
 
 def disintegrate(space: Space1D, origin: float, r: float) -> SphereMeasure:
-    """Fiber measure m_r over the sphere of radius r: atoms exp(-f(y)).
-
-    Both arc directions contribute separately; coincident coordinates
-    (circle antipode, r = 0) merge by summing masses.
-    """
-    if r < 0.0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    sides = [origin, origin] if r == 0.0 else space._sphere_sides(origin, r)
-    merged: dict[float, float] = {}
-    for y in sides:
-        key = round(y, 12)
-        merged[key] = merged.get(key, 0.0) + math.exp(-space.weight(y))
-    atoms = tuple(sorted(merged.items()))
+    """Fiber measure m_r over the sphere of radius r: one atom per sphere point
+    y, of mass exp(-f(y)) times the number of directions that reach y (both at
+    r = 0 and at a circle's antipode)."""
+    atoms = tuple((y, sides * math.exp(-space.weight(y)))
+                  for y, sides in space._sphere_points(origin, r))
     return SphereMeasure(origin=origin, radius=r, atoms=atoms)
 
 
@@ -516,18 +500,11 @@ def load_space(source) -> Space1D:
 
     grid_step = _number(data.get("grid_step", 1e-3), "space description: field 'grid_step'")
 
-    if kind == "interval":
-        lo, hi = 0.0, float(param)
-    elif kind == "circle":
-        lo, hi = 0.0, 2.0 * math.pi * float(param)
-    else:
-        lo, hi = window
-
     wdata = data.get("weight")
     period = 2.0 * math.pi * float(param) if kind == "circle" else None
-    if wdata is None:
-        weight = WeightFn.constant(0.0, lo, min(hi, lo + period * (1 - 1e-9)) if period else hi,
-                                   period)
+    if wdata is None:  # f = 0 over the domain, on a circle one part in 1e9 short of a turn
+        lo, hi = window or (0.0, period * (1 - 1e-9) if period else float(param))
+        weight = WeightFn.constant(0.0, lo, hi, period)
     else:
         if not isinstance(wdata, dict) or "coords" not in wdata or "f" not in wdata:
             raise ValueError("space description: field 'weight' must have 'coords' and 'f'")

@@ -63,10 +63,19 @@ def test_exit_codes_pass_fail_usage(spaces, tmp_path):
     assert run(["tripod-shannon", "--input", str(infeasible), "--output", out]) == 1
 
 
-def test_report_contract_fields(spaces, tmp_path):
+# lipschitz, bg-scan, bg-boundary and circle-obstruction bodies read "seed": null,
+# their reports' own seed
+REPORT_COMMANDS = {"check-kn-convex": ("interval", "0"), "lipschitz": ("interval", "0"),
+                   "bg-scan": ("line", "0"), "bg-boundary": ("line", "0"),
+                   "circle-obstruction": ("circle", "1")}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_report_contract_fields(spaces, tmp_path, command):
+    space, k = REPORT_COMMANDS[command]
     out = str(tmp_path / "r.json")
-    run(["check-kn-convex", "--input", spaces["interval"], "--k", "0",
-         "--n", "2", "--seed", "5", "--output", out])
+    assert run([command, "--input", spaces[space], "--k", k,
+                "--n", "2", "--seed", "5", "--output", out]) in (0, 2)
     body = body_of(out)
     for key in ("check_id", "params", "margin", "witness", "seed",
                 "grid_step", "tool_version"):

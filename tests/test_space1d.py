@@ -5,7 +5,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvlab1d.space1d import (
     RescaledSpace, Space1D, Topology1D, WeightFn, WindowError,
@@ -169,6 +169,9 @@ def test_ball_window_errors():
         measure_ball(flat_line(), 99.0, 0.1)
 
 
+SPHERE_CALLS = (boundary_measure, disintegrate, lambda space, x, r: space.sphere_coords(x, r))
+
+
 @pytest.mark.parametrize("space,x", [(weighted_interval(), 0.3), (flat_line(), 0.0),
                                      (flat_halfline(), 1.0), (flat_circle(), 1.0)])
 def test_ball_nan_radius_raises(space, x):
@@ -179,6 +182,11 @@ def test_ball_nan_radius_raises(space, x):
         _nested_ball_masses(space, x, [0.1, math.nan])
     with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
         _ball_pair_masses(space, x, x, math.nan)
+    # a sphere gave no points (mass 0) at a NaN radius and two at a negative one
+    for call in SPHERE_CALLS:
+        for r in (math.nan, -1.0):
+            with pytest.raises(ValueError, match=f"must be >?=? 0, got {r}"):
+                call(space, x, r)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -343,8 +351,8 @@ def test_disintegrate_weighted_and_integral_consistency():
     assert len(sm.atoms) == 1
     assert sm.atoms[0][0] == pytest.approx(0.3)
     assert sm.atoms[0][1] == pytest.approx(math.exp(-0.3), abs=1e-14)
-    # int_0^0.5 m_r dr reproduces the ball measure (lower limit dodges the
-    # r = 0 merge point, costing ~1e-9 of mass)
+    # int_0^0.5 m_r dr reproduces the ball measure (lower limit dodges r = 0,
+    # where both directions count, costing ~1e-9 of mass)
     orc = trapezoid_refined(
         lambda r: disintegrate(space, 0.0, r).total, 1e-9, 0.5)
     assert orc == pytest.approx(measure_ball(space, 0.0, 0.5), abs=5e-9)
@@ -368,6 +376,69 @@ def test_disintegrate_circle_antipode_merges():
     sm = disintegrate(flat_circle(), 0.0, math.pi)
     assert len(sm.atoms) == 1
     assert sm.atoms[0][1] == pytest.approx(2.0, abs=1e-12)
+
+
+# -- one end rule for balls and spheres ---------------------------------------------
+
+@pytest.mark.parametrize("space,x,r", [(flat_line(), 1.0, 5.5), (flat_halfline(8.0), 7.0, 2.0),
+                                       (flat_line(), 0.0, 6.0)])
+def test_sphere_past_the_window_raises_the_balls_window_error(space, x, r):
+    # a sphere point past the window was dropped: half a sphere, or none
+    with pytest.raises(WindowError) as ball:
+        measure_ball(space, x, r)
+    for call in SPHERE_CALLS:
+        with pytest.raises(WindowError) as sphere:
+            call(space, x, r)
+        assert str(sphere.value) == str(ball.value)
+
+
+def test_sphere_at_the_window_end_is_interior():
+    # the window cuts the line, the line does not stop there: 2 exp(-f) per point
+    assert boundary_measure(flat_line(), 0.0, 5.0) == 4.0
+    assert flat_line().sphere_coords(0.0, 5.0) == [-5.0, 5.0]
+    assert not flat_halfline().is_domain_endpoint(10.0)
+    assert flat_halfline().is_domain_endpoint(0.0)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), kind=st.sampled_from(("line", "halfline", "interval", "circle")),
+       at=st.floats(0.0, 1.0), r=st.floats(0.0, 4.8, exclude_min=True))
+def test_spheres_follow_the_ball_end_rule(data, kind, at, r):
+    n = data.draw(st.integers(2, 40))
+    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    f = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    space = random_pl_space(kind, np.array(gaps), np.array(f))
+    lo, hi = space.domain()
+    x = lo + (hi - lo) * at
+    try:
+        measure_ball(space, x, r)
+    except WindowError as exc:
+        for call in SPHERE_CALLS:
+            with pytest.raises(WindowError) as sphere:
+                call(space, x, r)
+            assert str(sphere.value) == str(exc)
+        return
+    # the sphere's derivative is its fiber mass where nothing changes within
+    # 2 delta: no knot, domain end or antipode, and r - delta > 0
+    delta = 1e-5
+    assume(r > 2 * delta)
+    for y in (x - r, x + r):
+        assume(min(space.distance(y, k) for k in space.weight.coords) >= 2 * delta)
+        if kind == "circle":
+            assume(abs(r - (hi - lo) / 2.0) >= 2 * delta)
+        else:
+            assume(min(abs(y - lo), abs(y - hi)) >= 2 * delta)
+    fiber = disintegrate(space, x, r)
+    want = (measure_ball(space, x, r + delta) - measure_ball(space, x, r - delta)) / (2 * delta)
+    # the central difference of exp(-f), f linear with slope at most 6 / 0.005
+    # here, is off by (1200 delta)^2 / 6 = 2.4e-5 relative at most
+    assert abs(fiber.total - want) <= 3e-5 * want + 1e-9
+    assert [y for y, _ in fiber.atoms] == space.sphere_coords(x, r)
+    if fiber.atoms:  # no point at an end where the space stops: 2 exp(-f) each
+        assert boundary_measure(space, x, r) == pytest.approx(2.0 * fiber.total, rel=1e-15)
+    else:
+        with pytest.raises(ValueError, match="is empty"):
+            boundary_measure(space, x, r)
 
 
 # -- rescaling --------------------------------------------------------------------

@@ -164,12 +164,15 @@ def _lipschitz(space, params, args):
         x = lo + (hi - lo) * rng.random()
         d = r / 2.0 * rng.uniform(0.05, 0.95)
         y = x + d
-        if space.topology.kind != "circle":
-            if y + r > hi or x - r < lo:
-                continue
+        if not space.contains(y):
+            continue
+        try:  # a ball is cut where the space stops, and dropped past a window end
+            space._ball_interval(x, r), space._ball_interval(y, r)
+        except WindowError:
+            continue
         pairs.append((float(x), float(y)))
     _, _, report = gs.lipschitz_modulus(space, params, r, pairs)
-    return report, {"r": r}
+    return report, {"r": r, "pairs_dropped": 200 - len(pairs)}
 
 
 _REPORT_CHECKS = {

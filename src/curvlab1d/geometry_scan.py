@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol
-from .space1d import (Space1D, WeightFn, _ball_pair_masses, _nested_ball_masses,
-                      boundary_measure, measure_ball)
+from .space1d import (Space1D, WeightFn, WindowError, _ball_masses, boundary_measure,
+                      measure_ball)
 from .curvature import (CurvatureReport, check_kn_convex, circle_obstruction,
                         default_triple_battery, default_tolerance)
 from .branching import Tripod, TripodPoint
@@ -91,17 +91,19 @@ def bg_ratio_scan(space: Space1D, x0: float, params: CurvatureParams,
 
 def bg_boundary_check(space: Space1D, x0: float, params: CurvatureParams,
                       t_grid: Sequence[float], tol: float = 0.0) -> CurvatureReport:
-    """Boundary-measure bound: m_{-1}(dB_t) <= 2*5^(N-1)*m(B_t)*S(t)^(N-1)/F(t)."""
+    """Boundary-measure bound: m_{-1}(dB_t) <= 2*5^(N-1)*m(B_t)*S(t)^(N-1)/F(t),
+    with the balls B_t(x0) in one sweep (space1d._ball_masses)."""
     if len(t_grid) == 0:
         raise ValueError("t_grid is empty: no radius to check")
     N = params.N
+    ts = [float(t) for t in t_grid]
+    lhss = [boundary_measure(space, x0, t) for t in ts]  # raises for t <= 0, or past the window
+    mass = _ball_masses(space, [space._ball_interval(x0, t) for t in ts])
     worst = -math.inf
     witness = {}
     slacks = []
-    for t in t_grid:
-        t = float(t)
-        lhs = boundary_measure(space, x0, t)
-        rhs = (2.0 * 5.0 ** (N - 1.0) * measure_ball(space, x0, t)
+    for t, lhs in zip(ts, lhss):
+        rhs = (2.0 * 5.0 ** (N - 1.0) * mass(*space._ball_interval(x0, t))
                * s_vol(params, t) ** (N - 1.0) / f_vol(params, t))
         slacks.append(rhs - lhs)
         m = lhs - rhs
@@ -111,7 +113,7 @@ def bg_boundary_check(space: Space1D, x0: float, params: CurvatureParams,
     return CurvatureReport(
         kind="bg-boundary-measure", K=params.K, N=params.N, max_violation=worst,
         witness=witness, tolerance=tol, grid_step=space.grid_step,
-        extra={"x0": x0, "t_grid": [float(t) for t in t_grid],
+        extra={"x0": x0, "t_grid": ts,
                "min_slack": min(slacks)},
     )
 
@@ -123,11 +125,12 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
     2*5^(N-1) * sup_t F'(t) m(B_t(y)) / F(t) over 50 radii t; the empirical
     value must stay below the envelope.
 
-    The balls around one point are nested, so each centre's balls (s_grid in
-    increasing order) and the envelope's grow from the last one by their two
-    new end pieces.  Pairs whose ball leaves the window are counted in
-    `skipped_pairs`, the envelope radii checked in `envelope_radii`; raises
-    ValueError when every pair, or every envelope ball, leaves the window.
+    The centres run over B_R(y), unwrapped over y +- min(R, c/2) on a
+    circle, and all balls share one sweep (space1d._ball_masses).  Pairs
+    whose ball leaves the window are counted in `skipped_pairs`; the
+    envelope stops at its first ball that leaves the window and counts the
+    radii before it in `envelope_radii`.  Raises ValueError when every
+    pair, or every envelope ball, leaves the window.
     """
     if not R > 0.0:
         raise ValueError("R must be > 0")
@@ -135,39 +138,43 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
     if any(not 0.0 < s <= 1.0 for s in ss):
         raise ValueError("s_grid must lie in (0, 1]")
     lo, hi = space.domain()
+    if space.topology.kind == "circle":  # unwrapped, and once round at most
+        lo, hi = y - min(R, hi / 2.0), y + min(R, hi / 2.0)
     xs = np.linspace(max(lo, y - R), min(hi, y + R), n_centers)
-    emp = -math.inf
-    emp_w = {}
-    skipped = 0
-    radii = sorted(ss)
-    for x in xs:
-        # balls past the first one to leave the window are absent
-        balls = dict(zip(radii, _nested_ball_masses(space, float(x), radii)))
+    balls = []  # (centre, s, ball), less the balls that leave the window
+    for x in map(float, xs):
         for s in ss:
-            if s not in balls:
-                skipped += 1
-            elif balls[s] / s > emp:
-                emp = balls[s] / s
-                emp_w = {"x": float(x), "s": s, "value": emp}
-    if skipped == len(xs) * len(ss):
+            try:
+                balls.append((x, s, space._ball_interval(x, s)))
+            except WindowError:
+                pass
+    skipped = len(xs) * len(ss) - len(balls)
+    if not balls:
         raise ValueError(f"nothing checked: all {skipped} (centre, s) pairs have "
                          f"B_s(x) outside the window")
     conj = conjugate_radius(params)
     t_hi = min(R, 0.95 * conj)
-    t_grid = [float(t) for t in np.linspace(t_hi / 50.0, t_hi, 50)]
-    balls = _nested_ball_masses(space, y, t_grid)
-    if not balls:
+    envelope_balls = []
+    for t in np.linspace(t_hi / 50.0, t_hi, 50):
+        try:
+            envelope_balls.append((float(t), space._ball_interval(y, float(t))))
+        except WindowError:
+            break
+    if not envelope_balls:
         raise ValueError(f"nothing checked: every envelope ball B_t({y}), "
                          f"t <= {t_hi}, leaves the window")
-    env = max(s_vol(params, t) ** (params.N - 1.0) * mb / f_vol(params, t)
-              for t, mb in zip(t_grid, balls))
+    mass = _ball_masses(space, [b for *_, b in balls + envelope_balls])
+    emp, x, s = max(((mass(*ball) / s, x, s) for x, s, ball in balls), key=lambda v: v[0])
+    emp_w = {"x": x, "s": s, "value": emp}
+    env = max(s_vol(params, t) ** (params.N - 1.0) * mass(*ball) / f_vol(params, t)
+              for t, ball in envelope_balls)
     envelope = 2.0 * 5.0 ** (params.N - 1.0) * env
     report = CurvatureReport(
         kind="linear-growth", K=params.K, N=params.N,
         max_violation=emp - envelope, witness=emp_w, tolerance=0.0,
         grid_step=space.grid_step,
         extra={"empirical_C": emp, "envelope": envelope, "y": y, "R": R,
-               "skipped_pairs": skipped, "envelope_radii": len(balls)},
+               "skipped_pairs": skipped, "envelope_radii": len(envelope_balls)},
     )
     return emp, report
 
@@ -176,9 +183,9 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float],
                         threshold_factor: float = 0.1) -> DensityRatioTrace:
     """Ratios m(B_r(x))/r^k on a decreasing r_grid (Space1D or Tripod).
 
-    On a Space1D the balls are nested: one outward pass grows each from the
-    last by its two new end pieces, and a largest ball that leaves the
-    window raises WindowError.  in_mk flags min ratio < threshold_factor *
+    On a Space1D the balls share one sweep (space1d._ball_masses), and a
+    largest ball that leaves the window raises measure_ball's WindowError.
+    in_mk flags min ratio < threshold_factor *
     max ratio; a finite trace can only approximate the liminf, so the
     threshold is reported.
     """
@@ -195,10 +202,8 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float],
     else:
         if rs[-1] < 10.0 * space.grid_step * (1.0 - 1e-12):
             raise ValueError("radii must stay >= 10 * grid_step")
-        masses = _nested_ball_masses(space, x, rs[::-1])[::-1]
-        if len(masses) < len(rs):
-            space._ball_interval(x, rs[0])  # raises measure_ball's WindowError
-        ratios = [m / r ** k for m, r in zip(masses, rs)]
+        mass = _ball_masses(space, [space._ball_interval(x, r) for r in rs])
+        ratios = [mass(*space._ball_interval(x, r)) / r ** k for r in rs]
         xdesc = x
     # liminf proxy: the ratio at the smallest sampled radius (a plain min
     # would misflag traces that diverge as r shrinks)
@@ -215,23 +220,35 @@ def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
     """Empirical |m(B_r(x)) - m(B_r(y))| / (r d(x,y)) against the comparison
     bound (1/r) F'(r - d/2)/F(r + d/2) (m(B_r(x)) + m(B_r(y))) per pair.
 
-    The two balls of a pair overlap, so the overlap is integrated once and
-    the difference comes from their end pieces alone (the overlap cancels
-    exactly).  A ball that leaves the window raises WindowError.
+    All balls share one sweep (space1d._ball_masses).  On a circle y's arc
+    is shifted next to x's, and a pair's difference comes from the two
+    balls' end pieces alone, so their overlap cancels exactly.  A ball that
+    leaves the window raises WindowError.
     """
     if len(pair_battery) == 0:
         raise ValueError("pair_battery is empty: nothing checked")
     if not r > 2.0 * space.grid_step:
         raise ValueError("need r > 2 * grid_step")
+    balls = []  # x's ball, then y's, per pair
+    for x, y in pair_battery:
+        if not 0.0 < space.distance(x, y) < r / 2.0:
+            raise ValueError(f"pair ({x}, {y}) must be within distance r/2")
+        (ax, bx), (ay, by) = space._ball_interval(x, r), space._ball_interval(y, r)
+        shift = 0.0
+        if space.topology.kind == "circle":  # the multiple of c that brings y's arc nearest x's
+            c = space.topology.circumference
+            shift = c * round((ax + bx - ay - by) / (2.0 * c))
+        balls += [(ax, bx), (ay + shift, by + shift)]
+    mass = _ball_masses(space, balls)
     emp_best = -math.inf
     theory_at_best = math.inf
     worst = -math.inf
     witness = {}
-    for x, y in pair_battery:
+    for (x, y), (ax, bx), (ay, by) in zip(pair_battery, balls[::2], balls[1::2]):
         d = space.distance(x, y)
-        if not 0.0 < d < r / 2.0:
-            raise ValueError(f"pair ({x}, {y}) must be within distance r/2")
-        mx, my, diff = _ball_pair_masses(space, x, y, r)
+        mx, my = mass(ax, bx), mass(ay, by)
+        lo, hi = max(ax, ay), min(bx, by)  # the overlap, which cancels exactly
+        diff = (mass(ax, lo) + mass(hi, bx)) - (mass(ay, lo) + mass(hi, by)) if lo < hi else mx - my
         emp = abs(diff) / (r * d)
         theory = (s_vol(params, r - d / 2.0) ** (params.N - 1.0)
                   / f_vol(params, r + d / 2.0)) * (mx + my) / r

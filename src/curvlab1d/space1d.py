@@ -341,43 +341,21 @@ def measure_ball(space: Space1D, x: float, r: float) -> float:
     return space.weight.integrate_density(*space._ball_interval(x, r))
 
 
-def _nested_ball_masses(space: Space1D, x: float, radii) -> list[float]:
-    """m(B_r(x)) for increasing radii, up to the first ball that leaves the
-    window: each ball is the last one plus the two end pieces it grows by, a
-    sum of positive terms (a difference of running totals would cancel)."""
-    masses = []
-    for r in radii:
-        try:
-            lo, hi = space._ball_interval(x, r)
-        except WindowError:
-            break
-        if masses and lo <= last[0] and last[1] <= hi:
-            masses.append(masses[-1] + space.weight.integrate_density(lo, last[0])
-                          + space.weight.integrate_density(last[1], hi))
-        else:  # the first ball, or a circle ball that became the whole circle
-            masses.append(space.weight.integrate_density(lo, hi))
-        last = lo, hi
-    return masses
+def _ball_masses(space: Space1D, balls) -> Callable[[float, float], float]:
+    """Mass between any two ends a <= b of the balls, `_ball_interval` pairs
+    (lo, hi) unwrapped on a circle: their union is cut at every ball end, each
+    piece is integrated once (gaps are skipped), and a ball or stretch is the
+    sum of its pieces, never a difference of running totals (those cancel)."""
+    ends, at = np.unique(np.asarray(balls, dtype=float), return_inverse=True)
+    lo, hi = at.reshape(-1, 2).T  # where each ball opens and closes in `ends`
+    depth = np.cumsum(np.bincount(lo, minlength=ends.size) - np.bincount(hi, minlength=ends.size))
+    pieces = np.array([space.weight.integrate_density(a, b) if inside else 0.0
+                       for a, b, inside in zip(ends[:-1], ends[1:], depth[:-1] > 0)])
 
+    def mass(a: float, b: float) -> float:
+        return float(np.sum(pieces[np.searchsorted(ends, a):np.searchsorted(ends, b)]))
 
-def _ball_pair_masses(space: Space1D, x: float, y: float, r: float
-                      ) -> tuple[float, float, float]:
-    """m(B_r(x)), m(B_r(y)) and their difference, with the overlap of the two
-    balls integrated once: each ball is the overlap plus its two end pieces,
-    and the difference is taken from the end pieces alone, so the overlap
-    cancels exactly.  On a circle y's arc is shifted by the multiple of the
-    circumference that brings it nearest x's (both are (0, c) once 2r >= c)."""
-    (ax, bx), (ay, by) = space._ball_interval(x, r), space._ball_interval(y, r)
-    if space.topology.kind == "circle":
-        c = space.topology.circumference
-        shift = c * round((ax + bx - ay - by) / (2.0 * c))
-        ay, by = ay + shift, by + shift
-    w = space.weight.integrate_density
-    lo, hi = max(ax, ay), min(bx, by)  # an empty overlap when hi <= lo
-    ends_x = w(ax, min(lo, bx)) + w(max(hi, ax), bx)
-    ends_y = w(ay, min(lo, by)) + w(max(hi, ay), by)
-    common = w(lo, hi)
-    return common + ends_x, common + ends_y, ends_x - ends_y
+    return mass
 
 
 def boundary_measure(space: Space1D, x0: float, t: float) -> float:

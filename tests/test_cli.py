@@ -83,6 +83,17 @@ def test_report_contract_fields(spaces, tmp_path, command):
     assert body["seed"] == 5
 
 
+@pytest.mark.parametrize("space,kept", [("interval", 192), ("line", 138), ("circle", 200)])
+def test_lipschitz_counts_the_pairs_it_drops(spaces, tmp_path, space, kept):
+    # a pair is dropped only where y leaves the domain or a ball the window:
+    # on the interval, balls cut at an end are checked too (138 of 200 were)
+    out = str(tmp_path / "l.json")
+    assert run(["lipschitz", "--input", spaces[space], "--seed", "0", "--output", out]) == 0
+    body = body_of(out)
+    assert body["n_pairs"] == kept
+    assert body["n_pairs"] + body["params"]["pairs_dropped"] == 200
+
+
 def test_circle_obstruction_exit_zero_when_found(spaces, tmp_path):
     out = str(tmp_path / "c.json")
     assert run(["circle-obstruction", "--input", spaces["circle"],

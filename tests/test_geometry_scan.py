@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from curvlab1d.coefficients import CurvatureParams, f_vol, s_vol
-from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError, measure_ball
+from curvlab1d.space1d import (Space1D, Topology1D, WeightFn, WindowError, boundary_measure,
+                               measure_ball)
 from curvlab1d.branching import Tripod, TripodPoint
 from curvlab1d.geometry_scan import (
     bg_boundary_check, bg_ratio_scan, classify, density_ratio_trace,
@@ -100,6 +101,27 @@ def test_bg_boundary_empty_grid_raises():
         bg_boundary_check(flat_line(), 0.0, CurvatureParams(0.0, 2.0), [])
 
 
+def test_bg_boundary_keeps_its_errors():
+    space, params = weight_line(np.sin), CurvatureParams(0.0, 2.0)
+    for t in (0.0, -0.5):
+        with pytest.raises(ValueError, match=f"t must be > 0, got {t}"):
+            bg_boundary_check(space, 0.3, params, [0.5, t])
+    with pytest.raises(WindowError) as want:
+        measure_ball(space, 3.0, 1.5)
+    with pytest.raises(WindowError, match=re.escape(str(want.value))):
+        bg_boundary_check(space, 3.0, params, [0.5, 1.5, 0.9])
+
+
+def test_bg_boundary_matches_measure_ball_per_radius():
+    space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
+    params = CurvatureParams(-0.25, 3.0)
+    ts = [0.9, 0.1, 0.5, 0.5, 0.3]  # unsorted, with a repeat
+    report = bg_boundary_check(space, 0.3, params, ts)
+    slacks = [2.0 * 5.0 ** 2 * measure_ball(space, 0.3, t) * s_vol(params, t) ** 2
+              / f_vol(params, t) - boundary_measure(space, 0.3, t) for t in ts]
+    assert abs(report.extra["min_slack"] - min(slacks)) <= 1e-13 * abs(min(slacks))
+
+
 # -- linear growth -------------------------------------------------------------------
 
 def test_linear_growth_flat_line():
@@ -145,6 +167,20 @@ def test_linear_growth_no_envelope_ball_raises(space, y):
         linear_growth_constant(space, y, 0.5, [0.1], CurvatureParams(0.0, 2.0))
 
 
+def test_linear_growth_on_a_circle_looks_across_the_cut():
+    # a bump 0.45 before y = 0.1, across the cut: the centres run over
+    # y +- R unwrapped, not over [0, y + R]
+    c = 2.0 * math.pi
+    space = weight_circle(lambda x: -2.0 * np.exp(-(x - (c - 0.35)) ** 2 / 0.01))
+    C, report = linear_growth_constant(space, 0.1, 0.5, [0.1, 0.2], CurvatureParams(0.0, 2.0))
+    assert report.witness["x"] == pytest.approx(-0.35, abs=1e-3)
+    assert C == pytest.approx(measure_ball(space, c - 0.35, 0.1) / 0.1, rel=1e-5)
+    assert C > 9.5  # 2.03 from the centres in [0, 0.6]
+    # R past c/2: the centres cover the circle once
+    C, report = linear_growth_constant(space, 0.1, 4.0, [0.1], CurvatureParams(0.0, 2.0))
+    assert report.extra["skipped_pairs"] == 0 and C > 9.5
+
+
 def test_linear_growth_reports_envelope_radii():
     params = CurvatureParams(0.0, 2.0)
     _, report = linear_growth_constant(flat_line(half=1.0), 0.99, 0.5, [0.1], params)
@@ -170,18 +206,30 @@ def knots_in_ball(space, x, r):
     return len(space.weight.knots_in(*space._ball_interval(x, r)))
 
 
+def union_reads(space, balls):
+    """The knots in the union of the balls, plus two reads per distinct ball
+    end: one sweep reads each knot once and each piece at its two ends."""
+    knots, (lo, hi) = 0, sorted(balls)[0]
+    for a, b in sorted(balls)[1:] + [(math.inf, math.inf)]:
+        if a > hi:  # a gap: the union's last stretch ends at hi
+            knots += len(space.weight.knots_in(lo, hi))
+            lo = a
+        hi = max(hi, b)
+    return knots + 2 * len({e for ball in balls for e in ball})
+
+
 def test_linear_growth_reads_each_knot_about_once(monkeypatch):
-    # nested balls around a centre grow by their two end pieces: each knot
-    # of the centre's largest ball is read once, plus the piece ends
+    # the balls of 200 centres and the envelope share one sweep
     space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
     y, R, s_grid = 0.3, 0.4, [0.5, 0.2]
     calls = count_weight_reads(monkeypatch)
-    linear_growth_constant(space, y, R, s_grid, CurvatureParams(0.0, 2.0), n_centers=4)
-    largest = [(float(x), max(s_grid), len(s_grid)) for x in np.linspace(y - R, y + R, 4)]
-    largest.append((y, R, 50))  # the envelope's 50 radii reach R
-    bound = sum(knots_in_ball(space, x, r) + 4 * (k - 1) for x, r, k in largest)
+    linear_growth_constant(space, y, R, s_grid, CurvatureParams(0.0, 2.0))
+    balls = [space._ball_interval(float(x), s)
+             for x in np.linspace(y - R, y + R, 200) for s in s_grid]
+    balls += [space._ball_interval(y, t) for t in np.linspace(R / 50.0, R, 50)]
+    bound = union_reads(space, balls)
     assert sum(calls) <= bound
-    assert bound < 6000  # about 26,000 with every ball read whole
+    assert bound < 3800  # about 200,000 with every centre's balls read apart
 
 
 # -- density-ratio traces --------------------------------------------------------------
@@ -310,6 +358,16 @@ def test_lipschitz_weighted_line_closed_form():
         assert g == pytest.approx(want, rel=1e-2)
 
 
+def test_lipschitz_overlap_cancels_exactly():
+    # f(x) = x, d = 2^-30 with exact ball ends: the difference comes from
+    # the two end pieces alone; m(B_r(x)) - m(B_r(y)) would lose ~1e-7
+    space = weight_line(lambda x: 1.0 * x)
+    x, r, d = 0.25, 0.5, 2.0 ** -30
+    emp, _, _ = lipschitz_modulus(space, CurvatureParams(0.0, 2.0), r, [(x, x + d)])
+    want = (math.exp(-(x - r)) - math.exp(-(x + r))) * -math.expm1(-d) / (r * d)
+    assert emp == pytest.approx(want, rel=1e-12)
+
+
 def test_lipschitz_symmetric_difference_inequality():
     # |m(B_r(x)) - m(B_r(y))| <= m(B_r(x) \Delta B_r(y)) for intervals
     space = weight_line(lambda x: 0.3 * np.cos(2 * x), half=4.0)
@@ -324,17 +382,45 @@ def test_lipschitz_symmetric_difference_inequality():
 
 
 def test_lipschitz_reads_each_knot_about_once(monkeypatch):
-    # the two balls of a pair overlap: their union's knots are read once,
-    # plus the piece ends
+    # the balls of 200 overlapping pairs share one sweep
     space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
     r = 0.5
-    pairs = [(-1.0, -0.9), (0.2, 0.43), (1.5, 1.52), (2.0, 1.8)]
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-3.4, 3.1, 200)
+    pairs = [(float(x), float(x + d)) for x, d in zip(xs, rng.uniform(0.02, 0.24, 200))]
+    pairs[:2] = [(-1.0, -0.9), (2.0, 1.8)]  # y may lie left of x
     calls = count_weight_reads(monkeypatch)
     lipschitz_modulus(space, CurvatureParams(0.0, 2.0), r, pairs)
-    bound = sum(len(space.weight.knots_in(min(x, y) - r, max(x, y) + r)) + 4
-                for x, y in pairs)
+    bound = union_reads(space, [space._ball_interval(z, r) for pair in pairs for z in pair])
     assert sum(calls) <= bound
-    assert bound < 4800  # about 8,000 with each ball read whole
+    assert bound < 9500  # about 230,000 with each pair read apart
+
+
+def test_bg_boundary_reads_each_knot_about_once(monkeypatch):
+    # the nested balls share one sweep; boundary_measure reads the weight
+    # once more at each of the 20 sphere points
+    space = weight_line(lambda x: 0.5 * x * x + 0.1 * np.sin(7.0 * x))
+    ts = list(np.linspace(0.1, 1.0, 10))
+    calls = count_weight_reads(monkeypatch)
+    bg_boundary_check(space, 0.3, CurvatureParams(0.0, 2.0), ts)
+    bound = union_reads(space, [space._ball_interval(0.3, t) for t in ts]) + 2 * len(ts)
+    assert sum(calls) <= bound
+    assert bound < 2100  # about 11,000 with every ball read whole
+
+
+def test_lipschitz_pairs_across_a_circle_cut(monkeypatch):
+    # y's arc is shifted next to x's, so a pair across the cut is read as one
+    # stretch, and each pair matches its two balls taken apart
+    space = weight_circle(lambda x: np.sin(3.0 * x) + 0.3 * np.cos(x))
+    c, r = 2.0 * math.pi, 0.5
+    for x, y in [(0.05, c - 0.1), (c - 0.02, 0.1), (3.0, 3.2), (-0.1, 0.05)]:
+        want = abs(measure_ball(space, x, r) - measure_ball(space, y, r))
+        calls = count_weight_reads(monkeypatch)
+        emp, _, _ = lipschitz_modulus(space, CurvatureParams(0.0, 2.0), r, [(x, y)])
+        monkeypatch.undo()
+        d = space.distance(x, y)
+        assert abs(emp * r * d - want) <= 1e-13 * measure_ball(space, x, r)
+        assert sum(calls) <= len(space.weight.knots_in(0.0, 2.0 * r + d)) + 8
 
 
 def test_lipschitz_ball_out_of_window_raises():
@@ -343,6 +429,16 @@ def test_lipschitz_ball_out_of_window_raises():
         measure_ball(space, 3.6, 0.5)
     with pytest.raises(WindowError, match=re.escape(str(want.value))):
         lipschitz_modulus(space, CurvatureParams(0.0, 2.0), 0.5, [(3.4, 3.6)])
+
+
+def test_ball_scans_reject_a_centre_outside_the_domain():
+    space, params = flat_line(), CurvatureParams(0.0, 2.0)
+    for scan in (lambda: density_ratio_trace(space, 99.0, 1, [0.5, 0.1]),
+                 lambda: bg_boundary_check(space, 99.0, params, [0.5]),
+                 lambda: linear_growth_constant(space, 99.0, 0.5, [0.1], params),
+                 lambda: lipschitz_modulus(space, params, 0.5, [(99.0, 99.1)])):
+        with pytest.raises(ValueError, match="outside the domain"):
+            scan()
 
 
 def test_lipschitz_validates_pairs():

@@ -12,7 +12,7 @@ from curvlab1d.space1d import (
     boundary_measure, disintegrate, load_space, measure_ball, rescale,
     space_to_dict,
 )
-from curvlab1d.space1d import _ball_pair_masses, _nested_ball_masses, _seg_exp_integral
+from curvlab1d.space1d import _ball_masses, _seg_exp_integral
 
 from oracles import cover_boundary_mass, trapezoid_refined
 
@@ -179,9 +179,7 @@ def test_ball_nan_radius_raises(space, x):
     with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
         measure_ball(space, x, math.nan)
     with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
-        _nested_ball_masses(space, x, [0.1, math.nan])
-    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
-        _ball_pair_masses(space, x, x, math.nan)
+        _ball_masses(space, [space._ball_interval(x, r) for r in (0.1, math.nan)])
     # a sphere gave no points (mass 0) at a NaN radius and two at a negative one
     for call in SPHERE_CALLS:
         for r in (math.nan, -1.0):
@@ -196,7 +194,7 @@ def test_circle_rejects_a_non_finite_centre(x):
     with pytest.raises(ValueError, match="outside the domain"):
         measure_ball(space, x, 0.5)
     with pytest.raises(ValueError, match="outside the domain"):
-        _ball_pair_masses(space, 1.0, x, 0.5)
+        _ball_masses(space, [space._ball_interval(z, 0.5) for z in (1.0, x)])
 
 
 def test_infinite_radius_leaves_a_line_window():
@@ -219,72 +217,101 @@ def random_pl_space(kind, gaps, f, length=4.0):
     return Space1D(Topology1D(kind), WeightFn(coords + lo, f), window=(lo, lo + length))
 
 
-@settings(max_examples=80)
-@given(data=st.data(), kind=st.sampled_from(("line", "halfline", "interval", "circle")),
-       at=st.floats(0.0, 1.0), repeats=st.integers(0, 3))
-def test_nested_ball_masses_match_measure_ball(data, kind, at, repeats):
-    n = data.draw(st.integers(2, 40))
-    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-    f = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
-    space = random_pl_space(kind, np.array(gaps), np.array(f))
-    lo, hi = space.domain()
-    x = lo + (hi - lo) * at
-    # up to 1.2 domain lengths: circle balls past c/2 and c, half-line and
-    # interval balls clipped at an end, line balls past the window
-    rs = data.draw(st.lists(st.floats(0.0, 4.8, exclude_min=True), min_size=1, max_size=8))
-    radii = sorted(rs + rs[:repeats])
-    want = []
-    for r in radii:
-        try:
-            want.append(measure_ball(space, x, r))
-        except WindowError:  # the line stops at the window, and so does the helper
-            break
-    got = _nested_ball_masses(space, x, radii)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-13 * w
+def pair_differences(mass, ball_x, ball_y):
+    """m(B_x) - m(B_y) from the two balls' end pieces alone (the overlap cancels)."""
+    (ax, bx), (ay, by) = ball_x, ball_y
+    lo, hi = max(ax, ay), min(bx, by)  # the overlap, empty when hi <= lo
+    return ((mass(ax, min(lo, bx)) + mass(max(hi, ax), bx))
+            - (mass(ay, min(lo, by)) + mass(max(hi, ay), by)))
 
 
-def test_nested_ball_masses_rejects_a_centre_outside_the_domain():
-    with pytest.raises(ValueError, match="outside the domain"):
-        _nested_ball_masses(flat_line(), 99.0, [0.1])
+def next_to(space, near, ball):
+    """ball shifted by the multiple of a circle's circumference that brings it nearest near."""
+    if space.topology.kind != "circle":
+        return ball
+    c = space.topology.circumference
+    shift = c * round((near[0] + near[1] - ball[0] - ball[1]) / (2.0 * c))
+    return ball[0] + shift, ball[1] + shift
 
 
 @settings(max_examples=120)
 @given(data=st.data(), kind=st.sampled_from(("line", "halfline", "interval", "circle")),
-       at=st.floats(0.0, 1.0), offset=st.floats(-1.0, 1.0), turns=st.integers(-1, 1),
-       r=st.floats(0.0, 2.4, exclude_min=True))
-def test_ball_pair_masses_match_measure_ball(data, kind, at, offset, turns, r):
+       centres=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       pairs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                                st.integers(-1, 1)), max_size=4),
+       repeats=st.integers(0, 3))
+def test_ball_masses_match_measure_ball(data, kind, centres, pairs, repeats):
+    # one mixed batch: nested radii around a few centres, pairs across a
+    # circle's cut, disjoint and repeated balls, r = 0 and 2r >= c
     n = data.draw(st.integers(2, 40))
     gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     f = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
     space = random_pl_space(kind, np.array(gaps), np.array(f))
     lo, hi = space.domain()
-    x = lo + (hi - lo) * at
-    if kind == "circle":  # y anywhere on the unwrapped line: pairs across the cut
-        y = x + offset * (hi - lo) + turns * (hi - lo)
-    else:  # balls clipped at a domain end, or past the line's window
-        y = min(max(x + offset * r, lo), hi)
-    try:
-        want = [measure_ball(space, z, r) for z in (x, y)]
-    except WindowError as exc:
-        with pytest.raises(WindowError, match=re.escape(str(exc))):
-            _ball_pair_masses(space, x, y, r)
-        return
-    mx, my, diff = _ball_pair_masses(space, x, y, r)
-    assert abs(mx - want[0]) <= 1e-13 * want[0]
-    assert abs(my - want[1]) <= 1e-13 * want[1]
-    assert abs(diff - (want[0] - want[1])) <= 1e-13 * (want[0] + want[1])
+    radius = st.one_of(st.just(0.0), st.floats(0.0, 4.8))  # up to 1.2 domain lengths
+    balls, couples = [], []  # (centre, r, ball); (index of x's ball, of y's)
+    for at in centres:
+        x = lo + (hi - lo) * at
+        rs = data.draw(st.lists(radius, min_size=1, max_size=6))
+        for r in sorted(rs + rs[:repeats]):
+            try:  # the line and half-line stop at the window
+                balls.append((x, r, space._ball_interval(x, r)))
+            except WindowError:
+                pass
+    for at, offset, turns in pairs:
+        r = data.draw(st.floats(0.0, 2.4))
+        x = lo + (hi - lo) * at
+        if kind == "circle":  # y anywhere on the unwrapped line
+            y = x + (offset + turns) * (hi - lo)
+        else:  # balls clipped at a domain end, or past the line's window
+            y = min(max(x + offset * r, lo), hi)
+        try:
+            bx, by = space._ball_interval(x, r), space._ball_interval(y, r)
+        except WindowError:
+            continue
+        couples.append((len(balls), len(balls) + 1))
+        balls += [(x, r, bx), (y, r, next_to(space, bx, by))]
+    mass = _ball_masses(space, [b for *_, b in balls])
+    want = [measure_ball(space, x, r) for x, r, _ in balls]
+    for (_, _, ball), w in zip(balls, want):
+        assert abs(mass(*ball) - w) <= 1e-13 * w
+    for i, j in couples:
+        diff = pair_differences(mass, balls[i][2], balls[j][2])
+        assert abs(diff - (want[i] - want[j])) <= 1e-13 * (want[i] + want[j])
 
 
-def test_ball_pair_masses_on_a_flat_circle():
+def test_ball_masses_on_a_flat_circle():
+    space = flat_circle()
+    c = 2 * math.pi
     # across the cut: y's arc is shifted next to x's, not read a circle away
-    mx, my, diff = _ball_pair_masses(flat_circle(), 0.1, 2 * math.pi - 0.1, 0.5)
-    assert mx == pytest.approx(1.0, abs=1e-14) and my == pytest.approx(1.0, abs=1e-14)
-    assert abs(diff) <= 1e-15
+    bx = space._ball_interval(0.1, 0.5)
+    by = next_to(space, bx, space._ball_interval(c - 0.1, 0.5))
+    assert by == pytest.approx((-0.6, 0.4), abs=1e-15)
+    mass = _ball_masses(space, [bx, by])
+    assert mass(*bx) == pytest.approx(1.0, abs=1e-14) and mass(*by) == pytest.approx(1.0, abs=1e-14)
+    assert abs(pair_differences(mass, bx, by)) <= 1e-15
     # 2r >= c: both balls are the whole circle, and the overlap cancels exactly
-    mx, my, diff = _ball_pair_masses(flat_circle(), 0.3, 2.0, 3.5)
-    assert diff == 0.0 and mx == my == pytest.approx(2 * math.pi, abs=1e-14)
+    whole = space._ball_interval(0.3, 3.5)
+    assert whole == space._ball_interval(2.0, 3.5) == (0.0, c)
+    mass = _ball_masses(space, [whole, whole])
+    assert pair_differences(mass, whole, whole) == 0.0
+    assert mass(*whole) == pytest.approx(c, abs=1e-14)
+
+
+def test_ball_masses_skip_the_gap_between_disjoint_balls(monkeypatch):
+    space = weighted_interval()
+    pieces = []
+    integrate = WeightFn.integrate_density
+
+    def recording(self, lo, hi, scale=1.0):
+        pieces.append((lo, hi))
+        return integrate(self, lo, hi, scale)
+
+    monkeypatch.setattr(WeightFn, "integrate_density", recording)
+    mass = _ball_masses(space, [(0.1, 0.3), (0.2, 0.4), (0.6, 0.7), (0.6, 0.7)])
+    assert pieces == [(0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.6, 0.7)]
+    assert mass(0.1, 0.4) == pytest.approx(math.exp(-0.1) - math.exp(-0.4), rel=1e-14)
+    assert mass(0.6, 0.7) == pytest.approx(math.exp(-0.6) - math.exp(-0.7), rel=1e-14)
 
 
 # -- boundary_measure: closed form validated against the cover definition ------

@@ -280,6 +280,64 @@ def test_ball_masses_match_measure_ball(data, kind, centres, pairs, repeats):
         assert abs(diff - (want[i] - want[j])) <= 1e-13 * (want[i] + want[j])
 
 
+@settings(max_examples=80)
+@given(data=st.data(), kind=st.sampled_from(("line", "halfline", "interval", "circle")),
+       at=st.floats(0.0, 1.0), repeats=st.integers(0, 3))
+def test_nested_ball_masses_match_measure_ball(data, kind, at, repeats):
+    n = data.draw(st.integers(2, 40))
+    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    f = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    space = random_pl_space(kind, np.array(gaps), np.array(f))
+    lo, hi = space.domain()
+    x = lo + (hi - lo) * at
+    # up to 1.2 domain lengths: circle balls past c/2 and c, half-line and
+    # interval balls clipped at an end, line balls past the window
+    rs = data.draw(st.lists(st.floats(0.0, 4.8, exclude_min=True), min_size=1, max_size=8))
+    radii = sorted(rs + rs[:repeats])
+    want, balls = [], []
+    for r in radii:
+        try:
+            want.append(measure_ball(space, x, r))
+        except WindowError as exc:  # the line stops at the window, and so does the ball
+            with pytest.raises(WindowError, match=re.escape(str(exc))):
+                space._ball_interval(x, r)
+            break
+        balls.append(space._ball_interval(x, r))
+    mass = _ball_masses(space, balls)
+    for ball, w in zip(balls, want):
+        assert abs(mass(*ball) - w) <= 1e-13 * w
+
+
+@settings(max_examples=120)
+@given(data=st.data(), kind=st.sampled_from(("line", "halfline", "interval", "circle")),
+       at=st.floats(0.0, 1.0), offset=st.floats(-1.0, 1.0), turns=st.integers(-1, 1),
+       r=st.floats(0.0, 2.4, exclude_min=True))
+def test_ball_pair_masses_match_measure_ball(data, kind, at, offset, turns, r):
+    n = data.draw(st.integers(2, 40))
+    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    f = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    space = random_pl_space(kind, np.array(gaps), np.array(f))
+    lo, hi = space.domain()
+    x = lo + (hi - lo) * at
+    if kind == "circle":  # y anywhere on the unwrapped line: pairs across the cut
+        y = x + offset * (hi - lo) + turns * (hi - lo)
+    else:  # balls clipped at a domain end, or past the line's window
+        y = min(max(x + offset * r, lo), hi)
+    try:
+        want = [measure_ball(space, z, r) for z in (x, y)]
+    except WindowError as exc:
+        with pytest.raises(WindowError, match=re.escape(str(exc))):
+            [space._ball_interval(z, r) for z in (x, y)]
+        return
+    bx = space._ball_interval(x, r)
+    by = next_to(space, bx, space._ball_interval(y, r))
+    mass = _ball_masses(space, [bx, by])
+    assert abs(mass(*bx) - want[0]) <= 1e-13 * want[0]
+    assert abs(mass(*by) - want[1]) <= 1e-13 * want[1]
+    diff = pair_differences(mass, bx, by)
+    assert abs(diff - (want[0] - want[1])) <= 1e-13 * (want[0] + want[1])
+
+
 def test_ball_masses_on_a_flat_circle():
     space = flat_circle()
     c = 2 * math.pi

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .coefficients import (CurvatureParams, _beyond_conjugate_radius, conjugate_radius, f_vol,
                            s_vol, sigma)
-from .space1d import Space1D, WindowError, _number, load_space
+from .space1d import Space1D, WindowError, _known_fields, _number, load_space
 from . import transport1d as tr
 from . import curvature as cv
 from . import geometry_scan as gs
@@ -78,9 +78,10 @@ def _scenario_from_args(args) -> tuple[br.Tripod, br.BranchingScenario, list[flo
     if not args.input:
         raise ValueError("this command needs --input with a scenario description")
     data = _load_json(args.input)
+    defaults = {"a": None, "b": None, "eps": None, "eta": None, "beta": 1.0, "N": 2.0}
+    _known_fields(data, (*defaults, "edge_lengths", "eps_sweep"), "scenario description")
     fields = {}
-    for field, default in (("a", None), ("b", None), ("eps", None), ("eta", None),
-                           ("beta", 1.0), ("N", 2.0)):
+    for field, default in defaults.items():
         if field not in data and default is None:
             raise ValueError(f"scenario description: missing field {field!r}")
         fields[field] = _number(data.get(field, default),
@@ -156,23 +157,22 @@ def _bg_check(check, space, params, args):
 
 
 def _lipschitz(space, params, args):
+    """200 seeded pairs (x, x + d), drawn where both balls fit the window."""
     lo, hi = space.domain()
     r = 0.25 * _reach(space, 0.5 * (lo + hi))
+    circle = space.topology.kind == "circle"
+    own_lo, own_hi = space._own_ends()
+    a = lo if circle or own_lo else lo + r
     rng = np.random.default_rng(args.seed)
     pairs = []
     for _ in range(200):
-        x = lo + (hi - lo) * rng.random()
+        u = rng.random()
         d = r / 2.0 * rng.uniform(0.05, 0.95)
-        y = x + d
-        if not space.contains(y):
-            continue
-        try:  # a ball is cut where the space stops, and dropped past a window end
-            space._ball_interval(x, r), space._ball_interval(y, r)
-        except WindowError:
-            continue
-        pairs.append((float(x), float(y)))
+        b = hi if circle else hi - d - (0.0 if own_hi else r)
+        x = a + (b - a) * u
+        pairs.append((float(x), float(x + d)))
     _, _, report = gs.lipschitz_modulus(space, params, r, pairs)
-    return report, {"r": r, "pairs_dropped": 200 - len(pairs)}
+    return report, {"r": r}
 
 
 _REPORT_CHECKS = {
@@ -289,6 +289,7 @@ def _cmd_coefficients_table(args):
         raise ValueError("coefficients-table needs --input with grids "
                          '{"t": [...], "K": [...], "N": [...], "theta": [...]}')
     data = _load_json(args.input)
+    _known_fields(data, ("t", "K", "N", "theta"), "coefficients grid")
     grid = {}
     for fieldname in ("t", "K", "N", "theta"):
         if fieldname not in data or not isinstance(data[fieldname], list):

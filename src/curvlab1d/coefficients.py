@@ -15,11 +15,11 @@ s_vol and f_vol raise ValueError naming K, N and the radius where it is
 not finite and >= 0 or their value overflows (never OverflowError or a hang).
 
 sigma's rule for one theta -- the conjugate test, the branch and the
-t-free denominator -- lives in ``_sigma_branch`` alone.  Scalar sigma and
-the batched (K,N)-convexity battery in ``curvature`` both read it, so a
-battery evaluates the rule once per plan length and only ``sin(t x) / den``
-(or ``sinh``) per distinct argument, with the same float operations as
-sigma.
+t-free denominator -- is ``_sigma_branch``, and its value at t is
+``_sigma_value``; sigma is the two in a row, and the module keeps no
+state.  The batched (K,N)-convexity battery in ``curvature`` takes the rule
+once per plan length, then sigma's float operations once per distinct
+argument (``_sigma_value`` itself on its rare seam and far-sinh rows).
 
 Near the K = 0 seam the sin/sinh ratios cancel catastrophically, so for
 ``|K| * theta**2 / N < 1e-8`` sigma switches to the shared Taylor series of
@@ -109,25 +109,8 @@ def _sigma_branch(params: CurvatureParams, theta: float) -> tuple[int, float, fl
         return FAR, x, _expm1(-2.0 * x)
 
 
-# [(params, theta, *rule)] of sigma's latest call: callers that sweep t at one
-# theta (verify_cde, the seam rows of a battery) derive the rule once.  One
-# tuple, replaced whole, so a reader never sees a mix of two calls.
-_last = [(None, math.nan, LINEAR, 0.0, 1.0)]  # a NaN theta matches no call
-
-
-def sigma(t: float, params: CurvatureParams, theta: float) -> float:
-    """Distortion coefficient sigma^(t)_{K,N}(theta).
-
-    Returns math.inf iff K*theta^2 >= N*pi^2 (conjugate-point regime).
-    Exactly t when K*theta^2 == 0.  Continuous in K across K = 0.  Raises
-    ValueError unless 0 <= t <= 1 and theta is finite and >= 0.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0,1], got {t}")
-    p, th, branch, x, den = _last[0]
-    if p is not params or th != theta:
-        branch, x, den = _sigma_branch(params, theta)
-        _last[0] = (params, theta, branch, x, den)
+def _sigma_value(t: float, branch: int, x: float, den: float) -> float:
+    """sigma^(t) from the rule (branch, x, den) that _sigma_branch gives."""
     if branch == SIN:
         return _sin(t * x) / den
     if branch == SINH:
@@ -139,6 +122,18 @@ def sigma(t: float, params: CurvatureParams, theta: float) -> float:
     if branch == SEAM:
         return t * (1.0 - t * t * x / 6.0 + (t ** 4) * x * x / 120.0) / den
     return _exp(-((1.0 - t) * x)) * _expm1(-2.0 * t * x) / den
+
+
+def sigma(t: float, params: CurvatureParams, theta: float) -> float:
+    """Distortion coefficient sigma^(t)_{K,N}(theta).
+
+    Returns math.inf iff K*theta^2 >= N*pi^2 (conjugate-point regime).
+    Exactly t when K*theta^2 == 0.  Continuous in K across K = 0.  Raises
+    ValueError unless 0 <= t <= 1 and theta is finite and >= 0.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0,1], got {t}")
+    return _sigma_value(t, *_sigma_branch(params, theta))
 
 
 def _s_vol(params: CurvatureParams, t: float) -> float:

@@ -29,14 +29,13 @@ margin equals scalar sigma's arithmetic.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .coefficients import (CONJUGATE, FAR, SEAM, SIN, SINH, CurvatureParams, _sigma_branch,
-                           sigma)
+                           _sigma_value, sigma)
 from .space1d import Space1D, WeightFn
 from .transport1d import entropies_along
 
@@ -187,7 +186,7 @@ def _battery_sigmas(params: CurvatureParams, d: np.ndarray, t: np.ndarray,
     sinh plans map that function once per distinct argument (1-t) x, then
     once per distinct t x (grid rows share most of them), and divide by
     their plan's denominator, as sigma does; a row of a linear plan is t.
-    Seam and far-sinh rows, rare, go through scalar sigma."""
+    Seam and far-sinh rows, rare, take sigma's value from the rule."""
     dist, plan_at = np.unique(d, return_inverse=True)  # grid plans share lengths
     rule = np.array([_sigma_branch(params, v) for v in dist.tolist()], dtype=float)
     branch, x, den = rule.reshape(-1, 3)[plan_at].T
@@ -205,7 +204,8 @@ def _battery_sigmas(params: CurvatureParams, d: np.ndarray, t: np.ndarray,
                 args, arg_at = np.unique(tt[sel] * x[sel], return_inverse=True)
                 c[sel] = _scalar_map(fn, args)[arg_at] / den[sel]
         if series.any():
-            c[series] = _scalar_map(sigma, tt[series], repeat(params), d[at[series]])
+            c[series] = _scalar_map(_sigma_value, tt[series], branch[series], x[series],
+                                    den[series])
         coefs.append(c)
     return live, coefs[0], coefs[1]
 
@@ -384,6 +384,19 @@ def differential_criterion(f: WeightFn, params: CurvatureParams,
     )
 
 
+def _entropy_pairs(space: Space1D, pair_battery, t_grid: Sequence[float]):
+    """(idx, W2, Ent0, Ent1, [Ent_t per time of t_grid]) per pair, each pair
+    coupled once; raises ValueError where an entropy diverges."""
+    for idx, (mu0, mu1) in enumerate(pair_battery):
+        dist, ents = entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
+        if not (math.isfinite(ents[0]) and math.isfinite(ents[1])):
+            raise ValueError(f"pair {idx}: endpoint entropy diverges")
+        for t, et in zip(t_grid, ents[2:]):
+            if not math.isfinite(et):
+                raise ValueError(f"pair {idx}: entropy diverges at t={t}")
+        yield idx, dist, ents[0], ents[1], ents[2:]
+
+
 def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
                t_grid: Sequence[float] = _DEFAULT_T_GRID, tol: float = 5e-4,
                seed: int | None = None) -> CurvatureReport:
@@ -396,14 +409,8 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
     worst = -math.inf
     witness = {}
     flags = []
-    for idx, (mu0, mu1) in enumerate(pair_battery):
-        dist, ents = entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
-        e0, e1 = ents[0], ents[1]
-        if not (math.isfinite(e0) and math.isfinite(e1)):
-            raise ValueError(f"pair {idx}: endpoint entropy diverges")
-        for t, et in zip(t_grid, ents[2:]):
-            if not math.isfinite(et):
-                raise ValueError(f"pair {idx}: entropy diverges at t={t}")
+    for idx, dist, e0, e1, ents in _entropy_pairs(space, pair_battery, t_grid):
+        for t, et in zip(t_grid, ents):
             s0 = sigma(1.0 - t, params, dist)
             s1 = sigma(t, params, dist)
             if math.isinf(s0) or math.isinf(s1):
@@ -422,11 +429,9 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
                            "ent1": e1, "ent_t": et, "margin": m}
     if worst == -math.inf:
         raise ValueError("no finite-margin pair in the battery")
-    return CurvatureReport(
-        kind="cde-entropic", K=params.K, N=params.N, max_violation=worst,
-        witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
-        conjugate_flags=flags, extra={"n_pairs": len(pair_battery)},
-    )
+    return CurvatureReport(kind="cde-entropic", K=params.K, N=params.N, max_violation=worst,
+                           witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
+                           conjugate_flags=flags, extra={"n_pairs": len(pair_battery)})
 
 
 def verify_cd_infty(space: Space1D, K: float, pair_battery,
@@ -435,12 +440,8 @@ def verify_cd_infty(space: Space1D, K: float, pair_battery,
     """K-convexity of the entropy: Ent_t <= (1-t)Ent0 + tEnt1 - K/2 t(1-t) W2^2."""
     worst = -math.inf
     witness = {}
-    for idx, (mu0, mu1) in enumerate(pair_battery):
-        dist, ents = entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
-        e0, e1 = ents[0], ents[1]
-        if not (math.isfinite(e0) and math.isfinite(e1)):
-            raise ValueError(f"pair {idx}: endpoint entropy diverges")
-        for t, et in zip(t_grid, ents[2:]):
+    for idx, dist, e0, e1, ents in _entropy_pairs(space, pair_battery, t_grid):
+        for t, et in zip(t_grid, ents):
             bound = (1.0 - t) * e0 + t * e1 - 0.5 * K * t * (1.0 - t) * dist * dist
             m = et - bound
             if m > worst:
@@ -449,23 +450,20 @@ def verify_cd_infty(space: Space1D, K: float, pair_battery,
                            "bound": bound, "margin": m}
     if worst == -math.inf:
         raise ValueError("no finite-margin pair in the battery")
-    return CurvatureReport(
-        kind="cd-infinity", K=K, N=math.inf, max_violation=worst,
-        witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
-        extra={"n_pairs": len(pair_battery)},
-    )
+    return CurvatureReport(kind="cd-infinity", K=K, N=math.inf, max_violation=worst,
+                           witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
+                           extra={"n_pairs": len(pair_battery)})
 
 
-def circle_obstruction(space: Space1D, params: CurvatureParams,
-                       shrink: float = 0.8, min_steps: int = 40) -> CurvatureReport:
+def circle_obstruction(space: Space1D, params: CurvatureParams) -> CurvatureReport:
     """Find a (K,N)-convexity violation on a circle for K > 0.
 
-    Centers symmetric triples (x0, argmax V, x1) and shrinks the endpoint
-    separation until the convexity inequality fails.  For every continuous
-    weight and K > 0 a violation must exist; returning none is reported as
-    an anomaly (it would contradict the positive-curvature non-collapse
-    statement and signals a bug).
-    """
+    Scores the triples (xbar -+ d/2, t = 1/2), xbar = argmax V, in one
+    battery: d from 0.95 min(c/2, pi sqrt(N/K)), below the conjugate length,
+    times 0.8 while d > 16 eps c, and while d > 4 grid_step or fewer than 40
+    are scored.  The first positive margin is the violation, which must
+    exist for every weight and K > 0; none is an anomaly (a bug), reported
+    at the first largest margin."""
     if space.topology.kind != "circle":
         raise ValueError("circle_obstruction needs a circle space")
     if not params.K > 0.0:
@@ -473,45 +471,31 @@ def circle_obstruction(space: Space1D, params: CurvatureParams,
     w = space.weight
     circ = space.topology.circumference
     xbar = float(w.coords[int(np.argmax(w.values))])
-    d_max = 0.95 * min(circ / 2.0, math.pi * math.sqrt(params.N / params.K))
-    d = d_max
-    best = -math.inf
-    best_w = {}
-    steps = 0
-    while d > 4.0 * space.grid_step or steps < min_steps:
-        if d <= 16.0 * np.finfo(float).eps * circ:
-            break
-        x0 = (xbar - d / 2.0) % circ
-        x1 = (xbar + d / 2.0) % circ
-        # d < d_max keeps the triple out of the conjugate regime, so an inf
-        # margin is an overflowed violation
-        m = triple_margin(w, space, params, x0, x1, 0.5, arc="minor")
-        if m > 0.0:
-            # xbar maximises f, so gN cannot overflow once the margin was
-            # computed, but it can underflow
-            gN = math.exp(-w(xbar) / params.N)
-            if gN == 0.0:
-                raise ValueError(f"exp(-f/N) is not representable at xbar = {xbar!r}: "
-                                 f"f = {w(xbar)!r}, N = {params.N!r}")
-            s_sum = m + gN
-            analytic = 1.0 / math.cos(0.5 * d * math.sqrt(params.K / params.N))
-            return CurvatureReport(
-                kind="circle-obstruction", K=params.K, N=params.N,
-                max_violation=m,
-                witness={"x0": x0, "xbar": xbar, "x1": x1, "t": 0.5, "d": d,
-                         "margin": m, "violation_factor": s_sum / gN,
-                         "analytic_factor": analytic},
-                tolerance=default_tolerance(space.grid_step),
-                grid_step=space.grid_step,
-                extra={"anomaly": False},
-            )
-        if m > best:
-            best, best_w = m, {"x0": x0, "x1": x1, "d": d, "margin": m}
-        d *= shrink
-        steps += 1
+    ds, d = [], 0.95 * min(circ / 2.0, math.pi * math.sqrt(params.N / params.K))
+    while (d > 4.0 * space.grid_step or len(ds) < 40) and d > 16.0 * np.finfo(float).eps * circ:
+        ds.append(d)
+        d *= 0.8
+    x0, x1 = [(xbar - d / 2.0) % circ for d in ds], [(xbar + d / 2.0) % circ for d in ds]
+    n = len(ds)
+    margins, _ = _battery_margins(w, space, params, np.array(x0), np.array(x1),
+                                  np.zeros(n, dtype=bool), np.full(n, 0.5), np.arange(n))
+    positive = margins > 0.0
+    found, witness, m = bool(positive.any()), {}, -math.inf
+    if n:
+        k = int(np.argmax(positive if found else margins))
+        d, m = ds[k], float(margins[k])
+        witness = {"x0": x0[k], "x1": x1[k], "d": d, "margin": m}
+    if found:
+        # xbar maximises f, so gN cannot overflow once the margins were
+        # computed, but it can underflow
+        gN = math.exp(-w(xbar) / params.N)
+        if gN == 0.0:
+            raise ValueError(f"exp(-f/N) is not representable at xbar = {xbar!r}: "
+                             f"f = {w(xbar)!r}, N = {params.N!r}")
+        witness = {"x0": x0[k], "xbar": xbar, "x1": x1[k], "t": 0.5, "d": d, "margin": m,
+                   "violation_factor": (m + gN) / gN,
+                   "analytic_factor": 1.0 / math.cos(0.5 * d * math.sqrt(params.K / params.N))}
     return CurvatureReport(
-        kind="circle-obstruction", K=params.K, N=params.N, max_violation=best,
-        witness=best_w, tolerance=default_tolerance(space.grid_step),
-        grid_step=space.grid_step,
-        extra={"anomaly": True},
-    )
+        kind="circle-obstruction", K=params.K, N=params.N, max_violation=m, witness=witness,
+        tolerance=default_tolerance(space.grid_step), grid_step=space.grid_step,
+        extra={"anomaly": not found})

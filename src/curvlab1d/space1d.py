@@ -432,6 +432,12 @@ def _number(value, where: str) -> float:
         raise ValueError(f"{where} must be a number, got {value!r}") from None
 
 
+def _known_fields(data: dict, fields: tuple[str, ...], where: str) -> None:
+    """A schema error naming the first field of data that is not in fields."""
+    if unknown := [name for name in data if name not in fields]:
+        raise ValueError(f"{where}: unknown field {unknown[0]!r}")
+
+
 def load_space(source) -> Space1D:
     """Build a Space1D from the JSON description (dict, JSON text, or path).
 
@@ -440,6 +446,7 @@ def load_space(source) -> Space1D:
              "window": [a, b] (line/halfline),
              "weight": {"coords": [...], "f": [...]} (optional; default f = 0),
              "grid_step": h (optional; default 1e-3)}
+    Any other field is a schema error ("param": null passes on a line).
     """
     if isinstance(source, str):
         if source.lstrip().startswith("{"):
@@ -451,6 +458,7 @@ def load_space(source) -> Space1D:
         data = source
     else:
         raise ValueError(f"cannot load a space from {type(source)!r}")
+    _known_fields(data, ("topology", "param", "window", "weight", "grid_step"), "space description")
 
     if "topology" not in data:
         raise ValueError("space description: missing field 'topology'")
@@ -463,7 +471,7 @@ def load_space(source) -> Space1D:
             raise ValueError(f"space description: field 'param' must be > 0 for {kind}")
         topo = Topology1D(kind, float(param))
     else:
-        topo = Topology1D(kind)
+        topo = Topology1D(kind, param)  # a line or half-line takes no param but null
 
     window = None
     if kind in ("line", "halfline"):
@@ -486,6 +494,7 @@ def load_space(source) -> Space1D:
     else:
         if not isinstance(wdata, dict) or "coords" not in wdata or "f" not in wdata:
             raise ValueError("space description: field 'weight' must have 'coords' and 'f'")
+        _known_fields(wdata, ("coords", "f"), "space description: weight")
         try:
             coords = np.asarray(wdata["coords"], dtype=float)
             fvals = np.asarray(wdata["f"], dtype=float)

@@ -415,3 +415,47 @@ def frozen_circle_cut(bp0, ext1, n_cuts=256):
     if grid_val(k) < v_best:
         a_best, v_best = shifts[k], vals[k]
     return v_best, a_best
+
+
+# -- frozen circle obstruction -------------------------------------------------------
+
+def frozen_circle_obstruction(space, params, shrink=0.8, min_steps=40):
+    """`curvature.circle_obstruction` as it was before it became one battery:
+    one triple at a time, shrinking d until the first positive margin.  The
+    battery keeps every float operation of each row, so its report must
+    equal this one in repr."""
+    from curvlab1d.curvature import CurvatureReport, default_tolerance, triple_margin
+
+    w = space.weight
+    circ = space.topology.circumference
+    xbar = float(w.coords[int(np.argmax(w.values))])
+    d = 0.95 * min(circ / 2.0, math.pi * math.sqrt(params.N / params.K))
+    best, best_w, steps = -math.inf, {}, 0
+    while d > 4.0 * space.grid_step or steps < min_steps:
+        if d <= 16.0 * np.finfo(float).eps * circ:
+            break
+        x0 = (xbar - d / 2.0) % circ
+        x1 = (xbar + d / 2.0) % circ
+        m = triple_margin(w, space, params, x0, x1, 0.5, arc="minor")
+        if m > 0.0:
+            gN = math.exp(-w(xbar) / params.N)
+            if gN == 0.0:
+                raise ValueError(f"exp(-f/N) is not representable at xbar = {xbar!r}: "
+                                 f"f = {w(xbar)!r}, N = {params.N!r}")
+            s_sum = m + gN
+            analytic = 1.0 / math.cos(0.5 * d * math.sqrt(params.K / params.N))
+            return CurvatureReport(
+                kind="circle-obstruction", K=params.K, N=params.N, max_violation=m,
+                witness={"x0": x0, "xbar": xbar, "x1": x1, "t": 0.5, "d": d,
+                         "margin": m, "violation_factor": s_sum / gN,
+                         "analytic_factor": analytic},
+                tolerance=default_tolerance(space.grid_step), grid_step=space.grid_step,
+                extra={"anomaly": False})
+        if m > best:
+            best, best_w = m, {"x0": x0, "x1": x1, "d": d, "margin": m}
+        d *= shrink
+        steps += 1
+    return CurvatureReport(
+        kind="circle-obstruction", K=params.K, N=params.N, max_violation=best,
+        witness=best_w, tolerance=default_tolerance(space.grid_step),
+        grid_step=space.grid_step, extra={"anomaly": True})

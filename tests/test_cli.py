@@ -16,6 +16,7 @@ def spaces(tmp_path):
     descs = {
         "interval": {"topology": "interval", "param": 1.0, "grid_step": 1e-3},
         "line": {"topology": "line", "window": [-4, 4], "grid_step": 1e-3},
+        "halfline": {"topology": "halfline", "window": [0, 4], "grid_step": 1e-3},
         "circle": {"topology": "circle", "param": 1.0, "grid_step": 1e-3},
         "scenario": {"a": 0.5, "b": 0.1, "eps": 0.05, "eta": 0.5,
                      "beta": 1.0, "N": 2.0, "edge_lengths": [1, 1, 1]},
@@ -83,15 +84,50 @@ def test_report_contract_fields(spaces, tmp_path, command):
     assert body["seed"] == 5
 
 
-@pytest.mark.parametrize("space,kept", [("interval", 192), ("line", 138), ("circle", 200)])
-def test_lipschitz_counts_the_pairs_it_drops(spaces, tmp_path, space, kept):
-    # a pair is dropped only where y leaves the domain or a ball the window:
-    # on the interval, balls cut at an end are checked too (138 of 200 were)
+@pytest.mark.parametrize("space", ["interval", "line", "halfline", "circle"])
+def test_lipschitz_checks_every_pair(spaces, tmp_path, space):
+    # x is drawn where y stays in the domain and both balls fit the window,
+    # so none of the 200 pairs is dropped (138 of them were on the interval,
+    # then 192, and 138 on the line [-4, 4])
     out = str(tmp_path / "l.json")
     assert run(["lipschitz", "--input", spaces[space], "--seed", "0", "--output", out]) == 0
     body = body_of(out)
-    assert body["n_pairs"] == kept
-    assert body["n_pairs"] + body["params"]["pairs_dropped"] == 200
+    assert body["n_pairs"] == 200
+    assert "pairs_dropped" not in body["params"]
+
+
+@pytest.mark.parametrize("command,desc,field", [
+    pytest.param("check-kn-convex", {"topology": "interval", "param": 1, "wieght": {
+        "coords": [0, 1], "f": [0.0, -30.0]}}, "'wieght'", id="misspelt-weight"),
+    pytest.param("lipschitz", {"topology": "line", "param": 1, "window": [-4, 4]}, "param",
+                 id="line-param"),
+    pytest.param("lipschitz", {"topology": "halfline", "param": 4, "window": [0, 4]}, "param",
+                 id="halfline-param"),
+    pytest.param("lipschitz", {"topology": "line", "window": [-4, 4], "weight": {
+        "coords": [-4, 4], "f": [0, 0], "fs": [1, 1]}}, "'fs'", id="weight-field"),
+    pytest.param("tripod-shannon", {"a": 0.5, "b": 0.1, "eps": 0.05, "eta": 0.5,
+                                    "edge_length": [0.01, 1, 1]}, "'edge_length'",
+                 id="scenario-field"),
+    pytest.param("coefficients-table", {"t": [0.5], "K": [0.0], "N": [2.0], "theta": [1.0],
+                                        "Ks": [5.0]}, "'Ks'", id="grid-field"),
+])
+def test_description_fields_are_never_dropped(tmp_path, capsys, command, desc, field):
+    # a field the description does not define, or a param on a line or
+    # half-line, exits 1 and names the field: it was silently dropped, so a
+    # misspelt weight ran as f = 0 (check-kn-convex exit 0, margin 0.0)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(desc))
+    assert run([command, "--input", str(path), "--output", str(tmp_path / "o.json")]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_a_null_param_on_a_line_loads(tmp_path):
+    # space_to_dict writes "param": null for a line or half-line
+    for desc in ({"topology": "line", "param": None, "window": [-4, 4]},
+                 {"topology": "halfline", "param": None, "window": [0, 4]}):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(desc))
+        assert run(["lipschitz", "--input", str(path), "--output", str(tmp_path / "o.json")]) == 0
 
 
 def test_circle_obstruction_exit_zero_when_found(spaces, tmp_path):

@@ -169,7 +169,7 @@ def test_sigma_past_sinh_overflow_matches_mpmath():
 
 
 def test_sigma_does_not_depend_on_the_previous_call():
-    # sigma keeps the rule of its latest theta; any call order gives the same bits
+    # sigma keeps no state between calls: any call order gives the same bits
     params = [CurvatureParams(K, N) for K, N in ((-1.0, 2.0), (0.0, 3.0), (2.0, 2.0),
                                                  (1e-10, 2.0), (-1.0, 2.0))]
     calls = [(t, p, theta) for p in params for theta in (0.0, 0.3, 1.7, 1000.0)

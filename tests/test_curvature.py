@@ -14,7 +14,7 @@ from curvlab1d.curvature import (
     verify_cd_infty, verify_cde,
 )
 
-from oracles import brute_force_triple_scan, loop_triple_battery
+from oracles import brute_force_triple_scan, frozen_circle_obstruction, loop_triple_battery
 
 
 def cosine_weight_space(K=1.0, N=2.0, frac=0.9, step=1e-3):
@@ -720,6 +720,33 @@ def test_cde_implies_cd_infty_on_battery():
             assert cdi.passed
 
 
+@pytest.mark.parametrize("at,message", [
+    (0, "pair 1: endpoint entropy diverges"),
+    (1, "pair 1: endpoint entropy diverges"),
+    (2, "pair 1: entropy diverges at t=0.125"),
+    (5, "pair 1: entropy diverges at t=0.5"),
+])
+def test_entropic_checks_raise_on_a_diverging_entropy(monkeypatch, at, message):
+    # both checks read one pair loop: an infinite entropy at an endpoint or
+    # at an interior time raises in each, with the same words (verify_cd_infty
+    # used to score an interior inf as an inf margin)
+    space = unit_interval()
+    pairs = translate_pairs(space, 3, seed=4)
+    real = curvature.entropies_along
+
+    def diverging(space, mu0, mu1, ts):
+        dist, ents = real(space, mu0, mu1, ts)
+        if mu0 is pairs[1][0]:
+            ents[at] = math.inf
+        return dist, ents
+
+    monkeypatch.setattr(curvature, "entropies_along", diverging)
+    for check in (lambda: verify_cde(space, CurvatureParams(0.0, 2.0), pairs),
+                  lambda: verify_cd_infty(space, 0.0, pairs)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check()
+
+
 # -- circle obstruction ------------------------------------------------------------
 
 def test_circle_constant_weight_factor_matches_analytic():
@@ -780,6 +807,67 @@ def test_unrepresentable_exp_weight_raises_value_error():
     circ = circle_with(lambda th: 1400.0 + 100.0 * np.exp(-((th - math.pi) / 0.3) ** 2), n=64)
     with pytest.raises(ValueError, match="not representable at xbar = "):
         circle_obstruction(circ, CurvatureParams(1.0, 2.0))
+
+
+def harmonic_circle(offset, a1, a2, a3, phase, n, radius, step):
+    circ = 2.0 * math.pi * radius
+    coords = np.linspace(0.0, circ, n, endpoint=False)
+    u = coords / radius
+    f = offset + a1 * np.sin(u) + a2 * np.cos(2.0 * u) + a3 * np.sin(3.0 * u + phase)
+    return Space1D(Topology1D("circle", radius), WeightFn(coords, f, period=circ),
+                   grid_step=step)
+
+
+def report_or_error(fn, space, params):
+    try:
+        return repr(fn(space, params))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=120)
+@given(offset=st.floats(-30.0, 30.0), a1=st.floats(-5.0, 5.0), a2=st.floats(-2.0, 2.0),
+       a3=st.floats(-1.0, 1.0), phase=st.floats(0.0, 6.3), n=st.integers(4, 400),
+       radius=st.sampled_from([0.3, 1.0, 2.5]), log_step=st.floats(-4.0, -0.5),
+       log_K=st.floats(-12.0, math.log10(50.0)), N=st.floats(1.01, 8.0))
+# constant weight, K = 1e-300: every margin is 0.0, so none is found
+@example(offset=0.0, a1=0.0, a2=0.0, a3=0.0, phase=0.0, n=2000, radius=1.0,
+         log_step=math.log10(2.0 * math.pi / 2000), log_K=-300.0, N=2.0)
+# g = exp(709): the margin at the first d overflows to inf
+@example(offset=-1418.0, a1=0.0, a2=0.0, a3=0.0, phase=0.0, n=2000, radius=1.0,
+         log_step=math.log10(2.0 * math.pi / 2000), log_K=math.log10(8.0), N=2.0)
+def test_circle_obstruction_is_the_frozen_loop(offset, a1, a2, a3, phase, n, radius,
+                                               log_step, log_K, N):
+    # one battery over the whole d sequence reports what the triple-at-a-time
+    # loop reported, bit for bit, errors included
+    space = harmonic_circle(offset, a1, a2, a3, phase, n, radius, 10.0 ** log_step)
+    params = CurvatureParams(10.0 ** log_K, N)
+    got = report_or_error(circle_obstruction, space, params)
+    assert got == report_or_error(frozen_circle_obstruction, space, params)
+    if log_K == -300.0:
+        report = circle_obstruction(space, params)
+        assert report.extra["anomaly"] and report.max_violation == 0.0
+    if offset == -1418.0:
+        assert math.isinf(circle_obstruction(space, params).max_violation)
+
+
+def test_circle_obstruction_raises_where_exp_overflows_at_inner_triples():
+    # f = -1500 within 0.3 of pi puts exp(-f/N) past the float range there,
+    # and f(pi) = 5 keeps xbar = pi: only the inner triples reach the
+    # overflow, and the battery scores them all (the loop stopped at the
+    # first d, a violation)
+    def fn(th):
+        return np.where(np.abs(th - math.pi) < 0.3, -1500.0, 0.0) + np.where(
+            th == math.pi, 1505.0, 0.0)
+
+    space = circle_with(fn, n=64)
+    assert space.weight(math.pi) == 5.0
+    params = CurvatureParams(1.0, 2.0)
+    with pytest.raises(ValueError, match=r"exp\(-f/N\) is not representable at x = "):
+        circle_obstruction(space, params)
+    # the triple battery and the classifier already raised on this weight
+    with pytest.raises(ValueError, match=r"exp\(-f/N\) is not representable at x = "):
+        check_kn_convex(space.weight, space, params, default_triple_battery(space))
 
 
 def test_circle_obstruction_rejects_bad_inputs():

@@ -674,3 +674,22 @@ def test_load_space_defaults_zero_weight():
     space = load_space({"topology": "line", "window": [-2, 2]})
     assert measure_ball(space, 0.0, 1.0) == pytest.approx(2.0, abs=1e-14)
     assert space.grid_step == 1e-3
+
+
+def test_load_space_refuses_unknown_fields():
+    # a misspelt field used to be dropped: "wieght" loaded f = 0
+    weight = {"coords": [0, 1], "f": [0.0, -30.0]}
+    for desc, name in (({"topology": "interval", "param": 1, "wieght": weight}, "'wieght'"),
+                       ({"topology": "interval", "param": 1,
+                         "weight": dict(weight, fs=[1, 1])}, "'fs'"),
+                       ({"topology": "line", "param": 2.0, "window": [-1, 1]}, "param"),
+                       ({"topology": "halfline", "param": 0, "window": [0, 1]}, "param")):
+        with pytest.raises(ValueError, match=name):
+            load_space(desc)
+    # space_to_dict writes "param": null on a line or half-line
+    for space in (Space1D(Topology1D("line"), WeightFn.constant(0.0, -1.0, 1.0),
+                          window=(-1.0, 1.0)),
+                  Space1D(Topology1D("halfline"), WeightFn.constant(0.0, 0.0, 1.0),
+                          window=(0.0, 1.0))):
+        again = load_space(json.dumps(space_to_dict(space)))
+        assert again.topology == space.topology and again.window == space.window

@@ -15,9 +15,10 @@ going to target coordinate u = s (1 - tau)/tau on edge 1 (the "up" plan)
 or edge 2 (the "down" plan).  Both plans share the same (s, tau) law, so
 their time-t pushforwards agree exactly for t <= a and land on disjoint
 edges for t >= a + eps.  The pushforward density at any time integrates in
-closed form over tau (a log antiderivative), so entropies, the dimensional
-functionals, and density certificates evaluate to quadrature accuracy with
-no ensemble binning noise.
+closed form over tau (a log antiderivative), so entropies and the
+dimensional functionals evaluate to quadrature accuracy, and the density
+certificate is read at the density's breakpoints, with no ensemble binning
+noise.
 """
 
 from __future__ import annotations
@@ -267,15 +268,16 @@ class _HalfDensity:
             total += h * s
         return total
 
-    def sup_density(self, side: str, n_scan: int = 4096) -> float:
+    def sup_density(self, side: str) -> float:
+        """Sup of the side's length density, read at its breakpoints: there
+        it peaks, except on the target side while the geodesics still cross
+        (tau_lo < t <= tau_hi; at tau_hi the sup is a limit at u -> 0+),
+        which raises."""
+        if side == "target" and self.tau_lo < self.t <= self.tau_hi:
+            raise ValueError(f"the target density at t = {self.t!r}, in the crossing "
+                             f"window, peaks between its breakpoints")
         fn = self.stem_arr if side == "stem" else self.target_arr
-        pts = self._breaks(side)
-        best = 0.0
-        for aa, bb in zip(pts[:-1], pts[1:]):
-            if bb - aa <= 1e-15:
-                continue
-            best = max(best, float(np.max(fn(np.linspace(aa, bb, n_scan)))))
-        return best
+        return float(np.max(fn(np.array(self._breaks(side)))))
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,7 @@ def _density_certificate(pair: PlanPair) -> dict:
     """Sups of d(e_b)# pi^d / dm and d(e_1)# pi^{u,d} / dm.
 
     The two halves share one target length density at t = 1, so its sup is
-    scanned once and divided by each outer edge's density."""
+    read once and divided by each outer edge's density."""
     sc = pair.scenario
     c_stem = pair.tripod.densities[0]
     c_up, c_dn = pair.tripod.densities[1], pair.tripod.densities[2]

@@ -117,10 +117,13 @@ def _default_pair_battery(space: Space1D, seed: int, count: int = 50):
 
 
 def _reach(space: Space1D, x0: float) -> float:
+    """How far a ball around x0 may grow: half a circle, else to the nearer
+    window end, or to the far end where both ends are the space's own."""
     lo, hi = space.domain()
     if space.topology.kind == "circle":
         return space.topology.circumference / 2.0
-    return min(x0 - lo, hi - x0)
+    sides = [side for side, own in zip((x0 - lo, hi - x0), space._own_ends()) if not own]
+    return min(sides) if sides else max(x0 - lo, hi - x0)
 
 
 def _default_radii(space: Space1D, x0: float, params: CurvatureParams, n: int = 10):

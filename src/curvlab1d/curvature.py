@@ -463,7 +463,7 @@ def circle_obstruction(space: Space1D, params: CurvatureParams) -> CurvatureRepo
     times 0.8 while d > 16 eps c, and while d > 4 grid_step or fewer than 40
     are scored.  The first positive margin is the violation, which must
     exist for every weight and K > 0; none is an anomaly (a bug), reported
-    at the first largest margin."""
+    at the first largest margin.  A K so large that no d is scored raises."""
     if space.topology.kind != "circle":
         raise ValueError("circle_obstruction needs a circle space")
     if not params.K > 0.0:
@@ -475,16 +475,18 @@ def circle_obstruction(space: Space1D, params: CurvatureParams) -> CurvatureRepo
     while (d > 4.0 * space.grid_step or len(ds) < 40) and d > 16.0 * np.finfo(float).eps * circ:
         ds.append(d)
         d *= 0.8
+    if not ds:
+        raise ValueError(f"nothing to score: at K = {params.K!r}, N = {params.N!r} the first "
+                         f"d, {d!r}, is not above 16 eps c")
     x0, x1 = [(xbar - d / 2.0) % circ for d in ds], [(xbar + d / 2.0) % circ for d in ds]
     n = len(ds)
     margins, _ = _battery_margins(w, space, params, np.array(x0), np.array(x1),
                                   np.zeros(n, dtype=bool), np.full(n, 0.5), np.arange(n))
     positive = margins > 0.0
-    found, witness, m = bool(positive.any()), {}, -math.inf
-    if n:
-        k = int(np.argmax(positive if found else margins))
-        d, m = ds[k], float(margins[k])
-        witness = {"x0": x0[k], "x1": x1[k], "d": d, "margin": m}
+    found = bool(positive.any())
+    k = int(np.argmax(positive if found else margins))
+    d, m = ds[k], float(margins[k])
+    witness = {"x0": x0[k], "x1": x1[k], "d": d, "margin": m}
     if found:
         # xbar maximises f, so gN cannot overflow once the margins were
         # computed, but it can underflow

@@ -428,7 +428,7 @@ def _number(value, where: str) -> float:
     """float(value), or a schema error naming where the value came from."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
         raise ValueError(f"{where} must be a number, got {value!r}") from None
 
 
@@ -446,7 +446,8 @@ def load_space(source) -> Space1D:
              "window": [a, b] (line/halfline),
              "weight": {"coords": [...], "f": [...]} (optional; default f = 0),
              "grid_step": h (optional; default 1e-3)}
-    Any other field is a schema error ("param": null passes on a line).
+    Only the JSON is read here: fields, value types and shapes ("param":
+    null passes on a line).  Topology1D, Space1D and WeightFn judge the rest.
     """
     if isinstance(source, str):
         if source.lstrip().startswith("{"):
@@ -462,34 +463,23 @@ def load_space(source) -> Space1D:
 
     if "topology" not in data:
         raise ValueError("space description: missing field 'topology'")
-    kind = data["topology"]
-    if kind not in ("line", "halfline", "interval", "circle"):
-        raise ValueError(f"space description: unknown topology {kind!r}")
     param = data.get("param")
-    if kind in ("interval", "circle"):
-        if not isinstance(param, (int, float)) or not param > 0:
-            raise ValueError(f"space description: field 'param' must be > 0 for {kind}")
-        topo = Topology1D(kind, float(param))
-    else:
-        topo = Topology1D(kind, param)  # a line or half-line takes no param but null
-
-    window = None
-    if kind in ("line", "halfline"):
-        if "window" not in data:
-            raise ValueError(f"space description: field 'window' required for {kind}")
-        w = data["window"]
-        if (not isinstance(w, (list, tuple))) or len(w) != 2:
+    if not isinstance(param, (int, float, type(None))):
+        raise ValueError(f"space description: field 'param' must be a number, got {param!r}")
+    topo = Topology1D(data["topology"], param if param is None else _number(param, "param"))
+    window = data.get("window")
+    if "window" in data:
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
             raise ValueError("space description: field 'window' must be [a, b]")
-        window = tuple(_number(v, "space description: window entry") for v in w)
-    elif "window" in data:
-        raise ValueError(f"space description: field 'window' not allowed for {kind}")
+        window = tuple(_number(v, "space description: window entry") for v in window)
 
     grid_step = _number(data.get("grid_step", 1e-3), "space description: field 'grid_step'")
 
     wdata = data.get("weight")
-    period = 2.0 * math.pi * float(param) if kind == "circle" else None
+    period = topo.circumference if topo.kind == "circle" else None
     if wdata is None:  # f = 0 over the domain, on a circle one part in 1e9 short of a turn
-        lo, hi = window or (0.0, period * (1 - 1e-9) if period else float(param))
+        span = period * (1 - 1e-9) if period else topo.param
+        lo, hi = (0.0, span) if span else window or (0.0, 1.0)  # no window: Space1D refuses it
         weight = WeightFn.constant(0.0, lo, hi, period)
     else:
         if not isinstance(wdata, dict) or "coords" not in wdata or "f" not in wdata:
@@ -501,7 +491,5 @@ def load_space(source) -> Space1D:
         except (TypeError, ValueError):
             raise ValueError("space description: weight 'coords' and 'f' must be number "
                              "lists") from None
-        if coords.shape != fvals.shape:
-            raise ValueError("space description: weight 'coords' and 'f' lengths differ")
         weight = WeightFn(coords, fvals, period)
     return Space1D(topology=topo, weight=weight, grid_step=grid_step, window=window)

@@ -359,9 +359,9 @@ def test_certificate_scans_the_target_sup_once(monkeypatch):
     scans = []
     sup = _HalfDensity.sup_density
 
-    def counting(self, side, n_scan=4096):
+    def counting(self, side):
         scans.append((self.t, side))
-        return sup(self, side, n_scan)
+        return sup(self, side)
 
     monkeypatch.setattr(_HalfDensity, "sup_density", counting)
     tripod = Tripod((1.0, 1.0, 1.0), densities=(1.0, 0.5, 3.0))
@@ -373,3 +373,41 @@ def test_certificate_scans_the_target_sup_once(monkeypatch):
     assert cert["sup_density_down_at_1"] == target / 3.0
     assert cert["C"] == max(cert["sup_density_at_b"], target / 0.5, target / 3.0)
     assert branching._density_certificate(pair) == cert
+
+
+def _dense_sup(hd, side, n=20001):
+    """The side's length density scanned at n points per piece."""
+    fn = hd.stem_arr if side == "stem" else hd.target_arr
+    pts = hd._breaks(side)
+    return max([0.0] + [float(np.max(fn(np.linspace(aa, bb, n))))
+                        for aa, bb in zip(pts[:-1], pts[1:]) if bb - aa > 1e-15])
+
+
+@settings(max_examples=60)
+@given(sc=_feasible_scenarios(), data=st.data(), densities=st.tuples(*[st.floats(0.2, 5.0)] * 3))
+def test_sup_density_is_read_at_the_breakpoints(sc, data, densities):
+    # a dense scan inside the pieces never beats the breakpoints: not at the
+    # certificate's times b and 1, nor on the stem at any time, nor on the
+    # target outside the crossing window
+    pair = build_branching_plans(Tripod((1.0, 10.0, 10.0), densities=densities), sc)
+    dense_b = _dense_sup(pair.half_density(sc.b), "stem")
+    dense_1 = _dense_sup(pair.half_density(1.0), "target")
+    assert pair.certificate["C"] >= max(dense_b / densities[0],
+                                        dense_1 / min(densities[1:])) * (1.0 - 1e-12)
+    t_lo, t_hi = sc.tau_window
+    for side, t in (("stem", data.draw(st.floats(0.0, 1.0))),
+                    ("target", data.draw(st.floats(0.0, t_lo))),
+                    ("target", data.draw(st.floats(t_hi, 1.0, exclude_min=True)))):
+        hd = pair.half_density(t)
+        assert hd.sup_density(side) >= _dense_sup(hd, side) * (1.0 - 1e-12), (side, t)
+
+
+def test_sup_density_refuses_the_target_inside_the_crossing_window(pair):
+    # while the geodesics still cross, the target density peaks inside a
+    # piece, and at tau_hi in the limit u -> 0+
+    t_lo, t_hi = SCENARIO.tau_window
+    for t in (0.5 * (t_lo + t_hi), t_hi):
+        hd = pair.half_density(t)
+        with pytest.raises(ValueError, match="peaks between its breakpoints"):
+            hd.sup_density("target")
+        assert hd.sup_density("stem") >= _dense_sup(hd, "stem") * (1.0 - 1e-12)

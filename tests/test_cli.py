@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab1d.cli import _dump_body, main
+from curvlab1d.space1d import load_space
 
 
 @pytest.fixture()
@@ -128,6 +129,87 @@ def test_a_null_param_on_a_line_loads(tmp_path):
         path = tmp_path / "null.json"
         path.write_text(json.dumps(desc))
         assert run(["lipschitz", "--input", str(path), "--output", str(tmp_path / "o.json")]) == 0
+
+
+# one description per rule that the type owning it judges, and a word of the
+# message naming the field or rule; load_space reads only the JSON
+OWNED_RULES = [
+    pytest.param({"topology": "moebius"}, "topology", id="unknown-kind"),
+    pytest.param({"topology": "interval"}, "param", id="interval-no-param"),
+    pytest.param({"topology": "interval", "param": 0}, "param", id="interval-param-0"),
+    pytest.param({"topology": "interval", "param": -1}, "param", id="interval-param-neg"),
+    pytest.param({"topology": "line", "param": 2, "window": [-4, 4]}, "param", id="line-param"),
+    pytest.param({"topology": "halfline", "param": 4, "window": [0, 4]}, "param",
+                 id="halfline-param"),
+    pytest.param({"topology": "line"}, "window", id="line-no-window"),
+    pytest.param({"topology": "interval", "param": 1, "window": [0, 1]}, "window",
+                 id="interval-window"),
+    pytest.param({"topology": "interval", "param": 1, "window": None}, "window",
+                 id="interval-null-window"),
+    pytest.param({"topology": "halfline", "window": [1, 4]}, "start at 0",
+                 id="halfline-window-start"),
+    pytest.param({"topology": "line", "window": [-4, 4],
+                  "weight": {"coords": [-1, 1], "f": [0, 0]}}, "cover", id="weight-cover"),
+    pytest.param({"topology": "interval", "param": 1,
+                  "weight": {"coords": [0, 1], "f": [0, 1, 2]}}, "coords and f",
+                 id="weight-lengths"),
+    pytest.param({"topology": "interval", "param": 1,
+                  "weight": {"coords": [0, 0.6, 0.4, 1], "f": [0, 1, 2, 3]}}, "increasing",
+                 id="weight-order"),
+]
+
+
+@pytest.mark.parametrize("desc,rule", OWNED_RULES)
+def test_owned_rules_refuse_the_description(desc, rule, tmp_path, capsys):
+    with pytest.raises(ValueError, match=rule):
+        load_space(desc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert run(["check-kn-convex", "--input", str(path), "--output", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and rule in err
+
+
+@pytest.mark.parametrize("space", ["interval", "halfline"])
+@pytest.mark.parametrize("command", ["bg-scan", "bg-boundary", "density-ratio"])
+def test_growth_commands_start_at_an_own_end(spaces, tmp_path, command, space):
+    # an own end does not cap the reach: from x = 0 the radii run toward the
+    # far end (the reach was 0, and each command exited 1)
+    out = str(tmp_path / "g.json")
+    assert run([command, "--input", spaces[space], "--x", "0", "--output", out]) == 0
+    body = body_of(out)
+    radii = (body["r_grid"] if command == "bg-scan" else body["t_grid"]
+             if command == "bg-boundary" else [r for r, _ in body["rows"]])
+    span = {"interval": 1.0, "halfline": 4.0}[space]
+    assert min(radii) > 0.0 and max(radii) > 0.4 * span
+
+
+@pytest.mark.parametrize("a,k,code", [(0.022, "1", 0), (0.022, "1.1", 2),
+                                      (0.22, "1.1", 0), (0.22, "1.5", 2)])
+def test_a_growth_scan_passes_and_fails_on_one_space(tmp_path, a, k, code):
+    # V = -2 log sin((x + a)/sqrt 2) on [0, 4], a pole trimmed off at -a, is
+    # CD(1, 3) with equality (V'' - V'^2/2 = 1): the scan from the own end 0
+    # passes at K = 1 and fails at a larger K, the nearer the pole the sooner
+    x = np.linspace(0.0, 4.0, 4001)
+    f = -2.0 * np.log(np.sin((x + a) / math.sqrt(2.0)))
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"topology": "interval", "param": 4,
+                                "weight": {"coords": x.tolist(), "f": f.tolist()}}))
+    out = str(tmp_path / "s.json")
+    assert run(["bg-scan", "--input", str(path), "--x", "0", "--n", "3", "--k", k,
+                "--output", out]) == code
+    assert (body_of(out)["margin"] > 0.0) == (code == 2)
+
+
+def test_circle_obstruction_with_nothing_to_score_exits_one(spaces, tmp_path, capsys):
+    # at K = 1e40 every d below the conjugate length is within rounding of 0:
+    # the check exited 2 with passed: true, anomaly: true and an empty witness
+    for command in ("circle-obstruction", "classify"):
+        out = tmp_path / "c.json"
+        assert run([command, "--input", spaces["circle"], "--k", "1e40", "--n", "2",
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: nothing to score")
+        assert not out.exists()
 
 
 def test_circle_obstruction_exit_zero_when_found(spaces, tmp_path):
@@ -262,6 +344,11 @@ SCHEMA_TYPE_ERRORS = [
                  "grid_step", id="grid_step-null"),
     pytest.param("bg-scan", {"topology": "line", "window": [None, 1]}, "window",
                  id="window-null"),
+    # an int past the float range is a schema error, never an OverflowError
+    pytest.param("bg-scan", {"topology": "line", "param": 10 ** 400, "window": [-4, 4]}, "param",
+                 id="param-past-float"),
+    pytest.param("bg-scan", {"topology": "line", "window": [-4, 10 ** 400]}, "window",
+                 id="window-past-float"),
     pytest.param("tripod-shannon", {"a": None, "b": 0.1, "eps": 0.05, "eta": 0.5}, "'a'",
                  id="scenario-a-null"),
     pytest.param("tripod-renyi", {"a": 0.5, "b": 0.1, "eps": 0.05, "eta": 0.5,

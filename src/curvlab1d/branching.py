@@ -151,9 +151,12 @@ class _HalfDensity:
     """Closed-form pushforward density of one plan half at time t.
 
     Mass beta distributed over (s, tau) ~ U[s_lo,s_hi] x U[tau_lo,tau_hi];
-    a geodesic sits at stem coordinate v = s (1 - t/tau) before crossing
-    and at target coordinate u = s (t - tau)/tau after.  Integrating the
-    Jacobian over the tau-window gives the length densities below.
+    a geodesic sits at y = s (tau - t)/tau: on the stem at v = y before it
+    crosses, on its target edge at u = -y after.  Integrating the Jacobian
+    over the tau-window, in the offset a = |tau - t|, gives the length
+    density rho0 (a + t log a) on the stem and rho0 (t log a - a) on the
+    target, taken between the window's offsets.  A side is a scalar sign
+    (y = sign * its own coordinate) and an ordered pair of window ends.
     """
 
     def __init__(self, scenario: BranchingScenario, t: float):
@@ -162,86 +165,69 @@ class _HalfDensity:
         self.tau_lo, self.tau_hi = scenario.tau_window
         self.rho0 = scenario.beta / ((self.s_hi - self.s_lo) * (self.tau_hi - self.tau_lo))
 
-    # -- stem side: antiderivative of tau/(tau - t) is tau + t log(tau - t);
-    #    the tau-window bounds are kept as stable offsets from t so the log
-    #    arguments never cancel near the center
-    def stem_arr(self, v) -> np.ndarray:
+    def _side(self, side: str) -> tuple[float, float, float]:
+        """(sign, near, far): the side's sign and the tau-window ends at the
+        smaller and the larger offset |tau - t|."""
+        if side == "stem":
+            return 1.0, self.tau_lo, self.tau_hi
+        if side == "target":
+            return -1.0, self.tau_hi, self.tau_lo
+        raise ValueError(f"side must be 'stem' or 'target', got {side!r}")
+
+    def _at(self, side: str, s: float, tau: float) -> float:
+        """Where the geodesic (s, tau) sits at time t, in the side's coordinate."""
         t = self.t
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        if t >= self.tau_hi:
+        return s * (1.0 - t / tau) if side == "stem" else s * (t - tau) / tau
+
+    def side_density(self, side: str, x) -> np.ndarray:
+        """Length density at the side's coordinates x (v on the stem, u on
+        the target edge)."""
+        t = self.t
+        sign, near, far = self._side(side)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        # the tau-window as offsets from t, kept stable so that the log
+        # arguments never cancel near the center
+        lo_w, hi_w = sign * (near - t), sign * (far - t)
+        if hi_w <= 0.0:
             return out
-        if t <= 0.0:
-            ok = (v >= self.s_lo) & (v <= self.s_hi)
+        if t <= 0.0:  # only the stem is left here: at rest, the source law itself
+            ok = (x >= self.s_lo) & (x <= self.s_hi)
             out[ok] = self.rho0 * (self.tau_hi - self.tau_lo)
             return out
-        ok = (v >= 0.0) & (v < self.s_hi * (1.0 - t / self.tau_hi))
-        if not np.any(ok):
-            return out
-        vv = v[ok]
-        # lo - t and hi - t of the tau-window, each > 0 where the window lives
-        lo_off = np.maximum(self.tau_lo - t, t * vv / (self.s_hi - vv))
-        hi_off = np.where(
-            vv < self.s_lo,
-            np.minimum(self.tau_hi - t, t * vv / np.maximum(self.s_lo - vv, 1e-300)),
-            self.tau_hi - t,
-        )
-        width = hi_off - lo_off
-        pos = (width > 0.0) & (lo_off > 0.0)
-        res = np.zeros_like(vv)
-        res[pos] = width[pos] + t * (np.log(hi_off[pos]) - np.log(lo_off[pos]))
+        ok = x > 0.0
+        if side == "stem":  # past its support the stem divides by s_hi - v <= 0
+            ok &= x < self.support(side)[1]
+        xx = x[ok]
+        y = sign * xx
+        # the offsets a at which s = s_hi and s = s_lo reach x, clipped to
+        # the window; s_lo reaches no stem point past itself
+        small = np.maximum(lo_w, t * xx / (self.s_hi - y))
+        big = np.where(y < self.s_lo,
+                       np.minimum(hi_w, t * xx / np.maximum(self.s_lo - y, 1e-300)), hi_w)
+        width = big - small
+        pos = (width > 0.0) & (small > 0.0)
+        res = np.zeros_like(xx)
+        res[pos] = sign * width[pos] + t * (np.log(big[pos]) - np.log(small[pos]))
         out[ok] = self.rho0 * res
         return out
 
-    # -- target side: antiderivative of tau/(t - tau) is -tau - t log(t - tau)
-    def target_arr(self, u) -> np.ndarray:
-        t = self.t
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        if t <= self.tau_lo:
-            return out
-        ok = u > 0.0
-        if not np.any(ok):
-            return out
-        uu = u[ok]
-        # t - lo and t - hi of the tau-window, as stable positive offsets
-        t_minus_lo = np.minimum(t - self.tau_lo, t * uu / (uu + self.s_lo))
-        t_minus_hi = np.maximum(t - self.tau_hi, t * uu / (uu + self.s_hi))
-        width = t_minus_lo - t_minus_hi
-        pos = (width > 0.0) & (t_minus_hi > 0.0)
-        res = np.zeros_like(uu)
-        res[pos] = -width[pos] + t * (np.log(t_minus_lo[pos]) - np.log(t_minus_hi[pos]))
-        out[ok] = self.rho0 * res
-        return out
-
-    def stem_support(self) -> tuple[float, float]:
-        t = self.t
-        if t >= self.tau_hi:
+    def support(self, side: str) -> tuple[float, float]:
+        sign, near, far = self._side(side)
+        if sign * (far - self.t) <= 0.0:
             return 0.0, 0.0
-        lo = max(0.0, self.s_lo * (1.0 - t / self.tau_lo))
-        hi = self.s_hi * (1.0 - t / self.tau_hi)
-        return lo, max(lo, hi)
-
-    def target_support(self) -> tuple[float, float]:
-        t = self.t
-        if t <= self.tau_lo:
-            return 0.0, 0.0
-        lo = max(0.0, self.s_lo * (t - self.tau_hi) / self.tau_hi)
-        hi = self.s_hi * (t - self.tau_lo) / self.tau_lo
-        return lo, max(lo, hi)
+        lo = max(0.0, self._at(side, self.s_lo, near))
+        return lo, max(lo, self._at(side, self.s_hi, far))
 
     def _breaks(self, side: str) -> list[float]:
-        s_lo, s_hi, t = self.s_lo, self.s_hi, self.t
+        lo, hi = self.support(side)
+        # the corners of the (s, tau) window, and on the stem v = s_lo, where
+        # the s_lo bound switches on
+        cands = [self._at(side, s, tau) for s in (self.s_lo, self.s_hi)
+                 for tau in (self.tau_lo, self.tau_hi)]
         if side == "stem":
-            lo, hi = self.stem_support()
-            cands = [s_lo * (1.0 - t / self.tau_lo), s_lo * (1.0 - t / self.tau_hi),
-                     s_hi * (1.0 - t / self.tau_lo), s_hi * (1.0 - t / self.tau_hi), s_lo]
-        else:
-            lo, hi = self.target_support()
-            cands = [s * (t - tau) / tau for s in (s_lo, s_hi)
-                     for tau in (self.tau_lo, self.tau_hi)]
-        pts = sorted({lo, hi, *[c for c in cands if lo < c < hi]})
-        return pts
+            cands.append(self.s_lo)
+        return sorted({lo, hi, *[c for c in cands if lo < c < hi]})
 
     def integrate(self, side: str, g: Callable[[np.ndarray], np.ndarray]) -> float:
         """Integral of g(rho_length(y)) dy over the side's support.
@@ -252,7 +238,6 @@ class _HalfDensity:
         own and the pieces accumulated in order, so the value is bit for bit
         that of one pass per piece.
         """
-        fn = self.stem_arr if side == "stem" else self.target_arr
         pts = np.array(self._breaks(side))
         aa, bb = pts[:-1], pts[1:]
         keep = bb - aa > 1e-15
@@ -262,7 +247,7 @@ class _HalfDensity:
         mid = 0.5 * (aa + bb)
         half = 0.5 * (bb - aa)
         ys = mid[:, None] + half[:, None] * _DE_X
-        sums = np.sum(_DE_W * g(fn(ys)), axis=1)
+        sums = np.sum(_DE_W * g(self.side_density(side, ys)), axis=1)
         total = 0.0
         for h, s in zip(half.tolist(), sums.tolist()):
             total += h * s
@@ -276,8 +261,7 @@ class _HalfDensity:
         if side == "target" and self.tau_lo < self.t <= self.tau_hi:
             raise ValueError(f"the target density at t = {self.t!r}, in the crossing "
                              f"window, peaks between its breakpoints")
-        fn = self.stem_arr if side == "stem" else self.target_arr
-        return float(np.max(fn(np.array(self._breaks(side)))))
+        return float(np.max(self.side_density(side, self._breaks(side))))
 
 
 @dataclass(frozen=True)
@@ -298,7 +282,7 @@ class PlanPair:
     def support_gap_at(self, t: float) -> float:
         """Distance between the two target supports at time t (via center)."""
         hd = self.half_density(t)
-        lo, hi = hd.target_support()
+        lo, hi = hd.support("target")
         return 2.0 * lo if hi > lo else math.inf
 
 
@@ -480,22 +464,22 @@ def mixture_w2_correction(pair: PlanPair, tripod: Tripod, scenario: BranchingSce
     sc = scenario
     hd_b = pair.half_density(sc.b)
     hd_e = pair.half_density(sc.a + sc.eps)
-    v_lo, v_hi = hd_b.stem_support()
-    u_lo, u_hi = hd_e.target_support()
+    v_lo, v_hi = hd_b.support("stem")
+    u_lo, u_hi = hd_e.support("target")
     pad = 0.05 * max(v_hi, u_hi, 1e-6)
     lo, hi = -u_hi - pad, v_hi + pad
     line = Space1D(Topology1D("line"), WeightFn.constant(0.0, lo, hi),
                    grid_step=(hi - lo) / n_cells, window=(lo, hi))
 
-    def sample(fn, a, b):
+    def sample(hd, side, a, b):
         edges = np.linspace(a, b, n_cells + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        return edges, fn(mids)
+        return edges, hd.side_density(side, mids)
 
-    e_b, d_b = sample(hd_b.stem_arr, max(v_lo, 0.0), v_hi)
+    e_b, d_b = sample(hd_b, "stem", max(v_lo, 0.0), v_hi)
     mass_b = float(np.sum(d_b * np.diff(e_b)))
     nu_b = tr.ProbMeasure1D(line, e_b, d_b / mass_b)
-    e_e, d_e = sample(hd_e.target_arr, max(u_lo, 0.0), u_hi)
+    e_e, d_e = sample(hd_e, "target", max(u_lo, 0.0), u_hi)
     mass_e = float(np.sum(d_e * np.diff(e_e)))
     # unroll targets to negative coordinates (mirror, reversed order)
     nu_e = tr.ProbMeasure1D(line, -e_e[::-1], (d_e / mass_e)[::-1])

@@ -118,12 +118,19 @@ def _default_pair_battery(space: Space1D, seed: int, count: int = 50):
 
 def _reach(space: Space1D, x0: float) -> float:
     """How far a ball around x0 may grow: half a circle, else to the nearer
-    window end, or to the far end where both ends are the space's own."""
+    window end, or to the far end where both ends are the space's own.  A
+    centre outside the domain, or at a window end, is refused."""
     lo, hi = space.domain()
+    if not space.contains(x0):
+        raise ValueError(f"--x {x0!r} lies outside the window [{lo!r}, {hi!r}]")
     if space.topology.kind == "circle":
         return space.topology.circumference / 2.0
     sides = [side for side, own in zip((x0 - lo, hi - x0), space._own_ends()) if not own]
-    return min(sides) if sides else max(x0 - lo, hi - x0)
+    reach = min(sides) if sides else max(x0 - lo, hi - x0)
+    if not reach > 0.0:
+        raise ValueError(f"--x {x0!r} leaves no room before an end of the window "
+                         f"[{lo!r}, {hi!r}]")
+    return reach
 
 
 def _default_radii(space: Space1D, x0: float, params: CurvatureParams, n: int = 10):
@@ -220,6 +227,11 @@ def _cmd_density_ratio(args):
     x0 = _x0(args, space)
     reach = _reach(space, x0)
     r_hi = 0.45 * reach
+    if not r_hi > 10.0 * space.grid_step:
+        lo, hi = space.domain()
+        raise ValueError(f"--x {x0!r} lies too near an end of the window [{lo!r}, {hi!r}]: "
+                         f"the largest radius {r_hi!r} is not above 10 grid steps "
+                         f"({10.0 * space.grid_step!r})")
     r_lo = max(10.0 * space.grid_step, r_hi / 50.0)
     radii = list(np.geomspace(r_hi, r_lo, 20))
     trace = gs.density_ratio_trace(space, x0, args.kexp, radii)

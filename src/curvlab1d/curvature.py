@@ -78,7 +78,7 @@ class CurvatureReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
+        return bool(self.max_violation <= self.tolerance)
 
     def to_dict(self) -> dict:
         d = {

@@ -6,7 +6,8 @@ trapezoid quadrature, LP transport plans (scipy HiGHS), shrinking-cover
 limits, and bisection CDF inversion.  Library code is only called where an
 oracle needs raw measure evaluations that are themselves exact.  Frozen
 copies of earlier library routines (the plan-by-plan battery, the circle
-cut's objective helpers) pin rewrites that must keep every bit.
+cut's objective helpers, the tripod's per-side half densities) pin
+rewrites that must keep every bit.
 """
 
 from __future__ import annotations
@@ -289,6 +290,92 @@ class TripodEnsemble:
         xi = s * (1.0 - t / tau)  # >0 stem, <0 target
         edges = np.where(xi >= 0.0, 0, 1 if which == "u" else 2)
         return edges.ravel(), np.abs(xi).ravel()
+
+
+# -- frozen tripod half density -----------------------------------------------------
+
+# Copies of the `branching._HalfDensity` routines as they were while each
+# side of the center had its own formula, taking the half density `hd` in
+# place of self.  The one signed formula keeps every float operation, so
+# the library must reproduce these values with ==.
+
+def frozen_stem_arr(hd, v):
+    t = hd.t
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    if t >= hd.tau_hi:
+        return out
+    if t <= 0.0:
+        ok = (v >= hd.s_lo) & (v <= hd.s_hi)
+        out[ok] = hd.rho0 * (hd.tau_hi - hd.tau_lo)
+        return out
+    ok = (v >= 0.0) & (v < hd.s_hi * (1.0 - t / hd.tau_hi))
+    if not np.any(ok):
+        return out
+    vv = v[ok]
+    lo_off = np.maximum(hd.tau_lo - t, t * vv / (hd.s_hi - vv))
+    hi_off = np.where(
+        vv < hd.s_lo,
+        np.minimum(hd.tau_hi - t, t * vv / np.maximum(hd.s_lo - vv, 1e-300)),
+        hd.tau_hi - t,
+    )
+    width = hi_off - lo_off
+    pos = (width > 0.0) & (lo_off > 0.0)
+    res = np.zeros_like(vv)
+    res[pos] = width[pos] + t * (np.log(hi_off[pos]) - np.log(lo_off[pos]))
+    out[ok] = hd.rho0 * res
+    return out
+
+
+def frozen_target_arr(hd, u):
+    t = hd.t
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    if t <= hd.tau_lo:
+        return out
+    ok = u > 0.0
+    if not np.any(ok):
+        return out
+    uu = u[ok]
+    t_minus_lo = np.minimum(t - hd.tau_lo, t * uu / (uu + hd.s_lo))
+    t_minus_hi = np.maximum(t - hd.tau_hi, t * uu / (uu + hd.s_hi))
+    width = t_minus_lo - t_minus_hi
+    pos = (width > 0.0) & (t_minus_hi > 0.0)
+    res = np.zeros_like(uu)
+    res[pos] = -width[pos] + t * (np.log(t_minus_lo[pos]) - np.log(t_minus_hi[pos]))
+    out[ok] = hd.rho0 * res
+    return out
+
+
+def frozen_stem_support(hd):
+    t = hd.t
+    if t >= hd.tau_hi:
+        return 0.0, 0.0
+    lo = max(0.0, hd.s_lo * (1.0 - t / hd.tau_lo))
+    hi = hd.s_hi * (1.0 - t / hd.tau_hi)
+    return lo, max(lo, hi)
+
+
+def frozen_target_support(hd):
+    t = hd.t
+    if t <= hd.tau_lo:
+        return 0.0, 0.0
+    lo = max(0.0, hd.s_lo * (t - hd.tau_hi) / hd.tau_hi)
+    hi = hd.s_hi * (t - hd.tau_lo) / hd.tau_lo
+    return lo, max(lo, hi)
+
+
+def frozen_breaks(hd, side):
+    s_lo, s_hi, t = hd.s_lo, hd.s_hi, hd.t
+    if side == "stem":
+        lo, hi = frozen_stem_support(hd)
+        cands = [s_lo * (1.0 - t / hd.tau_lo), s_lo * (1.0 - t / hd.tau_hi),
+                 s_hi * (1.0 - t / hd.tau_lo), s_hi * (1.0 - t / hd.tau_hi), s_lo]
+    else:
+        lo, hi = frozen_target_support(hd)
+        cands = [s * (t - tau) / tau for s in (s_lo, s_hi)
+                 for tau in (hd.tau_lo, hd.tau_hi)]
+    return sorted({lo, hi, *[c for c in cands if lo < c < hi]})
 
 
 # -- frozen circle-cut helpers -------------------------------------------------------

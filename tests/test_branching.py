@@ -11,7 +11,8 @@ from curvlab1d.branching import (
     mixture_w2_correction, renyi_contradiction, renyi_raw,
 )
 
-from oracles import TripodEnsemble, trapezoid_refined
+from oracles import (TripodEnsemble, frozen_breaks, frozen_stem_arr, frozen_stem_support,
+                     frozen_target_arr, frozen_target_support, trapezoid_refined)
 
 
 TRIPOD = Tripod((1.0, 1.0, 1.0))
@@ -95,14 +96,6 @@ def test_plan_mutual_singularity_after_window(pair, ensemble):
     assert pair.support_gap_at(t) > 0.0
 
 
-def test_plan_density_mass_conservation(pair):
-    for t in (0.0, 0.1, 0.5, 0.505, 0.51, 0.52, 0.8, 1.0):
-        hd = pair.half_density(t)
-        total = (hd.integrate("stem", lambda r: r)
-                 + hd.integrate("target", lambda r: r))
-        assert total == pytest.approx(SCENARIO.beta, abs=1e-9)
-
-
 def test_plan_density_certificate(pair):
     cert = pair.certificate
     assert cert["C"] >= max(cert["sup_density_at_b"], cert["sup_density_up_at_1"])
@@ -116,12 +109,12 @@ def test_plan_density_matches_ensemble_histogram(pair, ensemble):
     t = 1.0
     hd = pair.half_density(t)
     _, xs = ensemble.positions("u", t)
-    lo, hi = hd.target_support()
+    lo, hi = hd.support("target")
     bins = np.linspace(lo, hi, 33)
     hist, edges = np.histogram(xs, bins=bins)
     emp = hist / (len(xs) * np.diff(edges))
     mids = 0.5 * (edges[:-1] + edges[1:])
-    dens = hd.target_arr(mids)
+    dens = hd.side_density("target", mids)
     inner = slice(2, -2)
     assert np.allclose(emp[inner], dens[inner], rtol=0.08, atol=0.05)
 
@@ -143,7 +136,7 @@ def test_entropy_uniform_arc_reference():
     sc = SCENARIO
     p = build_branching_plans(TRIPOD, sc)
     hd = p.half_density(sc.b)
-    lo, hi = hd.stem_support()
+    lo, hi = hd.support("stem")
     ent = entropy_along(p, TRIPOD, sc.b, "u")
     assert ent == pytest.approx(-math.log(hi - lo), abs=0.05)
 
@@ -189,11 +182,11 @@ def test_entropy_integrals_against_trapezoid_oracle(pair):
     # closed-form DE quadrature vs a plain refined trapezoid of the same density
     t = 1.0
     hd = pair.half_density(t)
-    lo, hi = hd.target_support()
+    lo, hi = hd.support("target")
     orc = trapezoid_refined(
-        lambda u: float(hd.target_arr(np.array([u]))[0]
-                        * (math.log(hd.target_arr(np.array([u]))[0])
-                           if hd.target_arr(np.array([u]))[0] > 0 else 0.0)),
+        lambda u: float(hd.side_density("target", np.array([u]))[0]
+                        * (math.log(hd.side_density("target", np.array([u]))[0])
+                           if hd.side_density("target", np.array([u]))[0] > 0 else 0.0)),
         lo + 1e-12, hi - 1e-12, n0=256, levels=6)
     got = hd.integrate("target", lambda r: np.where(r > 0, r * np.log(np.maximum(r, 1e-300)), 0.0))
     assert got == pytest.approx(orc, abs=5e-4)
@@ -297,7 +290,6 @@ def test_random_feasible_scenarios_bookkeeping():
 
 def _loop_integrate(hd, side, g):
     """The half-density integral one piece at a time, as a loop evaluates it."""
-    fn = hd.stem_arr if side == "stem" else hd.target_arr
     pts = hd._breaks(side)
     total = 0.0
     for aa, bb in zip(pts[:-1], pts[1:]):
@@ -305,7 +297,7 @@ def _loop_integrate(hd, side, g):
             mid = 0.5 * (aa + bb)
             half = 0.5 * (bb - aa)
             ys = mid + half * _DE_X
-            total += half * float(np.sum(_DE_W * g(fn(ys))))
+            total += half * float(np.sum(_DE_W * g(hd.side_density(side, ys))))
     return total
 
 
@@ -355,6 +347,49 @@ def test_integrate_equals_per_piece_loop(sc, data, side, integrand, scale, c):
     assert hd.integrate(side, g) == _loop_integrate(hd, side, g)
 
 
+def _times(sc):
+    """A time in [0, 1], with the scenario's own times and the crossing
+    window's ends and midpoint drawn often."""
+    t_lo, t_hi = sc.tau_window
+    return st.one_of(st.sampled_from((0.0, sc.b, sc.a, t_lo, 0.5 * (t_lo + t_hi), t_hi,
+                                      sc.a + sc.eps, 1.0)),
+                     st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200)
+@given(sc=_feasible_scenarios(), data=st.data())
+def test_plan_density_mass_conservation(sc, data):
+    # the stem and the target edge carry mass beta between them at every time
+    hd = _HalfDensity(sc, data.draw(_times(sc)))
+    total = hd.integrate("stem", lambda r: r) + hd.integrate("target", lambda r: r)
+    assert abs(total - sc.beta) <= 1e-12 * sc.beta, (hd.t, total)
+
+
+_FROZEN_SIDES = {"stem": (frozen_stem_arr, frozen_stem_support),
+                 "target": (frozen_target_arr, frozen_target_support)}
+
+
+@settings(max_examples=200)
+@given(sc=_feasible_scenarios(), data=st.data())
+def test_side_density_matches_the_frozen_per_side_formulas(sc, data):
+    # one signed formula for both sides keeps every float operation of the
+    # two it replaced: densities, supports and breakpoints agree bit for bit,
+    # at the breakpoints, one ulp either side of them and past the support
+    hd = _HalfDensity(sc, data.draw(_times(sc)))
+    for side, (frozen_arr, frozen_support) in _FROZEN_SIDES.items():
+        assert repr(hd.support(side)) == repr(frozen_support(hd))
+        pts = hd._breaks(side)
+        assert repr(pts) == repr(frozen_breaks(hd, side))
+        span = max(hd.support(side)[1], hd.s_hi)
+        past = hd.support(side)[1] + span * np.array([1e-12, 1e-6, 1e-3, 0.5])
+        rand = data.draw(st.lists(st.floats(-0.1 * span, 2.0 * span), min_size=1, max_size=40))
+        xs = np.concatenate([[0.0, -0.0, hd.s_lo, hd.s_hi], pts, np.nextafter(pts, -np.inf),
+                             np.nextafter(pts, np.inf), past, rand])
+        assert hd.side_density(side, xs).tobytes() == frozen_arr(hd, xs).tobytes(), side
+    with pytest.raises(ValueError, match="side must be"):
+        hd.support("up")
+
+
 def test_certificate_scans_the_target_sup_once(monkeypatch):
     scans = []
     sup = _HalfDensity.sup_density
@@ -377,9 +412,8 @@ def test_certificate_scans_the_target_sup_once(monkeypatch):
 
 def _dense_sup(hd, side, n=20001):
     """The side's length density scanned at n points per piece."""
-    fn = hd.stem_arr if side == "stem" else hd.target_arr
     pts = hd._breaks(side)
-    return max([0.0] + [float(np.max(fn(np.linspace(aa, bb, n))))
+    return max([0.0] + [float(np.max(hd.side_density(side, np.linspace(aa, bb, n))))
                         for aa, bb in zip(pts[:-1], pts[1:]) if bb - aa > 1e-15])
 
 

@@ -184,6 +184,23 @@ def test_growth_commands_start_at_an_own_end(spaces, tmp_path, command, space):
     assert min(radii) > 0.0 and max(radii) > 0.4 * span
 
 
+@pytest.mark.parametrize("space,command,x", [
+    ("line", "bg-scan", "-4"), ("line", "bg-scan", "4"), ("line", "bg-scan", "9"),
+    ("line", "bg-boundary", "-4"), ("line", "density-ratio", "-4"),
+    ("line", "density-ratio", "3.99"), ("halfline", "bg-scan", "4"),
+    ("halfline", "bg-boundary", "-1"), ("interval", "density-ratio", "1.5"),
+])
+def test_growth_commands_refuse_a_bad_centre(spaces, tmp_path, capsys, space, command, x):
+    # a centre outside the window, at a window end, or (density-ratio) too
+    # near one for radii above 10 grid steps exits 1 and names --x and the
+    # window (each exited 1 with a message from deep inside the scan)
+    assert run([command, "--input", spaces[space], "--x", x,
+                "--output", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    window = {"line": "[-4.0, 4.0]", "halfline": "[0.0, 4.0]", "interval": "[0.0, 1.0]"}[space]
+    assert err.startswith(f"error: --x {float(x)!r} ") and window in err, err
+
+
 @pytest.mark.parametrize("a,k,code", [(0.022, "1", 0), (0.022, "1.1", 2),
                                       (0.22, "1.1", 0), (0.22, "1.5", 2)])
 def test_a_growth_scan_passes_and_fails_on_one_space(tmp_path, a, k, code):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from curvlab1d.coefficients import CurvatureParams, _sigma_branch, sigma
 from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError
 from curvlab1d import curvature, transport1d
+from curvlab1d import geometry_scan as gs
 from curvlab1d.transport1d import uniform_measure
 from curvlab1d.curvature import (
     TripleBattery, TriplePlan, _battery_sigmas, _random_plans, check_kn_convex,
@@ -619,6 +621,32 @@ def test_cde_bakry_emery_density_passes_all_pairs():
                       uniform_measure(space, a1, a1 + w1)))
     report = verify_cde(space, CurvatureParams(K, N), pairs, tol=1e-3)
     assert report.passed
+    # K = 1 is sharp: at K = 1.2 the same pairs refute CD(K, N) (margin
+    # +1.31e-2) and CD(K, infinity) (+8.80e-3), which holds at K = 1
+    assert verify_cde(space, CurvatureParams(1.2, N), pairs, tol=1e-3).max_violation > 1e-2
+    assert verify_cd_infty(space, K, pairs, tol=1e-3).passed
+    assert verify_cd_infty(space, 1.2, pairs, tol=1e-3).max_violation > 5e-3
+
+
+def test_every_report_survives_json_dumps():
+    # passed is a Python bool, also where the margin is a numpy float, so a
+    # report's to_dict() goes through json.dumps as it stands
+    flat = flat_space(0.0, 1.0, step=1e-2)
+    params = CurvatureParams(0.0, 2.0)
+    pairs = [(uniform_measure(flat, 0.1, 0.3), uniform_measure(flat, 0.5, 0.9))]
+    reports = [
+        verify_cde(flat, params, pairs),
+        verify_cd_infty(flat, 0.0, pairs),
+        check_kn_convex(flat.weight, flat, params, [TriplePlan(0.2, 0.8)]),
+        circle_obstruction(circle_with(np.zeros_like), CurvatureParams(1.0, 2.0)),
+        gs.bg_ratio_scan(flat, 0.5, params, [0.1, 0.2, 0.3]),
+        gs.bg_boundary_check(flat, 0.5, params, [0.1, 0.2]),
+        gs.lipschitz_modulus(flat, params, 0.1, [(0.3, 0.33)])[2],
+        gs.linear_growth_constant(flat, 0.5, 0.2, [0.05, 0.1], params)[1],
+    ]
+    for report in reports:
+        assert type(report.passed) is bool, report.kind
+        assert json.loads(json.dumps(report.to_dict()))["passed"] is report.passed
 
 
 def test_cde_convexity_equality_weight_fails_unequal_widths():

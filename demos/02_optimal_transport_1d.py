@@ -9,14 +9,13 @@ import math
 
 import numpy as np
 
-from curvlab1d.space1d import Space1D, Topology1D, WeightFn
+from curvlab1d.space1d import Space1D, Topology1D
 from curvlab1d.transport1d import (
     displacement_interpolate, entropy, measure_from_atoms, quantile, renyi,
     uniform_measure, w2,
 )
 
-space = Space1D(Topology1D("line"), WeightFn.constant(0.0, 0, 10),
-                grid_step=1e-3, window=(0, 10))
+space = Space1D(Topology1D("line"), grid_step=1e-3, window=(0, 10))
 
 print("=== W2 between uniforms ===\n")
 mu0 = uniform_measure(space, 0.0, 1.0)

@@ -40,8 +40,7 @@ print(f"pointwise criterion V'' >= K + V'^2/N: worst node margin "
       f"{repd.max_violation:+.2e}")
 
 print("\n=== entropic checks on the flat interval ===\n")
-flat = Space1D(Topology1D("interval", 1.0), WeightFn.constant(0.0, 0, 1),
-               grid_step=1e-3)
+flat = Space1D(Topology1D("interval", 1.0), grid_step=1e-3)
 rng = np.random.default_rng(2)
 pairs = []
 for _ in range(30):

@@ -14,7 +14,7 @@ from curvlab1d.geometry_scan import (
     linear_growth_constant, lipschitz_modulus,
 )
 
-line = Space1D(Topology1D("line"), WeightFn.constant(0.0, -4, 4), window=(-4, 4))
+line = Space1D(Topology1D("line"), window=(-4, 4))
 p02 = CurvatureParams(0.0, 2.0)
 
 print("=== ratio monotonicity m(B_r)/F(r) ===\n")

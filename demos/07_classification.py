@@ -29,7 +29,7 @@ def show(name, verdict):
 
 print("candidate battery: (1,2), (0.5,2), (0,2), (-1,2); smallest passing K wins\n")
 
-flat_iv = Space1D(Topology1D("interval", 1.0), WeightFn.constant(0.0, 0, 1))
+flat_iv = Space1D(Topology1D("interval", 1.0))
 show("flat interval", classify(flat_iv, candidates))
 
 K, N = 1.0, 2.0
@@ -39,10 +39,7 @@ w = WeightFn.from_callable(lambda x: -N * np.log(np.cos(x * alpha)), -half, half
 cos_line = Space1D(Topology1D("line"), w, grid_step=1e-3, window=(-half, half))
 show("cosine-weight line window", classify(cos_line, [CurvatureParams(1.0, 2.0)]))
 
-circ = 2 * math.pi
-coords = np.linspace(0, circ, 256, endpoint=False)
-flat_circle = Space1D(Topology1D("circle", 1.0),
-                      WeightFn(coords, np.zeros(256), period=circ))
+flat_circle = Space1D(Topology1D("circle", 1.0))
 show("flat unit circle", classify(flat_circle, [CurvatureParams(1.0, 2.0),
                                                 CurvatureParams(0.1, 8.0)]))
 show("flat unit circle (K <= 0 ok)", classify(flat_circle, candidates))

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import _DE_W, _DE_X  # tanh-sinh: x log x at piece edges is fine
-from .space1d import Space1D, Topology1D, WeightFn
+from .space1d import Space1D, Topology1D
 from . import transport1d as tr
 
 __all__ = [
@@ -468,8 +468,7 @@ def mixture_w2_correction(pair: PlanPair, tripod: Tripod, scenario: BranchingSce
     u_lo, u_hi = hd_e.support("target")
     pad = 0.05 * max(v_hi, u_hi, 1e-6)
     lo, hi = -u_hi - pad, v_hi + pad
-    line = Space1D(Topology1D("line"), WeightFn.constant(0.0, lo, hi),
-                   grid_step=(hi - lo) / n_cells, window=(lo, hi))
+    line = Space1D(Topology1D("line"), grid_step=(hi - lo) / n_cells, window=(lo, hi))
 
     def sample(hd, side, a, b):
         edges = np.linspace(a, b, n_cells + 1)

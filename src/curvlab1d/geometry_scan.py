@@ -34,6 +34,8 @@ __all__ = [
     "classify",
 ]
 
+_THRESHOLD_FACTOR = 0.1  # density_ratio_trace's in_mk threshold, a share of the largest ratio
+
 
 @dataclass(frozen=True)
 class DensityRatioTrace:
@@ -179,15 +181,13 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
     return emp, report
 
 
-def density_ratio_trace(space, x, k: int, r_grid: Sequence[float],
-                        threshold_factor: float = 0.1) -> DensityRatioTrace:
+def density_ratio_trace(space, x, k: int, r_grid: Sequence[float]) -> DensityRatioTrace:
     """Ratios m(B_r(x))/r^k on a decreasing r_grid (Space1D or Tripod).
 
     On a Space1D the balls share one sweep (space1d._ball_masses), and a
     largest ball that leaves the window raises measure_ball's WindowError.
-    in_mk flags min ratio < threshold_factor *
-    max ratio; a finite trace can only approximate the liminf, so the
-    threshold is reported.
+    in_mk flags a smallest-radius ratio < _THRESHOLD_FACTOR * max ratio; a
+    finite trace can only approximate the liminf, so the threshold is reported.
     """
     rs = [float(r) for r in r_grid]
     if not rs:
@@ -209,8 +209,8 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float],
     # would misflag traces that diverge as r shrinks)
     return DensityRatioTrace(
         x=xdesc, k=k, r_grid=tuple(rs), ratios=tuple(ratios),
-        threshold_factor=threshold_factor,
-        in_mk=ratios[-1] < threshold_factor * max(ratios),
+        threshold_factor=_THRESHOLD_FACTOR,
+        in_mk=ratios[-1] < _THRESHOLD_FACTOR * max(ratios),
     )
 
 

@@ -111,9 +111,9 @@ class WeightFn:
             if coords[-1] - coords[0] >= self.period:
                 raise ValueError("periodic samples must span less than one period")
 
-    @staticmethod
-    def constant(value: float, lo: float, hi: float, period: float | None = None) -> "WeightFn":
-        return WeightFn(np.array([lo, hi]), np.array([float(value)] * 2), period)
+    def __eq__(self, other):  # by the samples' values: == on numpy arrays is elementwise
+        return (isinstance(other, WeightFn) and np.array_equal(self.coords, other.coords)
+                and np.array_equal(self.values, other.values) and self.period == other.period)
 
     @staticmethod
     def from_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -190,10 +190,11 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class Space1D:
-    """Topology + weight + working resolution; measure m = exp(-f) H^1."""
+    """Topology + weight + working resolution; measure m = exp(-f) H^1.  A
+    weight of None is f = 0 over the window, or else over domain()."""
 
     topology: Topology1D
-    weight: WeightFn
+    weight: WeightFn | None = None
     grid_step: float = 1e-3
     window: tuple[float, float] | None = None  # line / halfline only
 
@@ -204,19 +205,23 @@ class Space1D:
         if kind in ("line", "halfline"):
             if self.window is None:
                 raise ValueError(f"{kind} spaces need a working window")
-            lo, hi = self.window
-            if not (hi > lo):
+            if not (self.window[1] > self.window[0]):
                 raise ValueError("window must be a nonempty interval")
-            if kind == "halfline" and abs(lo) > _ENDPOINT_TOL:
+            if kind == "halfline" and abs(self.window[0]) > _ENDPOINT_TOL:
                 raise ValueError("halfline window must start at 0")
-            cw = self.weight.coords
-            if cw[0] > lo + _ENDPOINT_TOL or cw[-1] < hi - _ENDPOINT_TOL:
-                raise ValueError("weight samples must cover the working window")
-        else:
-            if self.window is not None:
-                raise ValueError(f"{kind} spaces take no window")
-            if kind == "circle" and self.weight.period is None:
-                raise ValueError("circle weights must be periodic")
+        elif self.window is not None:
+            raise ValueError(f"{kind} spaces take no window")
+        lo, hi = self.window or self.domain()
+        period = hi if kind == "circle" else None  # the circumference
+        if self.weight is None:  # f = 0, on a circle one part in 1e9 short of a turn
+            object.__setattr__(self, "weight", WeightFn(
+                np.array([lo, hi * (1 - 1e-9) if period else hi]), np.zeros(2), period))
+        if self.weight.period != period:
+            raise ValueError(f"a {kind} weight's period must be {period}, got {self.weight.period}")
+        cw = self.weight.coords  # samples cover a space with ends
+        if not period and (cw[0] > lo + _ENDPOINT_TOL or cw[-1] < hi - _ENDPOINT_TOL):
+            raise ValueError("weight samples must cover the "
+                             + ("working window" if self.window else f"interval [{lo}, {hi}]"))
 
     # -- geometry ----------------------------------------------------------
 
@@ -475,21 +480,16 @@ def load_space(source) -> Space1D:
 
     grid_step = _number(data.get("grid_step", 1e-3), "space description: field 'grid_step'")
 
-    wdata = data.get("weight")
-    period = topo.circumference if topo.kind == "circle" else None
-    if wdata is None:  # f = 0 over the domain, on a circle one part in 1e9 short of a turn
-        span = period * (1 - 1e-9) if period else topo.param
-        lo, hi = (0.0, span) if span else window or (0.0, 1.0)  # no window: Space1D refuses it
-        weight = WeightFn.constant(0.0, lo, hi, period)
-    else:
-        if not isinstance(wdata, dict) or "coords" not in wdata or "f" not in wdata:
+    weight = data.get("weight")
+    if weight is not None:
+        if not isinstance(weight, dict) or "coords" not in weight or "f" not in weight:
             raise ValueError("space description: field 'weight' must have 'coords' and 'f'")
-        _known_fields(wdata, ("coords", "f"), "space description: weight")
+        _known_fields(weight, ("coords", "f"), "space description: weight")
         try:
-            coords = np.asarray(wdata["coords"], dtype=float)
-            fvals = np.asarray(wdata["f"], dtype=float)
+            coords = np.asarray(weight["coords"], dtype=float)
+            fvals = np.asarray(weight["f"], dtype=float)
         except (TypeError, ValueError):
             raise ValueError("space description: weight 'coords' and 'f' must be number "
                              "lists") from None
-        weight = WeightFn(coords, fvals, period)
+        weight = WeightFn(coords, fvals, topo.circumference if topo.kind == "circle" else None)
     return Space1D(topology=topo, weight=weight, grid_step=grid_step, window=window)

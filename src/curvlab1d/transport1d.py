@@ -283,9 +283,8 @@ def _golden_min(fn, a: float, b: float, iters: int = 80) -> tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _circle_cut(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
-                n_cuts: int = _CIRCLE_CUTS) -> tuple[float, float]:
-    """(W2^2, best shift) minimizing over the cumulative-mass shift alpha.
+def _circle_cut(bp0, ext1, n_cuts: int = _CIRCLE_CUTS) -> tuple[float, float]:
+    """(W2^2, best mass shift alpha) of graph bp0 against extended graph ext1.
 
     The shifted-quantile objective J(alpha) = int (Q0(u) - Q1_ext(u+alpha))^2
     is convex in alpha for the squared cost, so bisection on the sign of
@@ -295,9 +294,6 @@ def _circle_cut(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
     grid step (a spatial cut scan can strand in the wrong basin for
     multimodal atom layouts).
     """
-    bp0 = _breakpoints(mu0)
-    ext1 = _extended_bp(mu1)
-
     def obj(alpha: float) -> float:
         return _w2sq_line_bp(bp0, _shifted_bp(ext1, alpha))
 
@@ -339,8 +335,9 @@ def _coupling(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D):
     _check_same_space(mu0, mu1)
     bp0 = _breakpoints(mu0)
     if space.topology.kind == "circle":
-        v, alpha = _circle_cut(space, mu0, mu1)
-        bp1 = _shifted_bp(_extended_bp(mu1), alpha)
+        ext1 = _extended_bp(mu1)
+        v, alpha = _circle_cut(bp0, ext1)
+        bp1 = _shifted_bp(ext1, alpha)
     else:
         bp1 = _breakpoints(mu1)
         v = _w2sq_line_bp(bp0, bp1)

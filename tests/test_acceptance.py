@@ -33,18 +33,8 @@ def report(num, name, elapsed, budget, detail):
 
 
 def flat(kind, **kw):
-    if kind == "line":
-        return Space1D(Topology1D("line"), WeightFn.constant(0.0, -4, 4),
-                       window=(-4, 4), **kw)
-    if kind == "halfline":
-        return Space1D(Topology1D("halfline"), WeightFn.constant(0.0, 0, 8),
-                       window=(0, 8), **kw)
-    if kind == "interval":
-        return Space1D(Topology1D("interval", 1.0), WeightFn.constant(0.0, 0, 1), **kw)
-    circ = 2 * math.pi
-    coords = np.linspace(0, circ, 256, endpoint=False)
-    return Space1D(Topology1D("circle", 1.0),
-                   WeightFn(coords, np.zeros(256), period=circ), **kw)
+    window = {"line": (-4, 4), "halfline": (0, 8)}.get(kind)
+    return Space1D(Topology1D(kind, None if window else 1.0), window=window, **kw)
 
 
 def test_acceptance_01_sigma_sanity():
@@ -232,8 +222,7 @@ def test_acceptance_06_bg_ratio_monotonicity():
 
 def test_acceptance_07_w2_lp_equivalence():
     t0 = time.time()
-    sp = Space1D(Topology1D("line"), WeightFn.constant(0.0, 0, 10),
-                 grid_step=1e-3, window=(0, 10))
+    sp = Space1D(Topology1D("line"), grid_step=1e-3, window=(0, 10))
     rng = np.random.default_rng(77)
     checked = 0
     worst_line = 0.0
@@ -254,9 +243,7 @@ def test_acceptance_07_w2_lp_equivalence():
     assert worst_line <= 1e-6
 
     circ = 2 * math.pi
-    coords = np.linspace(0, circ, 64, endpoint=False)
-    spc = Space1D(Topology1D("circle", 1.0),
-                  WeightFn(coords, np.zeros(64), period=circ), grid_step=1e-3)
+    spc = Space1D(Topology1D("circle", 1.0), grid_step=1e-3)
 
     def dist(x, y):
         d = abs(x - y) % circ

@@ -148,6 +148,9 @@ OWNED_RULES = [
                  id="interval-null-window"),
     pytest.param({"topology": "halfline", "window": [1, 4]}, "start at 0",
                  id="halfline-window-start"),
+    pytest.param({"topology": "line", "window": [1, 0]}, "window", id="line-window-reversed"),
+    pytest.param({"topology": "interval", "param": 8,
+                  "weight": {"coords": [0, 1], "f": [0, 0]}}, "cover", id="interval-weight-short"),
     pytest.param({"topology": "line", "window": [-4, 4],
                   "weight": {"coords": [-1, 1], "f": [0, 0]}}, "cover", id="weight-cover"),
     pytest.param({"topology": "interval", "param": 1,

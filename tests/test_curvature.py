@@ -30,8 +30,7 @@ def cosine_weight_space(K=1.0, N=2.0, frac=0.9, step=1e-3):
 
 
 def flat_space(lo, hi, step=1e-3):
-    return Space1D(Topology1D("line"), WeightFn.constant(0.0, lo, hi),
-                   grid_step=step, window=(lo, hi))
+    return Space1D(Topology1D("line"), grid_step=step, window=(lo, hi))
 
 
 def circle_with(fn, radius=1.0, n=2000):
@@ -300,7 +299,7 @@ def test_battery_scan_matches_row_scan_when_a_margin_overflows():
     # overflows to inf, yet d = 1.57 < pi/2 keeps the plan out of the
     # conjugate regime, so that row is the witness and the check fails
     lo, hi = -3.0, 3.0
-    space = Space1D(Topology1D("line"), WeightFn.constant(-1418.0, lo, hi),
+    space = Space1D(Topology1D("line"), WeightFn(np.array([lo, hi]), np.full(2, -1418.0)),
                     grid_step=1e-3, window=(lo, hi))
     params = CurvatureParams(8.0, 2.0)  # conjugate at d = pi/2
     plans = [TriplePlan(-0.785, 0.785, (0.5, 1e-6)), TriplePlan(-0.01, 0.01, (0.5,))]
@@ -559,8 +558,7 @@ def test_differential_consistent_with_triple_battery():
 # -- entropic checks ----------------------------------------------------------------
 
 def unit_interval():
-    return Space1D(Topology1D("interval", 1.0), WeightFn.constant(0.0, 0.0, 1.0),
-                   grid_step=1e-3)
+    return Space1D(Topology1D("interval", 1.0), grid_step=1e-3)
 
 
 def translate_pairs(space, count, seed, width=0.2):
@@ -824,7 +822,8 @@ def test_circle_obstruction_overflowed_margin_is_found():
 
 def test_unrepresentable_exp_weight_raises_value_error():
     # f = -1500 puts exp(-f/N) = exp(750) past the float range everywhere
-    space = Space1D(Topology1D("interval", 1.0), WeightFn.constant(-1500.0, 0.0, 1.0))
+    space = Space1D(Topology1D("interval", 1.0),
+                    WeightFn(np.array([0.0, 1.0]), np.full(2, -1500.0)))
     params = CurvatureParams(0.0, 2.0)
     with pytest.raises(ValueError, match=r"exp\(-f/N\) is not representable at x = "):
         check_kn_convex(space.weight, space, params, default_triple_battery(space))

@@ -17,8 +17,7 @@ from oracles import trapezoid_refined
 
 
 def flat_line(half=4.0):
-    return Space1D(Topology1D("line"), WeightFn.constant(0.0, -half, half),
-                   window=(-half, half))
+    return Space1D(Topology1D("line"), window=(-half, half))
 
 
 def weight_line(fn, half=4.0, step=1e-3):
@@ -79,17 +78,14 @@ def test_bg_boundary_line_instance():
 
 
 def test_bg_boundary_halfline_instance():
-    space = Space1D(Topology1D("halfline"), WeightFn.constant(0.0, 0, 8), window=(0, 8))
+    space = Space1D(Topology1D("halfline"), window=(0, 8))
     report = bg_boundary_check(space, 0.0, CurvatureParams(0.0, 2.0), [1.0])
     assert report.witness["lhs"] == pytest.approx(2.0, abs=1e-9)
     assert report.witness["rhs"] == pytest.approx(20.0, abs=1e-6)
 
 
 def test_bg_boundary_circle_antipodal():
-    circ = 2 * math.pi
-    coords = np.linspace(0, circ, 64, endpoint=False)
-    space = Space1D(Topology1D("circle", 1.0),
-                    WeightFn(coords, np.zeros(64), period=circ))
+    space = Space1D(Topology1D("circle", 1.0))
     report = bg_boundary_check(space, 0.0, CurvatureParams(0.0, 2.0), [math.pi])
     assert report.witness["lhs"] == pytest.approx(2.0, abs=1e-9)
     assert report.witness["rhs"] > report.witness["lhs"]
@@ -133,7 +129,7 @@ def test_linear_growth_flat_line():
 
 
 def test_linear_growth_halfline_from_origin():
-    space = Space1D(Topology1D("halfline"), WeightFn.constant(0.0, 0, 8), window=(0, 8))
+    space = Space1D(Topology1D("halfline"), window=(0, 8))
     C, report = linear_growth_constant(space, 0.0, 2.0, [0.1, 0.5, 1.0],
                                        CurvatureParams(0.0, 2.0))
     assert C == pytest.approx(2.0, abs=1e-6)  # interior points dominate
@@ -158,7 +154,7 @@ def test_linear_growth_all_pairs_skipped_raises():
 
 @pytest.mark.parametrize("space,y", [
     (flat_line(half=1.0), 1.0),
-    (Space1D(Topology1D("halfline"), WeightFn.constant(0.0, 0, 2), window=(0, 2)), 2.0),
+    (Space1D(Topology1D("halfline"), window=(0, 2)), 2.0),
 ])
 def test_linear_growth_no_envelope_ball_raises(space, y):
     # B_0.1(x) fits for some x in B_0.5(y), but every envelope ball B_t(y)
@@ -453,10 +449,41 @@ def test_lipschitz_empty_battery_raises():
         lipschitz_modulus(flat_line(), CurvatureParams(0.0, 2.0), 0.5, [])
 
 
+# -- a narrow spike where a check looks: PASS below the size it needs, FAIL above --
+
+def spiked_line(c, width, height, half=4.0):
+    """Flat line, CD(0, 2), with density `height` on [c - width/2, c + width/2]."""
+    e, f = width / 10.0, -math.log(height)
+    coords = [-half, c - width / 2 - e, c - width / 2, c + width / 2, c + width / 2 + e, half]
+    return Space1D(Topology1D("line"), WeightFn(np.array(coords), np.array([0, 0, f, f, 0, 0])),
+                   window=(-half, half))
+
+
+K0N2 = CurvatureParams(0.0, 2.0)  # 2*5^(N-1) = 10, and S/F = 2/t
+
+
+@pytest.mark.parametrize("check,centre,width,heights", [
+    # 2H + 2 <= 20 m(B_1) ~ 20 (2 + H w/2) from 0 at t = 1: H > 38 / 1.9 = 20
+    (lambda sp: bg_boundary_check(sp, 0.0, K0N2, [0.5, 1.0, 1.5]), 1.0, 0.01, (10.0, 25.0)),
+    # 2 + H w / s on a ball s = 0.01 over the spike against the envelope from
+    # y = 0, about 20 (2 + H w / 0.9): H w > 0.49
+    (lambda sp: linear_growth_constant(sp, 0.0, 1.0, [0.01, 0.1], K0N2)[1], 0.9, 0.01,
+     (30.0, 60.0)),
+    # the spike in B_r(0), not in B_r(-0.01): H w / (r d) against about
+    # (2 / r^2)(4 r + H w) at r = 0.5, d = 0.01: H w > 8 / (1/d - 2/r) = 0.083
+    (lambda sp: lipschitz_modulus(sp, K0N2, 0.5, [(0.0, -0.01)])[2], 0.495, 0.005, (10.0, 20.0)),
+], ids=["bg-boundary", "linear-growth", "lipschitz"])
+def test_growth_check_fails_on_a_spike_where_it_looks(check, centre, width, heights):
+    # each tests a necessary condition with the fixed constant 2*5^(N-1) and
+    # does not resolve K, but a spike of height H and width w refutes it
+    passing, failing = (check(spiked_line(centre, width, h)) for h in heights)
+    assert passing.passed and not failing.passed
+
+
 # -- classification ---------------------------------------------------------------------
 
 def test_classify_flat_interval():
-    space = Space1D(Topology1D("interval", 1.0), WeightFn.constant(0.0, 0, 1))
+    space = Space1D(Topology1D("interval", 1.0))
     verdict = classify(space, [CurvatureParams(0.0, 2.0)])
     assert verdict.admissible
     assert verdict.kn_params == CurvatureParams(0.0, 2.0)
@@ -465,10 +492,7 @@ def test_classify_flat_interval():
 
 
 def test_classify_circle_rejects_positive_k():
-    circ = 2 * math.pi
-    coords = np.linspace(0, circ, 128, endpoint=False)
-    space = Space1D(Topology1D("circle", 1.0),
-                    WeightFn(coords, np.zeros(128), period=circ))
+    space = Space1D(Topology1D("circle", 1.0))
     verdict = classify(space, [CurvatureParams(1.0, 2.0), CurvatureParams(0.1, 8.0)])
     assert not verdict.admissible
     assert verdict.kn_params is None
@@ -487,6 +511,6 @@ def test_classify_cosine_weight_line():
 
 
 def test_classify_prefers_smallest_k():
-    space = Space1D(Topology1D("interval", 1.0), WeightFn.constant(0.0, 0, 1))
+    space = Space1D(Topology1D("interval", 1.0))
     verdict = classify(space, [CurvatureParams(0.0, 2.0), CurvatureParams(-1.0, 2.0)])
     assert verdict.kn_params == CurvatureParams(-1.0, 2.0)

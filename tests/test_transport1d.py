@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curvlab1d import transport1d
-from curvlab1d.space1d import Space1D, Topology1D, WeightFn, WindowError, measure_ball
+from curvlab1d.space1d import (Space1D, Topology1D, WeightFn, WindowError, load_space,
+                               measure_ball)
 from curvlab1d.transport1d import (
     ProbMeasure1D, displacement_interpolate, entropies_along, entropy,
     entropy_of_segments, measure_from_atoms, measure_from_density, quantile, renyi,
@@ -19,15 +20,11 @@ from oracles import bisect_quantile, lp_transport_cost, trapezoid_refined
 
 
 def flat_space(lo=0.0, hi=4.0, step=1e-3):
-    return Space1D(Topology1D("line"), WeightFn.constant(0.0, lo, hi),
-                   grid_step=step, window=(lo, hi))
+    return Space1D(Topology1D("line"), grid_step=step, window=(lo, hi))
 
 
 def circle_space(radius=1.0, step=1e-3):
-    circ = 2 * math.pi * radius
-    coords = np.linspace(0.0, circ, 64, endpoint=False)
-    return Space1D(Topology1D("circle", radius),
-                   WeightFn(coords, np.zeros(64), period=circ), grid_step=step)
+    return Space1D(Topology1D("circle", radius), grid_step=step)
 
 
 def _periodic_dist(z, c, circ=2 * math.pi):
@@ -130,8 +127,7 @@ def test_w2_finite_when_quantile_anchors_repeat_at_one():
     # the merged piece (1 - 2^-53, 1) must not pick the zero-width one (NaN)
     circ = 2 * math.pi
     d = _periodic_dist
-    interval = Space1D(Topology1D("interval", circ), WeightFn.constant(0.0, 0.0, circ),
-                       grid_step=1e-3)
+    interval = Space1D(Topology1D("interval", circ), grid_step=1e-3)
     got = {}
     for sp in (interval, circle_space()):
         mu0 = measure_from_density(
@@ -259,16 +255,14 @@ def test_w2_circle_cut_refinement_invariant():
     for _ in range(3):
         mu0 = uniform_measure(sp, float(rng.uniform(0, 3)), float(rng.uniform(3.5, 5)))
         mu1 = uniform_measure(sp, float(rng.uniform(0, 2)), float(rng.uniform(2.5, 6)))
-        v256, _ = _circle_cut(sp, mu0, mu1, n_cuts=256)
-        v2560, _ = _circle_cut(sp, mu0, mu1, n_cuts=2560)
+        bp0, ext1 = _breakpoints(mu0), _extended_bp(mu1)
+        v256, _ = _circle_cut(bp0, ext1, n_cuts=256)
+        v2560, _ = _circle_cut(bp0, ext1, n_cuts=2560)
         assert abs(v256 - v2560) <= 1e-8
 
 
-def _scan_circle_cut(mu0, mu1, n_cuts=256):
+def _scan_circle_cut(bp0, ext1, n_cuts=256):
     """The full grid scan the bisection replaces: argmin over every shift."""
-    bp0 = _breakpoints(mu0)
-    ext1 = _extended_bp(mu1)
-
     def obj(alpha):
         return _w2sq_line_bp(bp0, _shifted_bp(ext1, alpha))
 
@@ -326,24 +320,21 @@ def _wrapped_uniform(sp, lo, width):
 def test_circle_cut_bisection_matches_full_scan():
     sp, pairs = _oracle_circle_pairs()
     for mu0, mu1 in pairs:
-        want, _ = _scan_circle_cut(mu0, mu1)
-        assert _circle_cut(sp, mu0, mu1) == want
+        graphs = _breakpoints(mu0), _extended_bp(mu1)
+        assert _circle_cut(*graphs) == _scan_circle_cut(*graphs)[0]
 
 
 def test_circle_cut_bisection_matches_full_scan_on_tied_grid(monkeypatch):
     # circumference 8 (dyadic): the full-circle uniform against its lift rotated
     # by an odd multiple of half a grid step ties two grid values exactly at
     # the minimum; both routes must take the first of them and refine from it
-    radius = 4.0 / math.pi
-    circ = 2 * math.pi * radius
-    sp = Space1D(Topology1D("circle", radius),
-                 WeightFn(np.linspace(0.0, circ, 64, endpoint=False), np.zeros(64),
-                          period=circ))
+    sp = Space1D(Topology1D("circle", 4.0 / math.pi))
     c = sp.topology.circumference
     assert c == 8.0
     for d in (c / 512, 5 * c / 512):
         mu0, mu1 = uniform_measure(sp, 0.0, c), uniform_measure(sp, d, d + c)
-        want, vals = _scan_circle_cut(mu0, mu1)
+        graphs = _breakpoints(mu0), _extended_bp(mu1)
+        want, vals = _scan_circle_cut(*graphs)
         k = int(np.argmin(vals))
         assert vals[k + 1] == vals[k]
         brackets = []
@@ -353,7 +344,7 @@ def test_circle_cut_bisection_matches_full_scan_on_tied_grid(monkeypatch):
             return _golden_min(fn, a, b, *args)
 
         monkeypatch.setattr(transport1d, "_golden_min", recording_golden_min)
-        assert _circle_cut(sp, mu0, mu1) == want
+        assert _circle_cut(*graphs) == want
         monkeypatch.undo()
         shift_k = -1.0 + k / 256
         assert brackets == [(shift_k - 1 / 256, shift_k + 1 / 256)]
@@ -371,7 +362,7 @@ def test_circle_cut_objective_call_count(monkeypatch):
     monkeypatch.setattr(transport1d, "_shifted_bp", counting_shifted_bp)
     for mu0, mu1 in pairs:
         calls.clear()
-        _circle_cut(sp, mu0, mu1)
+        _circle_cut(_breakpoints(mu0), _extended_bp(mu1))
         assert len(calls) <= 110  # a full 512-shift scan made 594
 
 
@@ -442,7 +433,7 @@ def test_entropy_uniform_against_lebesgue():
 
 def test_entropy_constant_weight_shift():
     c = 0.7
-    sp = Space1D(Topology1D("line"), WeightFn.constant(c, 0.0, 4.0),
+    sp = Space1D(Topology1D("line"), WeightFn(np.array([0.0, 4.0]), np.full(2, c)),
                  window=(0.0, 4.0))
     mu = uniform_measure(sp, 0.0, 1.0)
     assert entropy(mu, sp) == pytest.approx(c, abs=1e-12)
@@ -702,10 +693,15 @@ def test_measure_validation():
 
 
 def test_w2_rejects_space_mismatch():
-    sp_a = flat_space(0.0, 4.0)
-    sp_b = flat_space(0.0, 5.0)
-    with pytest.raises(ValueError):
-        w2(sp_a, uniform_measure(sp_a, 0.0, 1.0), uniform_measure(sp_b, 0.0, 1.0))
+    # two loads of one description couple (comparing their weights raised
+    # numpy's "truth value of an array is ambiguous"); different spaces do not
+    desc = {"topology": "interval", "param": 1}
+    a, b = load_space(desc), load_space(desc)
+    assert w2(a, uniform_measure(a, 0.0, 0.5), uniform_measure(b, 0.5, 1.0)) == pytest.approx(0.5)
+    for other in (load_space(dict(desc, param=2)),
+                  load_space(dict(desc, weight={"coords": [0, 1], "f": [0, 1]}))):
+        with pytest.raises(ValueError, match="measures live on different spaces"):
+            w2(a, uniform_measure(a, 0.0, 0.5), uniform_measure(other, 0.5, 1.0))
 
 
 # -- metric properties ----------------------------------------------------------------
@@ -856,7 +852,7 @@ def test_circle_cut_helpers_match_frozen_copies(data, radius):
             assert all(same_bits(g, w) for g, w in zip(transport1d._merged_pieces(bp0, got),
                                                       frozen_merged_pieces(bp0, want)))
             assert same_bits(_w2sq_line_bp(bp0, got), frozen_w2sq_line_bp(bp0, want))
-        assert _circle_cut(space, mu0, mu1) == frozen_circle_cut(bp0, ext1)
+        assert _circle_cut(bp0, ext1) == frozen_circle_cut(bp0, ext1)
     q = np.concatenate([np.linspace(0.0, 1.0, 17), bp0[0]])
     fn = quantile(mu0)
     assert np.array_equal(fn(q), frozen_eval_quantile(*bp0, q))

@@ -31,7 +31,7 @@ rng = np.random.default_rng(1)
 plans = [TriplePlan(*sorted(-half + 2 * half * rng.random(2)))
          for _ in range(100)]
 plans = [p for p in plans if abs(p.x1 - p.x0) > 0.05]
-rep = check_kn_convex(w, space, CurvatureParams(K, N), plans, tol=1e-5)
+rep = check_kn_convex(space, CurvatureParams(K, N), plans, tol=1e-5)
 print(f"cos^N weight, 100 random triples: worst margin {rep.max_violation:+.2e} "
       f"(equality case; PASS = {rep.passed})")
 

@@ -13,14 +13,14 @@ entropy under branching.
 __version__ = "0.1.0"
 
 from .coefficients import CurvatureParams, sigma, s_vol, f_vol
-from .space1d import Topology1D, WeightFn, Space1D, SphereMeasure, RescaledSpace
+from .space1d import Topology1D, WeightFn, Space1D, RescaledSpace
 from .transport1d import ProbMeasure1D, QuantileFn
 from .curvature import CurvatureReport, TriplePlan
 from .branching import Tripod, TripodPoint, BranchingScenario, PlanPair
 
 __all__ = [
     "CurvatureParams", "sigma", "s_vol", "f_vol",
-    "Topology1D", "WeightFn", "Space1D", "SphereMeasure", "RescaledSpace",
+    "Topology1D", "WeightFn", "Space1D", "RescaledSpace",
     "ProbMeasure1D", "QuantileFn",
     "CurvatureReport", "TriplePlan",
     "Tripod", "TripodPoint", "BranchingScenario", "PlanPair",

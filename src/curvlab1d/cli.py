@@ -187,14 +187,11 @@ def _lipschitz(space, params, args):
 
 _REPORT_CHECKS = {
     "check-kn-convex": lambda space, params, args: (cv.check_kn_convex(
-        space.weight, space, params, cv.default_triple_battery(space, seed=args.seed),
-        seed=args.seed, **_tol(args)), {}),
+        space, params, cv.default_triple_battery(space, seed=args.seed), **_tol(args)), {}),
     "verify-cde": lambda space, params, args: (cv.verify_cde(
-        space, params, _default_pair_battery(space, args.seed), seed=args.seed,
-        **_tol(args)), {}),
+        space, params, _default_pair_battery(space, args.seed), **_tol(args)), {}),
     "verify-cd-infty": lambda space, params, args: (cv.verify_cd_infty(
-        space, params.K, _default_pair_battery(space, args.seed), seed=args.seed,
-        **_tol(args)), {}),
+        space, params.K, _default_pair_battery(space, args.seed), **_tol(args)), {}),
     "circle-obstruction": lambda space, params, args: (cv.circle_obstruction(space, params), {}),
     "bg-scan": lambda space, params, args: _bg_check(gs.bg_ratio_scan, space, params, args),
     "bg-boundary": lambda space, params, args: _bg_check(gs.bg_boundary_check, space, params, args),
@@ -211,7 +208,6 @@ def _cmd_report(args):
     # verify-cd-infty reads no --n: the default N = 2 only lets K be checked
     params = CurvatureParams(args.k, args.n)
     report, extra = _REPORT_CHECKS[args.command](space, params, args)
-    # the body's seed is --seed, also where the report carries none
     body = report.to_dict() | _base_body(args, report.kind)
     # CD(K, infinity) has no dimension bound
     body["params"] = ({"K": params.K} if math.isinf(report.N)
@@ -260,7 +256,7 @@ def _cmd_classify(args):
     body = _base_body(args, "classification")
     body.update({
         "params": {"candidates": [[p.K, p.N] for p in candidates]},
-        "model": {"kind": verdict.model.kind, "param": verdict.model.param},
+        "model": {"kind": space.topology.kind, "param": space.topology.param},
         "admissible": verdict.admissible,
         "kn_params": ([verdict.kn_params.K, verdict.kn_params.N]
                       if verdict.kn_params else None),

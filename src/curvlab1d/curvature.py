@@ -72,9 +72,12 @@ class CurvatureReport:
     witness: dict
     tolerance: float
     grid_step: float
-    seed: int | None = None
     conjugate_flags: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not math.isfinite(self.tolerance):  # an inf tol passes anything, a NaN fails it
+            raise ValueError(f"tol must be finite, got {self.tolerance!r}")
 
     @property
     def passed(self) -> bool:
@@ -89,7 +92,6 @@ class CurvatureReport:
             "witness": self.witness,
             "tol": self.tolerance,
             "grid_step": self.grid_step,
-            "seed": self.seed,
             "passed": self.passed,
         }
         if self.conjugate_flags:
@@ -210,9 +212,9 @@ def _battery_sigmas(params: CurvatureParams, d: np.ndarray, t: np.ndarray,
     return live, coefs[0], coefs[1]
 
 
-def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
-                     x0: np.ndarray, x1: np.ndarray, major: np.ndarray,
-                     t: np.ndarray, plan_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _battery_margins(space: Space1D, params: CurvatureParams, x0: np.ndarray, x1: np.ndarray,
+                     major: np.ndarray, t: np.ndarray,
+                     plan_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(margins, live): the (K,N)-convexity margin of each row (plan_of, t)
     of the plans (x0, x1, major), and per plan whether it is out of the
     conjugate regime.  The endpoints of the live plans and the points x_t
@@ -227,7 +229,7 @@ def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
     n = int(np.count_nonzero(live))
     pts = np.concatenate([x0[live], x1[live], xt[rows]])
     vals, pt_at = np.unique(pts, return_inverse=True)
-    fv = f(vals)
+    fv = space.weight(vals)
     try:
         g = _scalar_map(math.exp, -fv / N)[pt_at]
     except OverflowError:
@@ -242,16 +244,17 @@ def _battery_margins(f: WeightFn, space: Space1D, params: CurvatureParams,
     return m, live
 
 
-def triple_margin(f: WeightFn, space: Space1D, params: CurvatureParams,
-                  x0: float, x1: float, t: float, arc: str = "minor") -> float:
-    """sigma^{(1-t)}(d) g(x0) + sigma^{(t)}(d) g(x1) - g(x_t), g = exp(-f/N).
+def triple_margin(space: Space1D, params: CurvatureParams, x0: float, x1: float, t: float,
+                  arc: str = "minor") -> float:
+    """sigma^{(1-t)}(d) g(x0) + sigma^{(t)}(d) g(x1) - g(x_t), g = exp(-f/N),
+    f the space's weight.
 
     Positive = the (K,N)-convexity inequality fails at this triple.
     Returns math.inf if the triple is in the conjugate regime, and also
     when the margin overflows outside it; raises ValueError when
     exp(-f/N) itself overflows at one of the three points.
     """
-    row, _ = _battery_margins(f, space, params, np.array([x0], dtype=float),
+    row, _ = _battery_margins(space, params, np.array([x0], dtype=float),
                               np.array([x1], dtype=float), np.array([arc != "minor"]),
                               np.array([t], dtype=float), np.zeros(1, dtype=np.intp))
     return float(row[0])
@@ -313,10 +316,10 @@ def default_triple_battery(space: Space1D, seed: int = 0, coarse: int = 64,
                         np.arange(n_grid, n_grid + len(rand))]))
 
 
-def check_kn_convex(f: WeightFn, space: Space1D, params: CurvatureParams,
-                    plan_battery: TripleBattery | Sequence[TriplePlan], tol: float | None = None,
-                    seed: int | None = None) -> CurvatureReport:
-    """Worst (K,N)-convexity margin of the weight over the plan battery.
+def check_kn_convex(space: Space1D, params: CurvatureParams,
+                    plan_battery: TripleBattery | Sequence[TriplePlan],
+                    tol: float | None = None) -> CurvatureReport:
+    """Worst (K,N)-convexity margin of the space's weight over the plan battery.
 
     One batched pass over all (plan, t) rows; the witness is the first row
     of largest margin.  A conjugate plan (K d^2 >= N pi^2, whatever t) is
@@ -334,7 +337,7 @@ def check_kn_convex(f: WeightFn, space: Space1D, params: CurvatureParams,
     has_rows = np.bincount(bat.plan_of, minlength=n_plans) > 0
     rowed = np.flatnonzero(has_rows)
     plan_of = (np.cumsum(has_rows) - 1)[bat.plan_of]  # among the plans with rows
-    margins, live = _battery_margins(f, space, params, bat.x0[rowed], bat.x1[rowed],
+    margins, live = _battery_margins(space, params, bat.x0[rowed], bat.x1[rowed],
                                      bat.major[rowed], bat.t, plan_of)
     if not np.any(live):
         raise ValueError("no finite-margin plan in the battery: every plan is conjugate")
@@ -347,8 +350,7 @@ def check_kn_convex(f: WeightFn, space: Space1D, params: CurvatureParams,
              for j, x0, x1 in zip(conj.tolist(), bat.x0[conj].tolist(), bat.x1[conj].tolist())]
     return CurvatureReport(
         kind="kn-convexity", K=params.K, N=params.N, max_violation=float(margins[k]),
-        witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
-        conjugate_flags=flags,
+        witness=witness, tolerance=tol, grid_step=space.grid_step, conjugate_flags=flags,
         extra={"n_plans": n_plans},
     )
 
@@ -398,8 +400,7 @@ def _entropy_pairs(space: Space1D, pair_battery, t_grid: Sequence[float]):
 
 
 def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
-               t_grid: Sequence[float] = _DEFAULT_T_GRID, tol: float = 5e-4,
-               seed: int | None = None) -> CurvatureReport:
+               t_grid: Sequence[float] = _DEFAULT_T_GRID, tol: float = 5e-4) -> CurvatureReport:
     """Entropic curvature-dimension check along displacement interpolation.
 
     Margin per (pair, t): sigma^{(1-t)}(W2) exp(-Ent0/N) +
@@ -430,13 +431,13 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
     if worst == -math.inf:
         raise ValueError("no finite-margin pair in the battery")
     return CurvatureReport(kind="cde-entropic", K=params.K, N=params.N, max_violation=worst,
-                           witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
+                           witness=witness, tolerance=tol, grid_step=space.grid_step,
                            conjugate_flags=flags, extra={"n_pairs": len(pair_battery)})
 
 
 def verify_cd_infty(space: Space1D, K: float, pair_battery,
-                    t_grid: Sequence[float] = _DEFAULT_T_GRID, tol: float = 5e-4,
-                    seed: int | None = None) -> CurvatureReport:
+                    t_grid: Sequence[float] = _DEFAULT_T_GRID,
+                    tol: float = 5e-4) -> CurvatureReport:
     """K-convexity of the entropy: Ent_t <= (1-t)Ent0 + tEnt1 - K/2 t(1-t) W2^2."""
     worst = -math.inf
     witness = {}
@@ -451,7 +452,7 @@ def verify_cd_infty(space: Space1D, K: float, pair_battery,
     if worst == -math.inf:
         raise ValueError("no finite-margin pair in the battery")
     return CurvatureReport(kind="cd-infinity", K=K, N=math.inf, max_violation=worst,
-                           witness=witness, tolerance=tol, grid_step=space.grid_step, seed=seed,
+                           witness=witness, tolerance=tol, grid_step=space.grid_step,
                            extra={"n_pairs": len(pair_battery)})
 
 
@@ -480,7 +481,7 @@ def circle_obstruction(space: Space1D, params: CurvatureParams) -> CurvatureRepo
                          f"d, {d!r}, is not above 16 eps c")
     x0, x1 = [(xbar - d / 2.0) % circ for d in ds], [(xbar + d / 2.0) % circ for d in ds]
     n = len(ds)
-    margins, _ = _battery_margins(w, space, params, np.array(x0), np.array(x1),
+    margins, _ = _battery_margins(space, params, np.array(x0), np.array(x1),
                                   np.zeros(n, dtype=bool), np.full(n, 0.5), np.arange(n))
     positive = margins > 0.0
     found = bool(positive.any())

@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol
-from .space1d import (Space1D, WeightFn, WindowError, _ball_masses, boundary_measure,
-                      measure_ball)
+from .space1d import Space1D, WindowError, _ball_masses, boundary_measure, measure_ball
 from .curvature import (CurvatureReport, check_kn_convex, circle_obstruction,
                         default_triple_battery, default_tolerance)
 from .branching import Tripod, TripodPoint
@@ -54,10 +53,8 @@ class DensityRatioTrace:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """Model identification plus the weight's verifying parameters."""
+    """The first (K,N) whose convexity battery the space's weight passes."""
 
-    model: object         # Topology1D
-    weight: WeightFn
     kn_params: CurvatureParams | None
     admissible: bool
     report: CurvatureReport | None = None
@@ -269,12 +266,11 @@ def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
 
 def classify(space: Space1D, search_params: Sequence[CurvatureParams],
              seed: int = 0, tol: float | None = None) -> ClassificationVerdict:
-    """Identify the model (exact for our descriptors) and the first
-    candidate (ordered by K, then N) whose weight passes the convexity
-    battery.  Circle candidates with K > 0 additionally face the targeted
-    obstruction search, which defeats any battery that missed a violation.
-    Returns a non-admissible verdict (not an exception) when every
-    candidate fails.
+    """The first candidate (ordered by K, then N) whose weight passes the
+    convexity battery, built once from seed.  Circle candidates with K > 0
+    additionally face the targeted obstruction search, which defeats any
+    battery that missed a violation.  Returns a non-admissible verdict (not
+    an exception) when every candidate fails.
     """
     if tol is None:
         tol = default_tolerance(space.grid_step)
@@ -285,13 +281,7 @@ def classify(space: Space1D, search_params: Sequence[CurvatureParams],
             obs = circle_obstruction(space, params)
             if not obs.extra.get("anomaly", False) and obs.max_violation > tol:
                 continue
-        report = check_kn_convex(space.weight, space, params, battery, tol=tol, seed=seed)
+        report = check_kn_convex(space, params, battery, tol=tol)
         if report.passed:
-            return ClassificationVerdict(
-                model=space.topology, weight=space.weight, kn_params=params,
-                admissible=True, report=report,
-            )
-    return ClassificationVerdict(
-        model=space.topology, weight=space.weight, kn_params=None,
-        admissible=False, report=None,
-    )
+            return ClassificationVerdict(kn_params=params, admissible=True, report=report)
+    return ClassificationVerdict(kn_params=None, admissible=False)

@@ -32,11 +32,9 @@ __all__ = [
     "Topology1D",
     "WeightFn",
     "Space1D",
-    "SphereMeasure",
     "RescaledSpace",
     "measure_ball",
     "boundary_measure",
-    "disintegrate",
     "rescale",
     "load_space",
     "space_to_dict",
@@ -60,8 +58,8 @@ class Topology1D:
         if self.kind not in ("line", "halfline", "interval", "circle"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if self.kind in ("interval", "circle"):
-            if self.param is None or not (self.param > 0.0):
-                raise ValueError(f"{self.kind} needs a positive param, got {self.param}")
+            if self.param is None or not 0.0 < self.param < math.inf:
+                raise ValueError(f"{self.kind} needs a positive finite param, got {self.param}")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no param")
 
@@ -103,6 +101,8 @@ class WeightFn:
         object.__setattr__(self, "values", values)
         if coords.ndim != 1 or coords.shape != values.shape or coords.size < 1:
             raise ValueError("coords and f values must be matching 1D arrays")
+        if not np.all(np.isfinite(coords)):  # an infinite end flattens its segment's f
+            raise ValueError("weight coords must be finite")
         if coords.size > 1 and not np.all(np.diff(coords) > 0):
             raise ValueError("weight coordinates must be strictly increasing")
         if not np.all(np.isfinite(values)):
@@ -199,14 +199,14 @@ class Space1D:
     window: tuple[float, float] | None = None  # line / halfline only
 
     def __post_init__(self):
-        if not (self.grid_step > 0.0):
-            raise ValueError("grid_step must be positive")
+        if not 0.0 < self.grid_step < math.inf:
+            raise ValueError(f"grid_step must be positive and finite, got {self.grid_step}")
         kind = self.topology.kind
         if kind in ("line", "halfline"):
             if self.window is None:
                 raise ValueError(f"{kind} spaces need a working window")
-            if not (self.window[1] > self.window[0]):
-                raise ValueError("window must be a nonempty interval")
+            if not -math.inf < self.window[0] < self.window[1] < math.inf:
+                raise ValueError(f"window must be a finite nonempty interval, got {self.window}")
             if kind == "halfline" and abs(self.window[0]) > _ENDPOINT_TOL:
                 raise ValueError("halfline window must start at 0")
         elif self.window is not None:
@@ -283,46 +283,29 @@ class Space1D:
             raise WindowError(f"ball B_{r}({x}) leaves the working window [{lo}, {hi}]")
         return (max(lo, a) if own_lo else a), (min(hi, b) if own_hi else b)
 
-    def _sphere_points(self, x: float, r: float) -> list[tuple[float, int]]:
-        """The points at distance r from x, each with the number of directions
-        that reach it (both at r = 0 and at a circle's antipode).  They are the
-        ball's ends, less an end where the space itself stopped the ball short
-        of r, so the ball's radius, centre and window checks hold here too."""
+    def sphere_coords(self, x: float, r: float) -> list[float]:
+        """The points at distance r from x, sorted: the ball's ends, less an
+        end where the space itself stopped the ball short of r, so the ball's
+        radius, centre and window checks hold here too.  At r = 0 and at a
+        circle's antipode both directions reach one point."""
         lo, hi = self._ball_interval(x, r)
         if r == 0.0:
-            return [(lo, 2)]
+            return [lo]
         if self.topology.kind == "circle":
             c = self.topology.circumference
             if r > c / 2.0 + _ENDPOINT_TOL:
                 return []
-            if r >= c / 2.0 - _ENDPOINT_TOL:  # the antipode: both directions meet
-                return [((x + r) % c, 2)]
-            return [(y, 1) for y in sorted(((x - r) % c, (x + r) % c))]
+            if r >= c / 2.0 - _ENDPOINT_TOL:
+                return [(x + r) % c]
+            return sorted(((x - r) % c, (x + r) % c))
         (dlo, dhi), (own_lo, own_hi) = self.domain(), self._own_ends()
         cut_lo = own_lo and x - r < dlo - _ENDPOINT_TOL
         cut_hi = own_hi and x + r > dhi + _ENDPOINT_TOL
-        return [(y, 1) for y, cut in ((lo, cut_lo), (hi, cut_hi)) if not cut]
-
-    def sphere_coords(self, x: float, r: float) -> list[float]:
-        """Points at metric distance exactly r from x, within the domain."""
-        return [y for y, _ in self._sphere_points(x, r)]
+        return [y for y, cut in ((lo, cut_lo), (hi, cut_hi)) if not cut]
 
     def total_mass(self) -> float:
         lo, hi = self.domain()
         return self.weight.integrate_density(lo, hi)
-
-
-@dataclass(frozen=True)
-class SphereMeasure:
-    """Disintegration fiber: atoms (coordinate, mass) at distance r from origin."""
-
-    origin: float
-    radius: float
-    atoms: tuple[tuple[float, float], ...]
-
-    @property
-    def total(self) -> float:
-        return sum(m for _, m in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -373,23 +356,14 @@ def boundary_measure(space: Space1D, x0: float, t: float) -> float:
     """
     if not (t > 0.0):
         raise ValueError(f"t must be > 0, got {t}")
-    pts = space._sphere_points(x0, t)
+    pts = space.sphere_coords(x0, t)
     if not pts:
         raise ValueError(f"sphere of radius {t} around {x0} is empty")
     total = 0.0
-    for y, _ in pts:
+    for y in pts:
         w = math.exp(-space.weight(y))
         total += w if space.is_domain_endpoint(y) else 2.0 * w
     return total
-
-
-def disintegrate(space: Space1D, origin: float, r: float) -> SphereMeasure:
-    """Fiber measure m_r over the sphere of radius r: one atom per sphere point
-    y, of mass exp(-f(y)) times the number of directions that reach y (both at
-    r = 0 and at a circle's antipode)."""
-    atoms = tuple((y, sides * math.exp(-space.weight(y)))
-                  for y, sides in space._sphere_points(origin, r))
-    return SphereMeasure(origin=origin, radius=r, atoms=atoms)
 
 
 def rescale(space: Space1D, x: float, r: float) -> RescaledSpace:

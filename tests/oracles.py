@@ -523,7 +523,7 @@ def frozen_circle_obstruction(space, params, shrink=0.8, min_steps=40):
             break
         x0 = (xbar - d / 2.0) % circ
         x1 = (xbar + d / 2.0) % circ
-        m = triple_margin(w, space, params, x0, x1, 0.5, arc="minor")
+        m = triple_margin(space, params, x0, x1, 0.5, arc="minor")
         if m > 0.0:
             gN = math.exp(-w(xbar) / params.N)
             if gN == 0.0:

@@ -84,7 +84,7 @@ def test_acceptance_02_equality_weight_convexity():
                 if x1 - x0 < 0.05:
                     continue
                 plans.append(TriplePlan(float(x0), float(x1)))
-        rep = check_kn_convex(w, space, CurvatureParams(K, N), plans, tol=1e-5)
+        rep = check_kn_convex(space, CurvatureParams(K, N), plans, tol=1e-5)
         margins[step] = abs(rep.max_violation)
     assert margins[1e-3] <= 1e-5
     ratio = margins[1e-3] / max(margins[5e-4], 1e-300)

@@ -65,19 +65,20 @@ def test_exit_codes_pass_fail_usage(spaces, tmp_path):
     assert run(["tripod-shannon", "--input", str(infeasible), "--output", out]) == 1
 
 
-# lipschitz, bg-scan, bg-boundary and circle-obstruction bodies read "seed": null,
-# their reports' own seed
+# every body's seed is --seed, which the command writes: a report holds no seed
 REPORT_COMMANDS = {"check-kn-convex": ("interval", "0"), "lipschitz": ("interval", "0"),
                    "bg-scan": ("line", "0"), "bg-boundary": ("line", "0"),
-                   "circle-obstruction": ("circle", "1")}
+                   "circle-obstruction": ("circle", "1"), "verify-cde": ("interval", "0"),
+                   "verify-cd-infty": ("interval", "0")}
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
 def test_report_contract_fields(spaces, tmp_path, command):
     space, k = REPORT_COMMANDS[command]
     out = str(tmp_path / "r.json")
-    assert run([command, "--input", spaces[space], "--k", k,
-                "--n", "2", "--seed", "5", "--output", out]) in (0, 2)
+    n = [] if command == "verify-cd-infty" else ["--n", "2"]  # CD(K, infinity) reads no N
+    assert run([command, "--input", spaces[space], "--k", k, *n,
+                "--seed", "5", "--output", out]) in (0, 2)
     body = body_of(out)
     for key in ("check_id", "params", "margin", "witness", "seed",
                 "grid_step", "tool_version"):
@@ -138,6 +139,8 @@ OWNED_RULES = [
     pytest.param({"topology": "interval"}, "param", id="interval-no-param"),
     pytest.param({"topology": "interval", "param": 0}, "param", id="interval-param-0"),
     pytest.param({"topology": "interval", "param": -1}, "param", id="interval-param-neg"),
+    pytest.param({"topology": "interval", "param": math.inf}, "param", id="interval-param-inf"),
+    pytest.param({"topology": "circle", "param": math.inf}, "param", id="circle-param-inf"),
     pytest.param({"topology": "line", "param": 2, "window": [-4, 4]}, "param", id="line-param"),
     pytest.param({"topology": "halfline", "param": 4, "window": [0, 4]}, "param",
                  id="halfline-param"),
@@ -149,6 +152,12 @@ OWNED_RULES = [
     pytest.param({"topology": "halfline", "window": [1, 4]}, "start at 0",
                  id="halfline-window-start"),
     pytest.param({"topology": "line", "window": [1, 0]}, "window", id="line-window-reversed"),
+    pytest.param({"topology": "line", "window": [-math.inf, math.inf]}, "window",
+                 id="line-window-inf"),
+    pytest.param({"topology": "halfline", "window": [0, math.inf]}, "window",
+                 id="halfline-window-inf"),
+    pytest.param({"topology": "interval", "param": 1, "grid_step": math.inf}, "grid_step",
+                 id="grid-step-inf"),
     pytest.param({"topology": "interval", "param": 8,
                   "weight": {"coords": [0, 1], "f": [0, 0]}}, "cover", id="interval-weight-short"),
     pytest.param({"topology": "line", "window": [-4, 4],
@@ -159,6 +168,9 @@ OWNED_RULES = [
     pytest.param({"topology": "interval", "param": 1,
                   "weight": {"coords": [0, 0.6, 0.4, 1], "f": [0, 1, 2, 3]}}, "increasing",
                  id="weight-order"),
+    pytest.param({"topology": "line", "window": [-4, 4],
+                  "weight": {"coords": [-math.inf, 4], "f": [0, 1]}}, "coords",
+                 id="weight-coords-inf"),
 ]
 
 
@@ -171,6 +183,22 @@ def test_owned_rules_refuse_the_description(desc, rule, tmp_path, capsys):
     assert run(["check-kn-convex", "--input", str(path), "--output", str(tmp_path / "o.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and rule in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("command", ["check-kn-convex", "verify-cde", "verify-cd-infty",
+                                     "bg-scan", "bg-boundary", "classify"])
+def test_every_command_that_reads_tol_refuses_a_non_finite_one(tmp_path, capsys, command, tol):
+    # a spike far from (0, 2)-convex passed check-kn-convex at an inf tol
+    # (margin +2.26e6, exit 0), and a NaN tol failed bg-scan and
+    # verify-cd-infty (exit 2) on negative margins
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps({"topology": "interval", "param": 1,
+                                "weight": {"coords": [0, 0.5, 1], "f": [0, -30, 0]}}))
+    out = tmp_path / "o.json"
+    assert run([command, "--input", str(path), "--tol", tol, "--output", str(out)]) == 1
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("space", ["interval", "halfline"])
@@ -290,6 +318,7 @@ def test_classify_comma_lists(spaces, tmp_path):
     assert run(["classify", "--input", spaces["circle"],
                 "--k", "1,0.1", "--n", "2,8", "--output", out]) == 0
     body = body_of(out)
+    assert body["model"] == {"kind": "circle", "param": 1.0}
     assert body["admissible"] is False
     assert body["kn_params"] is None
     assert run(["classify", "--input", spaces["interval"],

@@ -57,8 +57,7 @@ def seeded_triples(space, count, seed, min_sep=0.05):
 
 def test_affine_case_is_exactly_zero():
     space = flat_space(-1.0, 1.0)
-    report = check_kn_convex(space.weight, space, CurvatureParams(0.0, 4.0),
-                             [TriplePlan(-0.7, 0.3)], tol=1e-12)
+    report = check_kn_convex(space, CurvatureParams(0.0, 4.0), [TriplePlan(-0.7, 0.3)], tol=1e-12)
     assert report.max_violation == 0.0
     assert report.passed
 
@@ -66,8 +65,7 @@ def test_affine_case_is_exactly_zero():
 def test_cosine_equality_weight_tiny_margins():
     space = cosine_weight_space()
     plans = seeded_triples(space, 80, seed=7)
-    report = check_kn_convex(space.weight, space, CurvatureParams(1.0, 2.0),
-                             plans, tol=1e-5)
+    report = check_kn_convex(space, CurvatureParams(1.0, 2.0), plans, tol=1e-5)
     assert abs(report.max_violation) <= 1e-5
     assert report.passed
 
@@ -79,8 +77,7 @@ def test_cosine_weight_margin_second_order_in_grid():
         space = cosine_weight_space(step=step)
         if plans is None:
             plans = seeded_triples(space, 80, seed=7)
-        rep = check_kn_convex(space.weight, space, CurvatureParams(1.0, 2.0),
-                              plans, tol=1e-5)
+        rep = check_kn_convex(space, CurvatureParams(1.0, 2.0), plans, tol=1e-5)
         margins[step] = abs(rep.max_violation)
     assert margins[1e-3] / max(margins[5e-4], 1e-300) >= 3.5
 
@@ -90,8 +87,7 @@ def test_concave_weight_fails_and_matches_brute_force():
     w = WeightFn.from_callable(lambda x: -x ** 2, -1.0, 1.0, step)
     space = Space1D(Topology1D("line"), w, grid_step=step, window=(-1, 1))
     params = CurvatureParams(1.0, 2.0)
-    report = check_kn_convex(w, space, params,
-                             default_triple_battery(space, seed=3), tol=1e-6)
+    report = check_kn_convex(space, params, default_triple_battery(space, seed=3), tol=1e-6)
     assert report.max_violation > 0.0
     worst, _ = brute_force_triple_scan(lambda x: -x ** 2, space, 1.0, 2.0,
                                        n_grid=60, t_steps=8)
@@ -104,7 +100,7 @@ def test_conjugate_regime_flagged_and_skipped():
     space = flat_space(-3.0, 3.0)
     params = CurvatureParams(8.0, 2.0)  # conjugate radius pi/2 ~ 1.57
     plans = [TriplePlan(-2.5, 2.5), TriplePlan(-0.3, 0.3)]
-    report = check_kn_convex(space.weight, space, params, plans, tol=1e-6)
+    report = check_kn_convex(space, params, plans, tol=1e-6)
     assert len(report.conjugate_flags) == 1
     assert report.conjugate_flags[0]["regime"] == "conjugate-point"
 
@@ -112,11 +108,9 @@ def test_conjugate_regime_flagged_and_skipped():
 def test_witness_reproducible_bit_exact():
     space = cosine_weight_space()
     plans = seeded_triples(space, 40, seed=11)
-    report = check_kn_convex(space.weight, space, CurvatureParams(1.0, 2.0),
-                             plans, tol=1e-5)
+    report = check_kn_convex(space, CurvatureParams(1.0, 2.0), plans, tol=1e-5)
     wt = report.witness
-    again = triple_margin(space.weight, space, CurvatureParams(1.0, 2.0),
-                          wt["x0"], wt["x1"], wt["t"], wt["arc"])
+    again = triple_margin(space, CurvatureParams(1.0, 2.0), wt["x0"], wt["x1"], wt["t"], wt["arc"])
     assert again == report.max_violation  # bit-exact
 
 
@@ -138,9 +132,8 @@ def test_scaling_law_margins_match():
         if x1 - x0 < 0.05:
             continue
         t = float(rng.uniform(0.1, 0.9))
-        m1 = triple_margin(w, space, params, x0, x1, t)
-        m2 = triple_margin(w_scaled, space_scaled, params_scaled,
-                           lam * x0, lam * x1, t)
+        m1 = triple_margin(space, params, x0, x1, t)
+        m2 = triple_margin(space_scaled, params_scaled, lam * x0, lam * x1, t)
         assert m2 == pytest.approx(m1, abs=1e-12)
 
 
@@ -150,8 +143,7 @@ def test_pass_monotone_in_k():
     plans = seeded_triples(space, 50, seed=17)
     prev = None
     for K in (1.0, 0.5, 0.0, -1.0):
-        rep = check_kn_convex(space.weight, space, CurvatureParams(K, 2.0),
-                              plans, tol=1e-5)
+        rep = check_kn_convex(space, CurvatureParams(K, 2.0), plans, tol=1e-5)
         if prev is not None:
             assert rep.max_violation <= prev + 1e-12
         prev = rep.max_violation
@@ -174,9 +166,10 @@ def scalar_geodesic(space, x0, x1, t, arc):
     return (x0 + t * delta) % c, abs(delta)
 
 
-def scalar_margin(f, space, params, x0, x1, t, arc):
+def scalar_margin(space, params, x0, x1, t, arc):
     """One triple's margin in plain float and math arithmetic: the reference
     the batched pass must reproduce bit for bit."""
+    f = space.weight
     xt, d = scalar_geodesic(space, x0, x1, t, arc)
     s0 = sigma(1.0 - t, params, d)
     s1 = sigma(t, params, d)
@@ -187,7 +180,7 @@ def scalar_margin(f, space, params, x0, x1, t, arc):
             - math.exp(-f(xt) / N))
 
 
-def row_scan(f, space, params, plans):
+def row_scan(space, params, plans):
     """(worst, witness, flags) by one triple_margin call per (plan, t) row:
     first strictly larger margin wins; a plan in the conjugate regime (sigma
     is inf) is flagged once and not scored, while an overflowed inf margin
@@ -195,8 +188,8 @@ def row_scan(f, space, params, plans):
     worst, witness, flags = -math.inf, {}, []
     for idx, plan in enumerate(plans):
         for t in plan.t_grid:
-            m = triple_margin(f, space, params, plan.x0, plan.x1, t, plan.arc)
-            assert m == scalar_margin(f, space, params, plan.x0, plan.x1, t, plan.arc)
+            m = triple_margin(space, params, plan.x0, plan.x1, t, plan.arc)
+            assert m == scalar_margin(space, params, plan.x0, plan.x1, t, plan.arc)
             _, d = scalar_geodesic(space, plan.x0, plan.x1, t, plan.arc)
             if math.isinf(sigma(t, params, d)):
                 flags.append({"plan": idx, "x0": plan.x0, "x1": plan.x1,
@@ -223,12 +216,12 @@ def assert_matches_row_scan(space, params, plans, battery=None):
     """check_kn_convex on the plans (or on `battery`, holding the same plans)
     against the row scan of the plans."""
     battery = plans if battery is None else battery
-    worst, witness, flags = row_scan(space.weight, space, params, plans)
+    worst, witness, flags = row_scan(space, params, plans)
     if worst == -math.inf:
         with pytest.raises(ValueError, match="no finite-margin plan"):
-            check_kn_convex(space.weight, space, params, battery, tol=1e-6)
+            check_kn_convex(space, params, battery, tol=1e-6)
         return
-    report = check_kn_convex(space.weight, space, params, battery, tol=1e-6)
+    report = check_kn_convex(space, params, battery, tol=1e-6)
     assert report.max_violation == worst
     assert report.witness == witness
     assert report.conjugate_flags == flags
@@ -304,11 +297,11 @@ def test_battery_scan_matches_row_scan_when_a_margin_overflows():
     params = CurvatureParams(8.0, 2.0)  # conjugate at d = pi/2
     plans = [TriplePlan(-0.785, 0.785, (0.5, 1e-6)), TriplePlan(-0.01, 0.01, (0.5,))]
     assert params.K * 1.57 ** 2 < params.N * math.pi ** 2
-    assert math.isinf(triple_margin(space.weight, space, params, -0.785, 0.785, 0.5))
-    assert math.isfinite(triple_margin(space.weight, space, params, -0.785, 0.785, 1e-6))
+    assert math.isinf(triple_margin(space, params, -0.785, 0.785, 0.5))
+    assert math.isfinite(triple_margin(space, params, -0.785, 0.785, 1e-6))
     assert_matches_row_scan(space, params, plans)
     for battery in (plans, plans[:1]):  # alone, the plan no longer raises
-        report = check_kn_convex(space.weight, space, params, battery, tol=1e-6)
+        report = check_kn_convex(space, params, battery, tol=1e-6)
         assert report.witness["x0"] == -0.785 and report.witness["t"] == 0.5
         assert math.isinf(report.max_violation) and not report.passed
         assert report.conjugate_flags == []
@@ -332,7 +325,7 @@ def test_battery_makes_one_weight_lookup(monkeypatch):
     monkeypatch.setattr(WeightFn, "__call__", counting)
     space = cosine_weight_space()
     battery = default_triple_battery(space, seed=0)
-    check_kn_convex(space.weight, space, CurvatureParams(1.0, 2.0), battery, tol=1e-5)
+    check_kn_convex(space, CurvatureParams(1.0, 2.0), battery, tol=1e-5)
     assert len(calls) <= 2  # one vectorised lookup for all 14,368 rows
 
     # conjugate plans are flagged before any lookup, so an endpoint outside
@@ -341,13 +334,13 @@ def test_battery_makes_one_weight_lookup(monkeypatch):
     params = CurvatureParams(2.0 * math.pi * math.pi, 2.0)  # conjugate from d = 1 on
     assert math.isinf(sigma(0.5, params, 1.0))
     calls.clear()
-    report = check_kn_convex(space.weight, space, params,
+    report = check_kn_convex(space, params,
                              [TriplePlan(0.5, 1.5), TriplePlan(-0.3, 0.3)], tol=1e-6)
     assert [f["plan"] for f in report.conjugate_flags] == [0]
     assert report.witness["x1"] == 0.3
     assert calls == [2 + 7]  # the kept plan's x0, x1 and its 7 points x_t only
     with pytest.raises(WindowError):
-        check_kn_convex(space.weight, space, params, [TriplePlan(0.2, 1.1)], tol=1e-6)
+        check_kn_convex(space, params, [TriplePlan(0.2, 1.1)], tol=1e-6)
 
 
 class _CountingMath:
@@ -381,11 +374,11 @@ def test_battery_evaluates_each_distinct_value_once(monkeypatch):
                     grid_step=1e-3)
     battery = default_triple_battery(space, seed=5)
     params = CurvatureParams(-15.0, 2.0)  # every plan on the sinh branch
-    expected = check_kn_convex(space.weight, space, params, battery)
+    expected = check_kn_convex(space, params, battery)
     counted = _CountingMath()
     monkeypatch.setattr(WeightFn, "__call__", counting)
     monkeypatch.setattr(curvature, "math", counted)
-    report = check_kn_convex(space.weight, space, params, battery)
+    report = check_kn_convex(space, params, battery)
     assert repr(report) == repr(expected)
     b = battery
     xt = (1.0 - b.t) * b.x0[b.plan_of] + b.t * b.x1[b.plan_of]
@@ -546,8 +539,7 @@ def test_differential_consistent_with_triple_battery():
         for K in (0.0, 1.0):
             params = CurvatureParams(K, 2.0)
             diff = differential_criterion(w, params)
-            battery = check_kn_convex(w, space, params,
-                                      default_triple_battery(space, seed=1),
+            battery = check_kn_convex(space, params, default_triple_battery(space, seed=1),
                                       tol=1e-6)
             if diff.max_violation <= -0.05:
                 assert battery.max_violation <= 1e-6, (c, base, K)
@@ -635,7 +627,7 @@ def test_every_report_survives_json_dumps():
     reports = [
         verify_cde(flat, params, pairs),
         verify_cd_infty(flat, 0.0, pairs),
-        check_kn_convex(flat.weight, flat, params, [TriplePlan(0.2, 0.8)]),
+        check_kn_convex(flat, params, [TriplePlan(0.2, 0.8)]),
         circle_obstruction(circle_with(np.zeros_like), CurvatureParams(1.0, 2.0)),
         gs.bg_ratio_scan(flat, 0.5, params, [0.1, 0.2, 0.3]),
         gs.bg_boundary_check(flat, 0.5, params, [0.1, 0.2]),
@@ -826,7 +818,7 @@ def test_unrepresentable_exp_weight_raises_value_error():
                     WeightFn(np.array([0.0, 1.0]), np.full(2, -1500.0)))
     params = CurvatureParams(0.0, 2.0)
     with pytest.raises(ValueError, match=r"exp\(-f/N\) is not representable at x = "):
-        check_kn_convex(space.weight, space, params, default_triple_battery(space))
+        check_kn_convex(space, params, default_triple_battery(space))
     pair = [(uniform_measure(space, 0.1, 0.3), uniform_measure(space, 0.5, 0.9))]
     with pytest.raises(ValueError, match=r"pair 0: exp\(-Ent/N\) is not representable"):
         verify_cde(space, params, pair)
@@ -894,7 +886,7 @@ def test_circle_obstruction_raises_where_exp_overflows_at_inner_triples():
         circle_obstruction(space, params)
     # the triple battery and the classifier already raised on this weight
     with pytest.raises(ValueError, match=r"exp\(-f/N\) is not representable at x = "):
-        check_kn_convex(space.weight, space, params, default_triple_battery(space))
+        check_kn_convex(space, params, default_triple_battery(space))
 
 
 def test_circle_obstruction_rejects_bad_inputs():
@@ -909,7 +901,6 @@ def test_circle_obstruction_rejects_bad_inputs():
 def test_circle_battery_on_kn_convexity_also_fails():
     # the generic battery finds violations for constant weight, K > 0
     space = circle_with(lambda th: np.zeros_like(th), n=256)
-    report = check_kn_convex(space.weight, space, CurvatureParams(1.0, 2.0),
-                             default_triple_battery(space, seed=2, coarse=16),
-                             tol=1e-6)
+    report = check_kn_convex(space, CurvatureParams(1.0, 2.0),
+                             default_triple_battery(space, seed=2, coarse=16), tol=1e-6)
     assert not report.passed

@@ -487,7 +487,6 @@ def test_classify_flat_interval():
     verdict = classify(space, [CurvatureParams(0.0, 2.0)])
     assert verdict.admissible
     assert verdict.kn_params == CurvatureParams(0.0, 2.0)
-    assert verdict.model.kind == "interval"
     assert verdict.report.passed
 
 

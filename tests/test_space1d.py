@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from curvlab1d.space1d import (
     RescaledSpace, Space1D, Topology1D, WeightFn, WindowError,
-    boundary_measure, disintegrate, load_space, measure_ball, rescale,
+    boundary_measure, load_space, measure_ball, rescale,
     space_to_dict,
 )
 from curvlab1d.space1d import _ball_masses, _seg_exp_integral
@@ -164,7 +164,7 @@ def test_ball_window_errors():
         measure_ball(flat_line(), 99.0, 0.1)
 
 
-SPHERE_CALLS = (boundary_measure, disintegrate, lambda space, x, r: space.sphere_coords(x, r))
+SPHERE_CALLS = (boundary_measure, lambda space, x, r: space.sphere_coords(x, r))
 
 
 @pytest.mark.parametrize("space,x", [(weighted_interval(), 0.3), (flat_line(), 0.0),
@@ -416,25 +416,28 @@ def test_boundary_empty_sphere_is_error():
         boundary_measure(flat_circle(), 0.0, 4.0)
 
 
-# -- disintegration -------------------------------------------------------------
+# -- disintegration: the fiber mass m_r is half the boundary measure ----------------
+
+def fiber_mass(space, x, r):
+    """m_r, half of boundary_measure: exp(-f) per sphere point, half that
+    at an end where the space stops."""
+    return 0.5 * boundary_measure(space, x, r)
+
 
 def test_disintegrate_trivial_atoms():
-    atoms = disintegrate(flat_line(), 0.0, 2.0).atoms
-    assert atoms == ((-2.0, 1.0), (2.0, 1.0))
-    atoms_h = disintegrate(flat_halfline(), 0.0, 2.0).atoms
-    assert atoms_h == ((2.0, 1.0),)
+    assert flat_line().sphere_coords(0.0, 2.0) == [-2.0, 2.0]
+    assert fiber_mass(flat_line(), 0.0, 2.0) == 2.0
+    assert flat_halfline().sphere_coords(0.0, 2.0) == [2.0]
+    assert fiber_mass(flat_halfline(), 0.0, 2.0) == 1.0
 
 
 def test_disintegrate_weighted_and_integral_consistency():
     space = weighted_interval()
-    sm = disintegrate(space, 0.0, 0.3)
-    assert len(sm.atoms) == 1
-    assert sm.atoms[0][0] == pytest.approx(0.3)
-    assert sm.atoms[0][1] == pytest.approx(math.exp(-0.3), abs=1e-14)
-    # int_0^0.5 m_r dr reproduces the ball measure (lower limit dodges r = 0,
-    # where both directions count, costing ~1e-9 of mass)
-    orc = trapezoid_refined(
-        lambda r: disintegrate(space, 0.0, r).total, 1e-9, 0.5)
+    assert space.sphere_coords(0.0, 0.3) == [pytest.approx(0.3)]
+    assert fiber_mass(space, 0.0, 0.3) == pytest.approx(math.exp(-0.3), abs=1e-14)
+    # int_0^0.5 m_r dr reproduces the ball measure (the lower limit dodges
+    # r = 0, which boundary_measure refuses, costing ~1e-9 of mass)
+    orc = trapezoid_refined(lambda r: fiber_mass(space, 0.0, r), 1e-9, 0.5)
     assert orc == pytest.approx(measure_ball(space, 0.0, 0.5), abs=5e-9)
 
 
@@ -448,14 +451,18 @@ def test_disintegrate_annulus_compatibility_battery(seed):
     r1 = float(rng.uniform(0.1, 0.8))
     r2 = r1 + float(rng.uniform(0.2, 0.9))
     annulus = measure_ball(space, origin, r2) - measure_ball(space, origin, r1)
-    orc = trapezoid_refined(lambda r: disintegrate(space, origin, r).total, r1, r2)
+    orc = trapezoid_refined(lambda r: fiber_mass(space, origin, r), r1, r2)
     assert orc == pytest.approx(annulus, rel=1e-8, abs=1e-10)
 
 
 def test_disintegrate_circle_antipode_merges():
-    sm = disintegrate(flat_circle(), 0.0, math.pi)
-    assert len(sm.atoms) == 1
-    assert sm.atoms[0][1] == pytest.approx(2.0, abs=1e-12)
+    # both directions meet in one point, which carries exp(-f) once: the
+    # fiber halves at pi, where just short of it two points carry exp(-f)
+    space = flat_circle()
+    assert space.sphere_coords(0.0, math.pi) == [pytest.approx(math.pi)]
+    assert fiber_mass(space, 0.0, math.pi) == pytest.approx(1.0, abs=1e-12)
+    assert len(space.sphere_coords(0.0, math.pi - 1e-6)) == 2
+    assert fiber_mass(space, 0.0, math.pi - 1e-6) == pytest.approx(2.0, abs=1e-12)
 
 
 # -- one end rule for balls and spheres ---------------------------------------------
@@ -508,14 +515,14 @@ def test_spheres_follow_the_ball_end_rule(data, kind, at, r):
             assume(abs(r - (hi - lo) / 2.0) >= 2 * delta)
         else:
             assume(min(abs(y - lo), abs(y - hi)) >= 2 * delta)
-    fiber = disintegrate(space, x, r)
+    pts = space.sphere_coords(x, r)
+    fiber = fiber_mass(space, x, r) if pts else 0.0
     want = (measure_ball(space, x, r + delta) - measure_ball(space, x, r - delta)) / (2 * delta)
     # the central difference of exp(-f), f linear with slope at most 6 / 0.005
     # here, is off by (1200 delta)^2 / 6 = 2.4e-5 relative at most
-    assert abs(fiber.total - want) <= 3e-5 * want + 1e-9
-    assert [y for y, _ in fiber.atoms] == space.sphere_coords(x, r)
-    if fiber.atoms:  # no point at an end where the space stops: 2 exp(-f) each
-        assert boundary_measure(space, x, r) == pytest.approx(2.0 * fiber.total, rel=1e-15)
+    assert abs(fiber - want) <= 3e-5 * want + 1e-9
+    if pts:  # no point at an end where the space stops: 2 exp(-f) each
+        assert fiber == pytest.approx(sum(math.exp(-space.weight(y)) for y in pts), rel=1e-15)
     else:
         with pytest.raises(ValueError, match="is empty"):
             boundary_measure(space, x, r)

@@ -28,18 +28,16 @@ print(f"density certificate C = {pair.certificate['C']:.4f} "
       f"time-1 sup {pair.certificate['sup_density_up_at_1']:.4f})")
 
 t_dis = base.a + base.eps
-em = entropy_along(pair, tripod, t_dis, "mixed")
-eu = entropy_along(pair, tripod, t_dis, "u")
-ed = entropy_along(pair, tripod, t_dis, "d")
+em = entropy_along(pair, t_dis, "mixed")
+eu = entropy_along(pair, t_dis, "u")
+ed = entropy_along(pair, t_dis, "d")
 print(f"\nsplit identity at t = a + eps: Ent(mixed) = {em:.6f}")
 print(f"  (Ent(u) + Ent(d))/2 - log 2  = {0.5 * eu + 0.5 * ed - math.log(2):.6f}")
 
 print("\n=== the entropy chain over shrinking windows ===\n")
 print(f"{'eps':>7} {'lhs':>10} {'rhs':>10}   chain")
 for eps in (0.05, 0.02, 0.01, 0.005, 0.002):
-    sc = base.replace_eps(eps)
-    p = build_branching_plans(tripod, sc)
-    lhs, rhs, rep = entropy_chain_inequality(p, tripod, sc)
+    lhs, rhs, rep = entropy_chain_inequality(build_branching_plans(tripod, base.replace_eps(eps)))
     verdict = "FAILS (contradiction)" if rep["contradiction"] else "holds"
     print(f"{eps:>7} {lhs:>10.4f} {rhs:>10.4f}   {verdict}")
 
@@ -48,15 +46,14 @@ print("once lhs > rhs the K-convexity chain that produced the bound is")
 print("violated, which is the contradiction.")
 
 print("\n=== the dimensional variant: the 2^(1/N) factor ===\n")
-sc = base.replace_eps(1e-3)
-p = build_branching_plans(tripod, sc)
+p = build_branching_plans(tripod, base.replace_eps(1e-3))
 print(f"{'N':>6} {'ratio':>10} {'2^(1/N)':>10}")
 for N in (2.0, 8.0, 64.0, 1024.0):
-    ratio, thr, rep = renyi_contradiction(p, tripod, sc, N)
+    ratio, thr, rep = renyi_contradiction(p, N)
     print(f"{N:>6.0f} {ratio:>10.6f} {thr:>10.6f}")
 print("\nconcavity would force ratio <= 1; it converges to 2^(1/N) instead.")
 
 print("\n=== curvature correction for K != 0 ===\n")
-out = mixture_w2_correction(pair, tripod, base, K=1.0)
+out = mixture_w2_correction(pair, K=1.0)
 print(f"W2(mixture at b, mixture at a+eps) = {out['w2']:.6f}")
 print(f"correction term = {out['correction']:.6f} <= envelope {out['envelope']:.6f}")

@@ -269,12 +269,39 @@ class PlanPair:
     """Mirrored branching plans pi^u (edge 1) and pi^d (edge 2).
 
     Both halves carry the scenario's (source, crossing time) law; densities
-    and entropies are evaluated from its closed-form pushforward.
+    and entropies are evaluated from its closed-form pushforward.  A pair
+    exists only where the tripod hosts the scenario (InfeasibleScenarioError
+    otherwise), and it measures its own density certificate: the sups of
+    d(e_b)# pi^d / dm and d(e_1)# pi^{u,d} / dm, and their max C.
     """
 
     tripod: Tripod
     scenario: BranchingScenario
-    certificate: dict = field(default_factory=dict)
+    certificate: dict = field(init=False)
+
+    def __post_init__(self):
+        sc, (stem, up, down) = self.scenario, self.tripod.edge_lengths
+        if sc.eps >= 1.0 - sc.a:
+            raise InfeasibleScenarioError("branch window eps must be < 1 - a")
+        s_hi = sc.s_window[1]
+        tau_lo, tau_hi = sc.tau_window
+        if not (0.0 < sc.a < tau_lo < tau_hi < sc.a + sc.eps):
+            raise InfeasibleScenarioError("branch window does not straddle the center crossings")
+        if s_hi > stem + 1e-12:
+            raise InfeasibleScenarioError(f"source arc reaches {s_hi}, beyond stem length {stem}")
+        u_reach = s_hi * (1.0 - tau_lo) / tau_lo
+        if u_reach > min(up, down) + 1e-12:
+            raise InfeasibleScenarioError(
+                f"target arcs reach {u_reach}, beyond the outer edge lengths")
+        # the two halves share one target length density at t = 1, so its
+        # sup is read once and divided by each outer edge's density
+        c_stem, c_up, c_dn = self.tripod.densities
+        sup_b = self.half_density(sc.b).sup_density("stem") / c_stem
+        sup_1 = self.half_density(1.0).sup_density("target")
+        sup_1u, sup_1d = sup_1 / c_up, sup_1 / c_dn
+        object.__setattr__(self, "certificate", {
+            "sup_density_at_b": sup_b, "sup_density_up_at_1": sup_1u,
+            "sup_density_down_at_1": sup_1d, "C": max(sup_b, sup_1u, sup_1d)})
 
     def half_density(self, t: float) -> _HalfDensity:
         return _HalfDensity(self.scenario, t)
@@ -288,55 +315,17 @@ class PlanPair:
 
 def build_branching_plans(tripod: Tripod, scenario: BranchingScenario) -> PlanPair:
     """Construct the mirrored plan pair; validates the geometry fits."""
-    if scenario.eps >= 1.0 - scenario.a:
-        raise InfeasibleScenarioError("branch window eps must be < 1 - a")
-    s_hi = scenario.s_window[1]
-    tau_lo, tau_hi = scenario.tau_window
-    if not (0.0 < scenario.a < tau_lo < tau_hi < scenario.a + scenario.eps):
-        raise InfeasibleScenarioError("branch window does not straddle the center crossings")
-    if s_hi > tripod.edge_lengths[0] + 1e-12:
-        raise InfeasibleScenarioError(
-            f"source arc reaches {s_hi}, beyond stem length {tripod.edge_lengths[0]}")
-    u_reach = s_hi * (1.0 - tau_lo) / tau_lo
-    if u_reach > min(tripod.edge_lengths[1], tripod.edge_lengths[2]) + 1e-12:
-        raise InfeasibleScenarioError(
-            f"target arcs reach {u_reach}, beyond the outer edge lengths")
-    pair = PlanPair(tripod=tripod, scenario=scenario)
-    cert = _density_certificate(pair)
-    object.__setattr__(pair, "certificate", cert)
-    return pair
+    return PlanPair(tripod, scenario)
 
 
-def _density_certificate(pair: PlanPair) -> dict:
-    """Sups of d(e_b)# pi^d / dm and d(e_1)# pi^{u,d} / dm.
-
-    The two halves share one target length density at t = 1, so its sup is
-    read once and divided by each outer edge's density."""
-    sc = pair.scenario
-    c_stem = pair.tripod.densities[0]
-    c_up, c_dn = pair.tripod.densities[1], pair.tripod.densities[2]
-    hd_b = pair.half_density(sc.b)
-    hd_1 = pair.half_density(1.0)
-    sup_b = hd_b.sup_density("stem") / c_stem
-    sup_1 = hd_1.sup_density("target")
-    sup_1u = sup_1 / c_up
-    sup_1d = sup_1 / c_dn
-    return {
-        "sup_density_at_b": sup_b,
-        "sup_density_up_at_1": sup_1u,
-        "sup_density_down_at_1": sup_1d,
-        "C": max(sup_b, sup_1u, sup_1d),
-    }
-
-
-def _pieces_integral(pair: PlanPair, tripod: Tripod, t: float, pieces,
+def _pieces_integral(pair: PlanPair, t: float, pieces,
                      integrand: Callable[[float, np.ndarray], np.ndarray]) -> float:
     """Sum over (side, edge, scale) pieces of int integrand(c_e, rho_hat) dy,
     rho_hat = scale * rho_len / c_e, with the integrand 0 where rho_hat is 0."""
     hd = pair.half_density(t)
     total = 0.0
     for side, edge, scale in pieces:
-        c = tripod.densities[edge]
+        c = pair.tripod.densities[edge]
 
         def g(rho_len: np.ndarray) -> np.ndarray:
             rh = scale * rho_len / c
@@ -349,7 +338,7 @@ def _pieces_integral(pair: PlanPair, tripod: Tripod, t: float, pieces,
     return total
 
 
-def entropy_along(pair: PlanPair, tripod: Tripod, t: float, which: str = "mixed") -> float:
+def entropy_along(pair: PlanPair, t: float, which: str = "mixed") -> float:
     """Entropy of the normalized pushforward at time t against the tripod measure.
 
     which = "u" | "d": (e_t)# pi^{u,d} / beta.  which = "mixed": the
@@ -366,10 +355,10 @@ def entropy_along(pair: PlanPair, tripod: Tripod, t: float, which: str = "mixed"
         pieces = [("stem", 0, 1.0 / beta), ("target", 1, 0.5 / beta), ("target", 2, 0.5 / beta)]
     else:
         raise ValueError("which must be 'u', 'd' or 'mixed'")
-    return _pieces_integral(pair, tripod, t, pieces, lambda c, rh: c * rh * np.log(rh))
+    return _pieces_integral(pair, t, pieces, lambda c, rh: c * rh * np.log(rh))
 
 
-def renyi_raw(pair: PlanPair, tripod: Tripod, t: float, which: str, N: float) -> float:
+def renyi_raw(pair: PlanPair, t: float, which: str, N: float) -> float:
     """int rho^(1-1/N) dm of the unnormalized pushforward (mass beta)."""
     if not N > 1.0:
         raise ValueError("N must be > 1")
@@ -381,11 +370,10 @@ def renyi_raw(pair: PlanPair, tripod: Tripod, t: float, which: str, N: float) ->
         pieces = [("stem", 0, 2.0), ("target", 1, 1.0), ("target", 2, 1.0)]
     else:
         raise ValueError("which must be 'u', 'd' or 'mixed_sum'")
-    return _pieces_integral(pair, tripod, t, pieces, lambda c, rh: c * rh ** expo)
+    return _pieces_integral(pair, t, pieces, lambda c, rh: c * rh ** expo)
 
 
-def entropy_chain_inequality(pair: PlanPair, tripod: Tripod,
-                        scenario: BranchingScenario) -> tuple[float, float, dict]:
+def entropy_chain_inequality(pair: PlanPair) -> tuple[float, float, dict]:
     """Both sides of the branching entropy chain
 
         eps (log(eps / (10 m(B(x, eta/2)))) - log C)
@@ -397,7 +385,7 @@ def entropy_chain_inequality(pair: PlanPair, tripod: Tripod,
     chain fails: that failure is the sought contradiction with entropy
     K-convexity under branching.
     """
-    sc = scenario
+    sc, tripod = pair.scenario, pair.tripod
     C = pair.certificate["C"]
     mball = tripod.measure_ball(tripod.center, sc.eta / 2.0)
     lhs = sc.eps * (math.log(sc.eps / (10.0 * mball)) - math.log(C))
@@ -416,8 +404,8 @@ def entropy_chain_inequality(pair: PlanPair, tripod: Tripod,
     return lhs, rhs, report
 
 
-def renyi_contradiction(pair: PlanPair, tripod: Tripod, scenario: BranchingScenario,
-                        N: float | None = None, tol: float = 5e-3) -> tuple[float, float, dict]:
+def renyi_contradiction(pair: PlanPair, N: float | None = None,
+                        tol: float = 5e-3) -> tuple[float, float, dict]:
     """Measured value of the dimensional-entropy chain at the scenario's eps.
 
     ratio = [eps/(eps+a-b) R_b + 2^(1/N-1) (a-b)/(a+eps-b) R_mix(a+eps)] / R_a
@@ -425,15 +413,15 @@ def renyi_contradiction(pair: PlanPair, tripod: Tripod, scenario: BranchingScena
     would force ratio <= 1, so reaching the threshold reproduces the
     contradiction.
     """
-    sc = scenario
+    sc = pair.scenario
     if N is None:
         N = sc.N
     gap = pair.support_gap_at(sc.a + sc.eps)
     if not gap > 0.0:
         raise AssertionError("target supports must be disjoint at a + eps")
-    R_a = renyi_raw(pair, tripod, sc.a, "d", N)
-    R_b = renyi_raw(pair, tripod, sc.b, "d", N)
-    R_mix = renyi_raw(pair, tripod, sc.a + sc.eps, "mixed_sum", N)
+    R_a = renyi_raw(pair, sc.a, "d", N)
+    R_b = renyi_raw(pair, sc.b, "d", N)
+    R_mix = renyi_raw(pair, sc.a + sc.eps, "mixed_sum", N)
     ratio = ((sc.eps / (sc.eps + sc.a - sc.b)) * R_b
              + 2.0 ** (1.0 / N - 1.0) * (sc.a - sc.b) / (sc.a + sc.eps - sc.b) * R_mix) / R_a
     threshold = 2.0 ** (1.0 / N)
@@ -451,8 +439,7 @@ def renyi_contradiction(pair: PlanPair, tripod: Tripod, scenario: BranchingScena
     return ratio, threshold, report
 
 
-def mixture_w2_correction(pair: PlanPair, tripod: Tripod, scenario: BranchingScenario,
-                          K: float, n_cells: int = 2048) -> dict:
+def mixture_w2_correction(pair: PlanPair, K: float, n_cells: int = 2048) -> dict:
     """|K|/2 * eps(a-b)/(a+eps-b)^2 * W2^2 between the time-b and time-(a+eps)
     mixtures, the curvature correction of the K != 0 chain.
 
@@ -461,7 +448,7 @@ def mixture_w2_correction(pair: PlanPair, tripod: Tripod, scenario: BranchingSce
     target edges see identical costs, so collapsing them is exact), and the
     distance is computed by the quantile transport path.
     """
-    sc = scenario
+    sc = pair.scenario
     hd_b = pair.half_density(sc.b)
     hd_e = pair.half_density(sc.a + sc.eps)
     v_lo, v_hi = hd_b.support("stem")
@@ -470,19 +457,16 @@ def mixture_w2_correction(pair: PlanPair, tripod: Tripod, scenario: BranchingSce
     lo, hi = -u_hi - pad, v_hi + pad
     line = Space1D(Topology1D("line"), grid_step=(hi - lo) / n_cells, window=(lo, hi))
 
-    def sample(hd, side, a, b):
+    def sample(hd, side, a, b):  # (edges, density) of the side's law on [a, b], mass 1
         edges = np.linspace(a, b, n_cells + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return edges, hd.side_density(side, mids)
+        dens = hd.side_density(side, 0.5 * (edges[:-1] + edges[1:]))
+        return edges, dens / float(np.sum(dens * np.diff(edges)))
 
-    e_b, d_b = sample(hd_b, "stem", max(v_lo, 0.0), v_hi)
-    mass_b = float(np.sum(d_b * np.diff(e_b)))
-    nu_b = tr.ProbMeasure1D(line, e_b, d_b / mass_b)
+    nu_b = tr.ProbMeasure1D(line, *sample(hd_b, "stem", max(v_lo, 0.0), v_hi))
     e_e, d_e = sample(hd_e, "target", max(u_lo, 0.0), u_hi)
-    mass_e = float(np.sum(d_e * np.diff(e_e)))
     # unroll targets to negative coordinates (mirror, reversed order)
-    nu_e = tr.ProbMeasure1D(line, -e_e[::-1], (d_e / mass_e)[::-1])
-    dist = tr.w2(line, nu_b, nu_e)
+    nu_e = tr.ProbMeasure1D(line, -e_e[::-1], d_e[::-1])
+    dist = tr.w2(nu_b, nu_e)
     corr = abs(K) / 2.0 * sc.eps * (sc.a - sc.b) / (sc.a + sc.eps - sc.b) ** 2 * dist * dist
     envelope = abs(K) / 2.0 * sc.eps * (sc.a - sc.b) * sc.eta ** 2
     return {"w2": dist, "correction": corr, "envelope": envelope, "K": K}

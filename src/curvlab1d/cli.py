@@ -273,10 +273,9 @@ def _cmd_tripod(args):
     tripod, scenario, sweep = _scenario_from_args(args)
     rows = [("eps", "lhs", "rhs", "ratio")]
     for eps in sweep:
-        sc = scenario.replace_eps(eps)
-        pair = br.build_branching_plans(tripod, sc)
-        lhs, rhs, chain = br.entropy_chain_inequality(pair, tripod, sc)
-        ratio, _, ratio_rep = br.renyi_contradiction(pair, tripod, sc)
+        pair = br.build_branching_plans(tripod, scenario.replace_eps(eps))
+        lhs, rhs, chain = br.entropy_chain_inequality(pair)
+        ratio, _, ratio_rep = br.renyi_contradiction(pair)
         rows.append((eps, lhs, rhs, ratio))
     if args.command == "tripod-renyi":
         final, margin = ratio_rep, ratio_rep["threshold"] - ratio_rep["ratio"]

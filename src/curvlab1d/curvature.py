@@ -388,9 +388,11 @@ def differential_criterion(f: WeightFn, params: CurvatureParams,
 
 def _entropy_pairs(space: Space1D, pair_battery, t_grid: Sequence[float]):
     """(idx, W2, Ent0, Ent1, [Ent_t per time of t_grid]) per pair, each pair
-    coupled once; raises ValueError where an entropy diverges."""
+    coupled once; raises ValueError for a pair on another space or a diverging entropy."""
     for idx, (mu0, mu1) in enumerate(pair_battery):
-        dist, ents = entropies_along(space, mu0, mu1, [0.0, 1.0, *t_grid])
+        if mu0.space is not space and mu0.space != space:
+            raise ValueError(f"pair {idx}: its measures live on another space than the check's")
+        dist, ents = entropies_along(mu0, mu1, [0.0, 1.0, *t_grid])
         if not (math.isfinite(ents[0]) and math.isfinite(ents[1])):
             raise ValueError(f"pair {idx}: endpoint entropy diverges")
         for t, et in zip(t_grid, ents[2:]):

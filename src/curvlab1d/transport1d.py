@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space1d import Space1D
+from .space1d import _ENDPOINT_TOL, Space1D
 
 __all__ = [
     "ProbMeasure1D",
@@ -73,6 +73,13 @@ class ProbMeasure1D:
         mass = float(np.sum(dens * np.diff(edges)))
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"total mass must be 1 within 1e-9, got {mass}")
+        lo, hi = self.space.domain()
+        if self.space.topology.kind == "circle":
+            if not (0.0 <= edges[0] < hi and edges[-1] - edges[0] <= hi + _ENDPOINT_TOL):
+                raise ValueError(f"support [{edges[0]}, {edges[-1]}] must start in "
+                                 f"[0, {hi}) and span at most one turn")
+        elif edges[0] < lo - _ENDPOINT_TOL or edges[-1] > hi + _ENDPOINT_TOL:
+            raise ValueError(f"support [{edges[0]}, {edges[-1]}] leaves the domain [{lo}, {hi}]")
 
     @property
     def support_window(self) -> tuple[float, float]:
@@ -321,20 +328,16 @@ def _circle_cut(bp0, ext1, n_cuts: int = _CIRCLE_CUTS) -> tuple[float, float]:
     return v_best, a_best
 
 
-def _check_same_space(mu0: ProbMeasure1D, mu1: ProbMeasure1D):
-    if mu0.space is not mu1.space and mu0.space != mu1.space:
-        raise ValueError("measures live on different spaces")
-
-
-def _coupling(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D):
+def _coupling(mu0: ProbMeasure1D, mu1: ProbMeasure1D):
     """(W2, bp0, bp1): the monotone coupling of a pair as two quantile graphs.
 
     On a circle one cut picks the mass shift alpha and bp1 is the target
     graph shifted by it; W2 is the cost of exactly this coupling.
     """
-    _check_same_space(mu0, mu1)
+    if mu0.space is not mu1.space and mu0.space != mu1.space:
+        raise ValueError("measures live on different spaces")
     bp0 = _breakpoints(mu0)
-    if space.topology.kind == "circle":
+    if mu0.space.topology.kind == "circle":
         ext1 = _extended_bp(mu1)
         v, alpha = _circle_cut(bp0, ext1)
         bp1 = _shifted_bp(ext1, alpha)
@@ -344,9 +347,9 @@ def _coupling(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D):
     return math.sqrt(max(v, 0.0)), bp0, bp1
 
 
-def w2(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D) -> float:
+def w2(mu0: ProbMeasure1D, mu1: ProbMeasure1D) -> float:
     """L^2-Wasserstein distance via monotone (quantile) coupling."""
-    return _coupling(space, mu0, mu1)[0]
+    return _coupling(mu0, mu1)[0]
 
 
 # -- displacement interpolation ----------------------------------------------
@@ -384,12 +387,13 @@ def _bin_segments(xs, xe, masses, lo, hi, step):
     return edges, out
 
 
-def displacement_interpolate(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
+def displacement_interpolate(mu0: ProbMeasure1D, mu1: ProbMeasure1D,
                              t: float) -> ProbMeasure1D:
     """Pushforward of u -> (1-t) Q0(u) + t Q1(u), re-binned onto the space grid."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0,1], got {t}")
-    _, bp0, bp1 = _coupling(space, mu0, mu1)
+    _, bp0, bp1 = _coupling(mu0, mu1)
+    space = mu0.space
     xs, xe, masses = _interpolant_segments(bp0, bp1, t)
     if space.topology.kind == "circle":
         # the segments span at most one turn: bin on two from the first start's,
@@ -403,6 +407,7 @@ def displacement_interpolate(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasur
     else:
         edges, hist = _bin_segments(xs, xe, masses, float(np.min(xs)), float(np.max(xe)),
                                     space.grid_step)
+        edges[[0, -1]] = np.clip(edges[[0, -1]], *space.domain())  # the grid may overhang an end
     total = float(np.sum(hist))
     if abs(total - 1.0) > 1e-8:
         raise AssertionError(f"interpolant lost mass: total {total}")
@@ -438,13 +443,12 @@ def entropy_of_segments(space: Space1D, xs, xe, masses) -> float:
     return total
 
 
-def entropy(mu: ProbMeasure1D, space: Space1D) -> float:
+def entropy(mu: ProbMeasure1D) -> float:
     """Relative entropy of mu against m = exp(-f) H^1 (0 log 0 = 0)."""
-    xs, xe, masses = mu.segments()
-    return entropy_of_segments(space, xs, xe, masses)
+    return entropy_of_segments(mu.space, *mu.segments())
 
 
-def entropies_along(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
+def entropies_along(mu0: ProbMeasure1D, mu1: ProbMeasure1D,
                     ts: Sequence[float]) -> tuple[float, list[float]]:
     """(W2, entropies of the displacement interpolants at the times ts).
 
@@ -452,8 +456,8 @@ def entropies_along(space: Space1D, mu0: ProbMeasure1D, mu1: ProbMeasure1D,
     no histogramming bias enters; endpoints go through the same formula at
     t = 0, 1.  The pair is coupled once for the distance and every time.
     """
-    dist, bp0, bp1 = _coupling(space, mu0, mu1)
-    return dist, [entropy_of_segments(space, *_interpolant_segments(bp0, bp1, t))
+    dist, bp0, bp1 = _coupling(mu0, mu1)
+    return dist, [entropy_of_segments(mu0.space, *_interpolant_segments(bp0, bp1, t))
                   for t in ts]
 
 
@@ -474,7 +478,6 @@ def renyi_of_segments(space: Space1D, xs, xe, masses, N: float) -> float:
     return N - N * acc
 
 
-def renyi(mu: ProbMeasure1D, space: Space1D, N: float) -> float:
+def renyi(mu: ProbMeasure1D, N: float) -> float:
     """Dimensional entropy N + int U_N(rho_m) dm with U_N(r) = -N r^(1-1/N)."""
-    xs, xe, masses = mu.segments()
-    return renyi_of_segments(space, xs, xe, masses, N)
+    return renyi_of_segments(mu.space, *mu.segments(), N)

@@ -235,8 +235,7 @@ def test_acceptance_07_w2_lp_equivalence():
         if (np.min(np.diff(xs, prepend=-1.0)) < 2e-4
                 or np.min(np.diff(ys, prepend=-1.0)) < 2e-4):
             continue
-        got = w2(sp, measure_from_atoms(sp, xs, masses),
-                 measure_from_atoms(sp, ys, masses))
+        got = w2(measure_from_atoms(sp, xs, masses), measure_from_atoms(sp, ys, masses))
         want = math.sqrt(lp_transport_cost(xs, masses, ys, masses))
         worst_line = max(worst_line, abs(got - want))
         checked += 1
@@ -260,8 +259,7 @@ def test_acceptance_07_w2_lp_equivalence():
         if (np.min(np.diff(xs, prepend=-1.0)) < 2e-4
                 or np.min(np.diff(ys, prepend=-1.0)) < 2e-4):
             continue
-        got = w2(spc, measure_from_atoms(spc, xs, masses),
-                 measure_from_atoms(spc, ys, masses))
+        got = w2(measure_from_atoms(spc, xs, masses), measure_from_atoms(spc, ys, masses))
         want = math.sqrt(lp_transport_cost(xs, masses, ys, masses, dist=dist))
         worst_circle = max(worst_circle, abs(got - want))
         checked_c += 1
@@ -279,9 +277,8 @@ def test_acceptance_08_branching_shannon_chain():
     lhs_prev = -math.inf
     rows = []
     for eps in (0.05, 0.02, 0.01, 0.005, 0.002):
-        sc = BASE.replace_eps(eps)
-        pair = build_branching_plans(TRIPOD, sc)
-        lhs, rhs, rep = entropy_chain_inequality(pair, TRIPOD, sc)
+        pair = build_branching_plans(TRIPOD, BASE.replace_eps(eps))
+        lhs, rhs, rep = entropy_chain_inequality(pair)
         assert rhs <= -0.01
         assert lhs < 0.0 and lhs > lhs_prev  # monotone toward 0
         lhs_prev = lhs
@@ -294,11 +291,10 @@ def test_acceptance_08_branching_shannon_chain():
 
 def test_acceptance_09_branching_renyi_factor():
     t0 = time.time()
-    sc = BASE.replace_eps(1e-3)
-    pair = build_branching_plans(TRIPOD, sc)
+    pair = build_branching_plans(TRIPOD, BASE.replace_eps(1e-3))
     got = {}
     for N in (2.0, 8.0, 64.0):
-        ratio, threshold, rep = renyi_contradiction(pair, TRIPOD, sc, N)
+        ratio, threshold, rep = renyi_contradiction(pair, N)
         assert ratio >= threshold * (1.0 - 5e-3), (N, ratio, threshold)
         got[N] = (ratio, threshold)
     report(9, "branching-renyi", time.time() - t0, 60.0,
@@ -319,9 +315,9 @@ def test_acceptance_10_entropy_bookkeeping():
         sc = BranchingScenario(a=a, b=b, eps=eps, eta=eta, beta=beta)
         pair = build_branching_plans(TRIPOD, sc)
         t_dis = sc.a + sc.eps
-        em = entropy_along(pair, TRIPOD, t_dis, "mixed")
-        eu = entropy_along(pair, TRIPOD, t_dis, "u")
-        ed = entropy_along(pair, TRIPOD, t_dis, "d")
+        em = entropy_along(pair, t_dis, "mixed")
+        eu = entropy_along(pair, t_dis, "u")
+        ed = entropy_along(pair, t_dis, "d")
         err = abs(em - (0.5 * eu + 0.5 * ed - math.log(2.0)))
         assert err <= 1e-6
         worst_split = max(worst_split, err)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvlab1d import branching
 from curvlab1d.branching import (
     _DE_W, _DE_X, BranchingScenario, InfeasibleScenarioError, PlanPair, Tripod, TripodPoint,
     _HalfDensity, entropy_chain_inequality, build_branching_plans, entropy_along,
@@ -120,10 +119,14 @@ def test_plan_density_matches_ensemble_histogram(pair, ensemble):
 
 
 def test_infeasible_scenarios_raise():
-    with pytest.raises(InfeasibleScenarioError):
-        build_branching_plans(Tripod((0.05, 1.0, 1.0)), SCENARIO)  # stem too short
-    with pytest.raises(InfeasibleScenarioError):
-        build_branching_plans(Tripod((1.0, 0.1, 1.0)), SCENARIO)  # outer edge short
+    # PlanPair itself runs the geometry rules; its certificate cannot be passed in
+    for build in (build_branching_plans, PlanPair):
+        with pytest.raises(InfeasibleScenarioError, match="beyond stem length"):
+            build(Tripod((0.05, 1.0, 1.0)), SCENARIO)  # stem too short
+        with pytest.raises(InfeasibleScenarioError, match="beyond the outer edge"):
+            build(Tripod((1.0, 0.1, 1.0)), SCENARIO)  # outer edge short
+    with pytest.raises(TypeError, match="certificate"):
+        PlanPair(TRIPOD, SCENARIO, certificate={"C": 1e-9})
     with pytest.raises(ValueError):
         BranchingScenario(a=0.5, b=0.1, eps=0.6, eta=0.5)  # a + eps >= 1
 
@@ -137,28 +140,27 @@ def test_entropy_uniform_arc_reference():
     p = build_branching_plans(TRIPOD, sc)
     hd = p.half_density(sc.b)
     lo, hi = hd.support("stem")
-    ent = entropy_along(p, TRIPOD, sc.b, "u")
+    ent = entropy_along(p, sc.b, "u")
     assert ent == pytest.approx(-math.log(hi - lo), abs=0.05)
 
 
 def test_entropy_mixed_equals_half_at_prefix(pair):
-    ea_m = entropy_along(pair, TRIPOD, SCENARIO.a, "mixed")
-    ea_u = entropy_along(pair, TRIPOD, SCENARIO.a, "u")
+    ea_m = entropy_along(pair, SCENARIO.a, "mixed")
+    ea_u = entropy_along(pair, SCENARIO.a, "u")
     assert ea_m == pytest.approx(ea_u, abs=1e-12)
 
 
 def test_entropy_split_identity_at_disjoint_times(pair):
     for t in (SCENARIO.a + SCENARIO.eps, 0.7, 1.0):
-        em = entropy_along(pair, TRIPOD, t, "mixed")
-        eu = entropy_along(pair, TRIPOD, t, "u")
-        ed = entropy_along(pair, TRIPOD, t, "d")
+        em = entropy_along(pair, t, "mixed")
+        eu = entropy_along(pair, t, "u")
+        ed = entropy_along(pair, t, "d")
         assert em == pytest.approx(0.5 * eu + 0.5 * ed - math.log(2.0), abs=1e-6)
 
 
 def test_entropy_halves_equal_by_symmetry(pair):
     for t in (0.2, 0.6, 1.0):
-        assert entropy_along(pair, TRIPOD, t, "u") == pytest.approx(
-            entropy_along(pair, TRIPOD, t, "d"), abs=1e-10)
+        assert entropy_along(pair, t, "u") == pytest.approx(entropy_along(pair, t, "d"), abs=1e-10)
 
 
 def test_entropy_lower_bound_property(pair):
@@ -197,9 +199,8 @@ def test_entropy_integrals_against_trapezoid_oracle(pair):
 def test_entropy_chain_sweep():
     lhs_prev = -math.inf
     for eps in (0.05, 0.02, 0.01, 0.005, 0.002):
-        sc = SCENARIO.replace_eps(eps)
-        p = build_branching_plans(TRIPOD, sc)
-        lhs, rhs, rep = entropy_chain_inequality(p, TRIPOD, sc)
+        p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(eps))
+        lhs, rhs, rep = entropy_chain_inequality(p)
         assert rhs < -0.01
         assert lhs < 0.0
         assert lhs > lhs_prev  # |lhs| decreasing toward 0
@@ -210,27 +211,24 @@ def test_entropy_chain_sweep():
 
 def test_entropy_chain_rhs_closed_form():
     sc = SCENARIO
-    p = build_branching_plans(TRIPOD, sc)
-    _, rhs, _ = entropy_chain_inequality(p, TRIPOD, sc)
+    _, rhs, _ = entropy_chain_inequality(build_branching_plans(TRIPOD, sc))
     want = (-(1 - sc.a - sc.eps) * math.log(2.0)
             * ((sc.a - sc.b) / (1 - sc.b) - sc.a * (sc.a + sc.eps - sc.b) / 3.0))
     assert rhs == pytest.approx(want, abs=1e-15)
 
 
 def test_renyi_contradiction_levels():
-    sc = SCENARIO.replace_eps(1e-3)
-    p = build_branching_plans(TRIPOD, sc)
+    p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(1e-3))
     for N in (2.0, 8.0, 64.0):
-        ratio, threshold, rep = renyi_contradiction(p, TRIPOD, sc, N)
+        ratio, threshold, rep = renyi_contradiction(p, N)
         assert threshold == pytest.approx(2.0 ** (1.0 / N))
         assert ratio >= threshold * (1.0 - 5e-3)
         assert rep["contradiction"]
 
 
 def test_renyi_contradiction_persists_large_n():
-    sc = SCENARIO.replace_eps(1e-3)
-    p = build_branching_plans(TRIPOD, sc)
-    ratio, threshold, _ = renyi_contradiction(p, TRIPOD, sc, 1024.0)
+    p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(1e-3))
+    ratio, threshold, _ = renyi_contradiction(p, 1024.0)
     assert threshold == pytest.approx(2.0 ** (1.0 / 1024.0))
     assert ratio > 1.0
 
@@ -239,9 +237,8 @@ def test_renyi_mix_equals_sum_of_halves(pair):
     sc = SCENARIO
     t = sc.a + sc.eps
     for N in (2.0, 8.0):
-        mix = renyi_raw(pair, TRIPOD, t, "mixed_sum", N)
-        split = (renyi_raw(pair, TRIPOD, t, "u", N)
-                 + renyi_raw(pair, TRIPOD, t, "d", N))
+        mix = renyi_raw(pair, t, "mixed_sum", N)
+        split = renyi_raw(pair, t, "u", N) + renyi_raw(pair, t, "d", N)
         assert mix == pytest.approx(split, rel=1e-10)
 
 
@@ -251,9 +248,8 @@ def test_failure_region_grows_with_rhs_magnitude():
         sweep = np.geomspace(0.05, 0.001, 25)
         base = BranchingScenario(a=0.5, b=b, eps=0.05, eta=0.5)
         for eps in sweep:
-            sc = base.replace_eps(float(eps))
-            p = build_branching_plans(TRIPOD, sc)
-            _, _, rep = entropy_chain_inequality(p, TRIPOD, sc)
+            p = build_branching_plans(TRIPOD, base.replace_eps(float(eps)))
+            _, _, rep = entropy_chain_inequality(p)
             if rep["contradiction"]:
                 return float(eps)
         return 0.0
@@ -264,9 +260,9 @@ def test_failure_region_grows_with_rhs_magnitude():
 
 
 def test_mixture_w2_correction_within_envelope(pair):
-    out = mixture_w2_correction(pair, TRIPOD, SCENARIO, K=1.0)
+    out = mixture_w2_correction(pair, K=1.0)
     assert 0.0 < out["correction"] <= out["envelope"]
-    out2 = mixture_w2_correction(pair, TRIPOD, SCENARIO, K=-2.0)
+    out2 = mixture_w2_correction(pair, K=-2.0)
     assert out2["correction"] == pytest.approx(2.0 * out["correction"], rel=1e-9)
 
 
@@ -280,9 +276,9 @@ def test_random_feasible_scenarios_bookkeeping():
         sc = BranchingScenario(a=float(a), b=float(b), eps=float(eps), eta=float(eta))
         p = build_branching_plans(TRIPOD, sc)
         td = sc.a + sc.eps
-        em = entropy_along(p, TRIPOD, td, "mixed")
-        eu = entropy_along(p, TRIPOD, td, "u")
-        ed = entropy_along(p, TRIPOD, td, "d")
+        em = entropy_along(p, td, "mixed")
+        eu = entropy_along(p, td, "u")
+        ed = entropy_along(p, td, "d")
         assert em == pytest.approx(0.5 * eu + 0.5 * ed - math.log(2.0), abs=1e-6)
 
 
@@ -407,7 +403,6 @@ def test_certificate_scans_the_target_sup_once(monkeypatch):
     assert cert["sup_density_up_at_1"] == target / 0.5
     assert cert["sup_density_down_at_1"] == target / 3.0
     assert cert["C"] == max(cert["sup_density_at_b"], target / 0.5, target / 3.0)
-    assert branching._density_certificate(pair) == cert
 
 
 def _dense_sup(hd, side, n=20001):

@@ -752,8 +752,8 @@ def test_entropic_checks_raise_on_a_diverging_entropy(monkeypatch, at, message):
     pairs = translate_pairs(space, 3, seed=4)
     real = curvature.entropies_along
 
-    def diverging(space, mu0, mu1, ts):
-        dist, ents = real(space, mu0, mu1, ts)
+    def diverging(mu0, mu1, ts):
+        dist, ents = real(mu0, mu1, ts)
         if mu0 is pairs[1][0]:
             ents[at] = math.inf
         return dist, ents
@@ -763,6 +763,22 @@ def test_entropic_checks_raise_on_a_diverging_entropy(monkeypatch, at, message):
                   lambda: verify_cd_infty(space, 0.0, pairs)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             check()
+
+
+def test_entropic_checks_refuse_a_battery_on_another_space():
+    # the measures carry their space: verify_cde used to judge these flat
+    # pairs against the heavy weight and FAIL at +0.030, where on their own
+    # space they pass; an equal space built apart is the same space
+    space = unit_interval()
+    heavy = Space1D(space.topology, WeightFn(np.array([0.0, 1.0]), np.array([0.0, 3.0])))
+    pairs = translate_pairs(space, 3, seed=4)
+    assert verify_cde(unit_interval(), CurvatureParams(0.0, 2.0), pairs).passed
+    mixed = [pairs[0], *translate_pairs(heavy, 1, seed=4)]
+    for on, battery, idx in ((heavy, pairs, 0), (space, mixed, 1)):
+        for check in (lambda: verify_cde(on, CurvatureParams(0.0, 2.0), battery),
+                      lambda: verify_cd_infty(on, 0.0, battery)):
+            with pytest.raises(ValueError, match=f"^pair {idx}: its measures live on another"):
+                check()
 
 
 # -- circle obstruction ------------------------------------------------------------

@@ -75,8 +75,8 @@ def test_w2_translation_and_identity():
     sp = flat_space()
     mu0 = uniform_measure(sp, 0.0, 1.0)
     mu1 = uniform_measure(sp, 2.0, 3.0)
-    assert w2(sp, mu0, mu1) == pytest.approx(2.0, abs=1e-12)
-    assert w2(sp, mu0, mu0) == 0.0
+    assert w2(mu0, mu1) == pytest.approx(2.0, abs=1e-12)
+    assert w2(mu0, mu0) == 0.0
 
 
 def test_w2_uniform_stretch_closed_form():
@@ -84,7 +84,7 @@ def test_w2_uniform_stretch_closed_form():
     sp = flat_space()
     mu0 = uniform_measure(sp, 0.0, 1.0)
     mu1 = uniform_measure(sp, 0.0, 2.0)
-    assert w2(sp, mu0, mu1) == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
+    assert w2(mu0, mu1) == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
 
 
 def test_w2_matches_lp_on_equal_mass_atoms():
@@ -100,7 +100,7 @@ def test_w2_matches_lp_on_equal_mass_atoms():
             continue
         mu0 = measure_from_atoms(sp, xs, masses)
         mu1 = measure_from_atoms(sp, ys, masses)
-        got = w2(sp, mu0, mu1)
+        got = w2(mu0, mu1)
         want = math.sqrt(lp_transport_cost(xs, masses, ys, masses))
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -117,7 +117,7 @@ def test_w2_unequal_masses_within_mollification_scale():
         ys = np.sort(rng.uniform(0.5, 9.5, k1))
         if np.min(np.diff(xs, prepend=-1)) < 2e-4 or np.min(np.diff(ys, prepend=-1)) < 2e-4:
             continue
-        got = w2(sp, measure_from_atoms(sp, xs, a), measure_from_atoms(sp, ys, b))
+        got = w2(measure_from_atoms(sp, xs, a), measure_from_atoms(sp, ys, b))
         want = math.sqrt(lp_transport_cost(xs, a, ys, b))
         assert got == pytest.approx(want, abs=5e-4)
 
@@ -136,7 +136,7 @@ def test_w2_finite_when_quantile_anchors_repeat_at_one():
         mu1 = measure_from_density(sp, lambda z: np.exp(-5 * d(z, 4.7432) ** 2) + 0.01,
                                    0.0, circ, 150)
         assert np.sum(_breakpoints(mu0)[0] == 1.0) > 1
-        got[sp.topology.kind] = w2(sp, mu0, mu1)
+        got[sp.topology.kind] = w2(mu0, mu1)
         if sp is interval:
             u = (np.arange(100_000) + 0.5) / 100_000
             want = math.sqrt(np.mean((quantile(mu0)(u) - quantile(mu1)(u)) ** 2))
@@ -151,7 +151,7 @@ def test_w2_circle_small_rotation():
     sp = circle_space()
     mu0 = uniform_measure(sp, 0.0, 1.0)
     mu1 = uniform_measure(sp, 0.5, 1.5)
-    assert w2(sp, mu0, mu1) == pytest.approx(0.5, abs=1e-6)
+    assert w2(mu0, mu1) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_w2_circle_far_pair_vs_fine_lp():
@@ -169,7 +169,7 @@ def test_w2_circle_far_pair_vs_fine_lp():
     ys = 3.0 + xs
     a = np.full(n, 1.0 / n)
     want = math.sqrt(lp_transport_cost(xs, a, ys, a, dist=dist))
-    got = w2(sp, uniform_measure(sp, 0.0, 1.0), uniform_measure(sp, 3.0, 4.0))
+    got = w2(uniform_measure(sp, 0.0, 1.0), uniform_measure(sp, 3.0, 4.0))
     assert got == pytest.approx(want, abs=5e-4)
     assert got < 3.0  # strictly better than the rigid rotation cost
 
@@ -191,7 +191,7 @@ def test_w2_circle_vs_lp_on_atoms():
         ys = np.sort(rng.uniform(0.0, circ - 0.01, size=k))
         if np.min(np.diff(xs, prepend=-1)) < 2e-4 or np.min(np.diff(ys, prepend=-1)) < 2e-4:
             continue
-        got = w2(sp, measure_from_atoms(sp, xs, masses), measure_from_atoms(sp, ys, masses))
+        got = w2(measure_from_atoms(sp, xs, masses), measure_from_atoms(sp, ys, masses))
         want = math.sqrt(lp_transport_cost(xs, masses, ys, masses, dist=dist))
         assert got == pytest.approx(want, abs=5e-4)
 
@@ -213,8 +213,7 @@ def test_w2_circle_shift_on_breakpoint_collision():
     masses /= masses.sum()
     xs = np.sort(rng.uniform(0.0, circ - 0.01, size=k))
     ys = np.sort(rng.uniform(0.0, circ - 0.01, size=k))
-    got = w2(sp, measure_from_atoms(sp, xs, masses),
-             measure_from_atoms(sp, ys, masses))
+    got = w2(measure_from_atoms(sp, xs, masses), measure_from_atoms(sp, ys, masses))
     want = math.sqrt(lp_transport_cost(xs, masses, ys, masses, dist=dist))
     assert got == pytest.approx(want, abs=5e-4)
 
@@ -232,7 +231,7 @@ def test_circle_cd_checks_flat():
     hi = (lo + L) % circ
     wrap = ProbMeasure1D(sp, np.array([0.0, hi, lo, circ]),
                          np.array([1.0 / L, 0.0, 1.0 / L]))
-    assert entropy(wrap, sp) == pytest.approx(-math.log(L), abs=1e-12)
+    assert entropy(wrap) == pytest.approx(-math.log(L), abs=1e-12)
     rng = np.random.default_rng(5)
     pairs = []
     for _ in range(6):
@@ -372,7 +371,7 @@ def test_displacement_translation_midpoint():
     sp = flat_space()
     mu0 = uniform_measure(sp, 0.0, 1.0)
     mu1 = uniform_measure(sp, 2.0, 3.0)
-    mid = displacement_interpolate(sp, mu0, mu1, 0.5)
+    mid = displacement_interpolate(mu0, mu1, 0.5)
     lo, hi = mid.support_window
     assert lo == pytest.approx(1.0, abs=2e-3)
     assert hi == pytest.approx(2.0, abs=2e-3)
@@ -384,15 +383,15 @@ def test_displacement_identity_at_endpoints():
     mu0 = uniform_measure(sp, 0.2, 1.2)
     mu1 = uniform_measure(sp, 2.0, 3.5)
     for t, ref in ((0.0, mu0), (1.0, mu1)):
-        interp = displacement_interpolate(sp, mu0, mu1, t)
-        assert w2(sp, interp, ref) < 2e-3
+        interp = displacement_interpolate(mu0, mu1, t)
+        assert w2(interp, ref) < 2e-3
 
 
 def test_displacement_stretch_midpoint_uniform():
     sp = flat_space()
     mu0 = uniform_measure(sp, 0.0, 1.0)
     mu1 = uniform_measure(sp, 0.0, 2.0)
-    mid = displacement_interpolate(sp, mu0, mu1, 0.5)
+    mid = displacement_interpolate(mu0, mu1, 0.5)
     # Q_t(u) = 1.5u: uniform on [0, 1.5]
     xs, xe, ms = mid.segments()
     dens = ms / (xe - xs)
@@ -411,14 +410,14 @@ def test_displacement_constant_speed_battery():
             continue
         mu0 = uniform_measure(sp, a0, b0)
         mu1 = uniform_measure(sp, a1, b1)
-        base = w2(sp, mu0, mu1)
+        base = w2(mu0, mu1)
         if base < 1e-6:
             continue
-        interp = {t: displacement_interpolate(sp, mu0, mu1, t) for t in ts}
+        interp = {t: displacement_interpolate(mu0, mu1, t) for t in ts}
         for s in ts:
             for t in ts:
                 if s < t:
-                    got = w2(sp, interp[s], interp[t])
+                    got = w2(interp[s], interp[t])
                     assert abs(got - (t - s) * base) <= 5e-4 * base + 5e-3
 
 
@@ -428,7 +427,7 @@ def test_entropy_uniform_against_lebesgue():
     sp = flat_space()
     for L in (0.5, 1.0, 2.0):
         mu = uniform_measure(sp, 0.0, L)
-        assert entropy(mu, sp) == pytest.approx(-math.log(L), abs=1e-12)
+        assert entropy(mu) == pytest.approx(-math.log(L), abs=1e-12)
 
 
 def test_entropy_constant_weight_shift():
@@ -436,10 +435,10 @@ def test_entropy_constant_weight_shift():
     sp = Space1D(Topology1D("line"), WeightFn(np.array([0.0, 4.0]), np.full(2, c)),
                  window=(0.0, 4.0))
     mu = uniform_measure(sp, 0.0, 1.0)
-    assert entropy(mu, sp) == pytest.approx(c, abs=1e-12)
+    assert entropy(mu) == pytest.approx(c, abs=1e-12)
     orc = trapezoid_refined(lambda x: (1.0 * math.exp(c)) * math.log(1.0 * math.exp(c))
                             * math.exp(-c), 0.0, 1.0)
-    assert entropy(mu, sp) == pytest.approx(orc, abs=1e-10)
+    assert entropy(mu) == pytest.approx(orc, abs=1e-10)
 
 
 def test_entropy_weight_decomposition_identity():
@@ -453,7 +452,7 @@ def test_entropy_weight_decomposition_identity():
     xs, xe, ms = mu.segments()
     mids = 0.5 * (xs + xe)
     int_v = float(np.sum(ms * np.interp(mids, coords, V)))
-    assert entropy(muV, spV) == pytest.approx(entropy(mu, sp0) + int_v, abs=5e-4)
+    assert entropy(muV) == pytest.approx(entropy(mu) + int_v, abs=5e-4)
 
 
 def per_knot_entropy(space, xs, xe, masses):
@@ -533,7 +532,7 @@ def test_entropy_of_segments_matches_per_knot_loop_on_interpolants():
     pairs = [((5.8, 6.2), (0.1, 0.9)), ((0.3, 1.1), (4.9, 6.1)), ((6.0, 6.28), (6.1, 6.2))]
     for (a0, b0), (a1, b1) in pairs:
         mu0, mu1 = uniform_measure(space, a0, b0), uniform_measure(space, a1, b1)
-        _, bp0, bp1 = transport1d._coupling(space, mu0, mu1)
+        _, bp0, bp1 = transport1d._coupling(mu0, mu1)
         wrapped = False
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             xs, xe, ms = transport1d._interpolant_segments(bp0, bp1, t)
@@ -587,7 +586,7 @@ def test_circle_interpolant_cells_tile_one_turn():
     space = circle_space()
     c = space.topology.circumference
     mu0, mu1 = uniform_measure(space, 5.9, 6.2), uniform_measure(space, 0.1, 0.4)
-    mu_t = displacement_interpolate(space, mu0, mu1, 0.5)
+    mu_t = displacement_interpolate(mu0, mu1, 0.5)
     assert mu_t.edges[0] == 0.0 and mu_t.edges[-1] == c
     assert len(mu_t.density) == math.ceil(c / space.grid_step)
     assert mu_t.density[0] == pytest.approx(10.0 / 3.0, rel=1e-12)
@@ -615,8 +614,8 @@ def test_binned_interpolant_entropy_tracks_exact_route():
         mu0 = uniform_measure(sp, a0, a0 + w0)
         mu1 = uniform_measure(sp, a1, a1 + w1)
         for t in (0.25, 0.5, 0.75):
-            exact = entropies_along(sp, mu0, mu1, [t])[1][0]
-            binned = entropy(displacement_interpolate(sp, mu0, mu1, t), sp)
+            exact = entropies_along(mu0, mu1, [t])[1][0]
+            binned = entropy(displacement_interpolate(mu0, mu1, t))
             rho_max = max(1.0 / w0, 1.0 / w1)
             assert abs(binned - exact) <= 4.0 * rho_max * sp.grid_step
 
@@ -632,7 +631,7 @@ def test_entropy_displacement_convexity_flat():
         w1 = rng.uniform(0.05, 0.3); a1 = rng.uniform(0.0, 1.0 - w1)
         mu0 = uniform_measure(sp, a0, a0 + w0)
         mu1 = uniform_measure(sp, a1, a1 + w1)
-        _, ents = entropies_along(sp, mu0, mu1, [float(t) for t in ts])
+        _, ents = entropies_along(mu0, mu1, [float(t) for t in ts])
         second = np.diff(ents, 2)
         assert np.min(second) >= -1e-5
 
@@ -641,17 +640,17 @@ def test_entropy_displacement_convexity_flat():
 
 def test_renyi_uniforms():
     sp = flat_space()
-    assert renyi(uniform_measure(sp, 0.0, 1.0), sp, 4.0) == pytest.approx(0.0, abs=1e-12)
+    assert renyi(uniform_measure(sp, 0.0, 1.0), 4.0) == pytest.approx(0.0, abs=1e-12)
     for N in (2.0, 8.0):
         want = N - N * 2.0 ** (1.0 / N)
-        assert renyi(uniform_measure(sp, 0.0, 2.0), sp, N) == pytest.approx(want, abs=1e-12)
+        assert renyi(uniform_measure(sp, 0.0, 2.0), N) == pytest.approx(want, abs=1e-12)
 
 
 def test_renyi_converges_to_entropy():
     sp = flat_space()
     mu = uniform_measure(sp, 0.0, 2.0)
-    ent = entropy(mu, sp)
-    assert renyi(mu, sp, 2.0 ** 20) == pytest.approx(ent, rel=1e-5)
+    ent = entropy(mu)
+    assert renyi(mu, 2.0 ** 20) == pytest.approx(ent, rel=1e-5)
 
 
 def test_renyi_nondecreasing_in_n_battery():
@@ -662,9 +661,9 @@ def test_renyi_nondecreasing_in_n_battery():
         dens = rng.uniform(0.2, 3.0, size=50)
         mu = measure_from_density(sp, lambda x: np.interp(x, np.linspace(0, 1, 50), dens),
                                   0.0, 1.0, n_cells=500)
-        vals = [renyi(mu, sp, N) for N in ns]
+        vals = [renyi(mu, N) for N in ns]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] <= entropy(mu, sp) + 1e-9
+        assert vals[-1] <= entropy(mu) + 1e-9
 
 
 def test_renyi_of_segments_ignores_an_atom():
@@ -697,11 +696,20 @@ def test_w2_rejects_space_mismatch():
     # numpy's "truth value of an array is ambiguous"); different spaces do not
     desc = {"topology": "interval", "param": 1}
     a, b = load_space(desc), load_space(desc)
-    assert w2(a, uniform_measure(a, 0.0, 0.5), uniform_measure(b, 0.5, 1.0)) == pytest.approx(0.5)
+    assert w2(uniform_measure(a, 0.0, 0.5), uniform_measure(b, 0.5, 1.0)) == pytest.approx(0.5)
     for other in (load_space(dict(desc, param=2)),
                   load_space(dict(desc, weight={"coords": [0, 1], "f": [0, 1]}))):
         with pytest.raises(ValueError, match="measures live on different spaces"):
-            w2(a, uniform_measure(a, 0.0, 0.5), uniform_measure(other, 0.5, 1.0))
+            w2(uniform_measure(a, 0.0, 0.5), uniform_measure(other, 0.5, 1.0))
+    # a measure lies on its space; on a circle it starts in [0, c) and spans at most one
+    # turn (uniform [100, 101] sat 15 turns from its arc in w2, [0, 10] had Ent -log 10)
+    c = circle_space()
+    for space, lo, hi in ((a, -5.0, 5.0), (c, 0.0, 10.0), (c, 100.0, 101.0)):
+        with pytest.raises(ValueError, match=rf"^support \[{lo}, {hi}\] (leaves|must start)"):
+            uniform_measure(space, lo, hi)
+    coarse = Space1D(a.topology, grid_step=0.3)  # an interpolant's aligned grid ends at 1.2
+    mid = displacement_interpolate(*(uniform_measure(coarse, lo, 1) for lo in (0.5, 0)), 0.5)
+    assert mid.support_window == (0.0, 1.0)
 
 
 # -- metric properties ----------------------------------------------------------------
@@ -741,10 +749,10 @@ def unrolled_line():
 def test_w2_is_a_metric_on_line_and_circle(a, b, c):
     for space in (unrolled_line(), circle_space()):
         mu = [ProbMeasure1D(space, *h) for h in (a, b, c)]
-        ab, ba = w2(space, mu[0], mu[1]), w2(space, mu[1], mu[0])
-        bc, ac = w2(space, mu[1], mu[2]), w2(space, mu[0], mu[2])
+        ab, ba = w2(mu[0], mu[1]), w2(mu[1], mu[0])
+        bc, ac = w2(mu[1], mu[2]), w2(mu[0], mu[2])
         for m in mu:
-            assert w2(space, m, m) == 0.0
+            assert w2(m, m) == 0.0
         if space.topology.kind == "circle":
             assert abs(ab * ab - ba * ba) <= CUT_SLACK
             assert ac <= ab + bc + math.sqrt(CUT_SLACK)
@@ -758,8 +766,8 @@ def test_w2_is_a_metric_on_line_and_circle(a, b, c):
 def test_circle_w2_at_most_unrolled_line_w2(a, b):
     # the circle may route mass through the cut point; the line may not
     line, circle = unrolled_line(), circle_space()
-    on_line = w2(line, ProbMeasure1D(line, *a), ProbMeasure1D(line, *b))
-    on_circle = w2(circle, ProbMeasure1D(circle, *a), ProbMeasure1D(circle, *b))
+    on_line = w2(ProbMeasure1D(line, *a), ProbMeasure1D(line, *b))
+    on_circle = w2(ProbMeasure1D(circle, *a), ProbMeasure1D(circle, *b))
     assert on_circle * on_circle <= on_line * on_line + 1e-12
 
 
@@ -771,7 +779,7 @@ def test_interpolant_conserves_mass(a, b, t, kind):
     # turns, folded onto one, on the circle) loses none of it
     space = unrolled_line() if kind == "line" else circle_space()
     mu0, mu1 = ProbMeasure1D(space, *a), ProbMeasure1D(space, *b)
-    _, bp0, bp1 = transport1d._coupling(space, mu0, mu1)
+    _, bp0, bp1 = transport1d._coupling(mu0, mu1)
     _, _, ms = transport1d._interpolant_segments(bp0, bp1, t)
     assert abs(float(np.sum(ms)) - 1.0) <= 1e-12
     binned = []
@@ -784,7 +792,7 @@ def test_interpolant_conserves_mass(a, b, t, kind):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport1d, "_bin_segments", recording)
-        mu_t = displacement_interpolate(space, mu0, mu1, t)
+        mu_t = displacement_interpolate(mu0, mu1, t)
     (before, after), = binned
     assert abs(before - 1.0) <= 1e-12 and abs(after - 1.0) <= 1e-12
     assert abs(float(np.sum(mu_t.cell_masses())) - 1.0) <= 1e-12
@@ -798,7 +806,7 @@ def test_quantile_anchors_stay_monotone_before_trailing_empty_cells():
     mu = ProbMeasure1D(space, np.array([2.0, 3.0, 4.0]), np.array([1.0 + 1e-12, 0.0]))
     U, _ = _breakpoints(mu)
     assert np.all(np.diff(U) >= 0.0) and U[-1] == 1.0
-    assert w2(space, mu, mu) == 0.0
+    assert w2(mu, mu) == 0.0
 
 
 # -- circle cut helpers against their frozen copies -----------------------------------

@@ -37,9 +37,9 @@ print(f"  (Ent(u) + Ent(d))/2 - log 2  = {0.5 * eu + 0.5 * ed - math.log(2):.6f}
 print("\n=== the entropy chain over shrinking windows ===\n")
 print(f"{'eps':>7} {'lhs':>10} {'rhs':>10}   chain")
 for eps in (0.05, 0.02, 0.01, 0.005, 0.002):
-    lhs, rhs, rep = entropy_chain_inequality(build_branching_plans(tripod, base.replace_eps(eps)))
+    rep = entropy_chain_inequality(build_branching_plans(tripod, base.replace_eps(eps)))
     verdict = "FAILS (contradiction)" if rep["contradiction"] else "holds"
-    print(f"{eps:>7} {lhs:>10.4f} {rhs:>10.4f}   {verdict}")
+    print(f"{eps:>7} {rep['lhs']:>10.4f} {rep['rhs']:>10.4f}   {verdict}")
 
 print("\nThe right side stays below -0.01 while the left side climbs to 0:")
 print("once lhs > rhs the K-convexity chain that produced the bound is")
@@ -49,8 +49,8 @@ print("\n=== the dimensional variant: the 2^(1/N) factor ===\n")
 p = build_branching_plans(tripod, base.replace_eps(1e-3))
 print(f"{'N':>6} {'ratio':>10} {'2^(1/N)':>10}")
 for N in (2.0, 8.0, 64.0, 1024.0):
-    ratio, thr, rep = renyi_contradiction(p, N)
-    print(f"{N:>6.0f} {ratio:>10.6f} {thr:>10.6f}")
+    rep = renyi_contradiction(p, N)
+    print(f"{N:>6.0f} {rep['ratio']:>10.6f} {rep['threshold']:>10.6f}")
 print("\nconcavity would force ratio <= 1; it converges to 2^(1/N) instead.")
 
 print("\n=== curvature correction for K != 0 ===\n")

@@ -18,11 +18,10 @@ candidates = [CurvatureParams(k, n)
 
 
 def show(name, space, search_params):
-    verdict = classify(space, search_params)
-    if verdict.admissible:
-        p = verdict.kn_params
+    report = classify(space, search_params)
+    if report is not None:
         print(f"{name:<28} -> {space.topology.kind:<9} admissible at "
-              f"(K, N) = ({p.K:+.1f}, {p.N:.0f})")
+              f"(K, N) = ({report.K:+.1f}, {report.N:.0f})")
     else:
         print(f"{name:<28} -> {space.topology.kind:<9} no admissible pair")
 

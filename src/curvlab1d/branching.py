@@ -47,6 +47,9 @@ __all__ = [
     "mixture_w2_correction",
 ]
 
+_RENYI_TOL = 5e-3       # renyi_contradiction: the ratio reaches 2^(1/N) within this share
+_MIXTURE_CELLS = 2048   # mixture_w2_correction: histogram cells per mixture law
+
 class InfeasibleScenarioError(ValueError):
     """The tripod geometry cannot host the requested branching scenario."""
 
@@ -94,8 +97,8 @@ class Tripod:
 
     def measure_ball(self, p: TripodPoint, r: float) -> float:
         """Mass of the metric ball of radius r around p."""
-        if r < 0:
-            raise ValueError("radius must be >= 0")
+        if not r >= 0:  # a NaN radius too
+            raise ValueError(f"radius must be >= 0, got {r!r}")
         self.check_point(p)
         total = 0.0
         for e in range(3):
@@ -373,7 +376,7 @@ def renyi_raw(pair: PlanPair, t: float, which: str, N: float) -> float:
     return _pieces_integral(pair, t, pieces, lambda c, rh: c * rh ** expo)
 
 
-def entropy_chain_inequality(pair: PlanPair) -> tuple[float, float, dict]:
+def entropy_chain_inequality(pair: PlanPair) -> dict:
     """Both sides of the branching entropy chain
 
         eps (log(eps / (10 m(B(x, eta/2)))) - log C)
@@ -391,7 +394,7 @@ def entropy_chain_inequality(pair: PlanPair) -> tuple[float, float, dict]:
     lhs = sc.eps * (math.log(sc.eps / (10.0 * mball)) - math.log(C))
     rhs = (-(1.0 - sc.a - sc.eps) * math.log(2.0)
            * ((sc.a - sc.b) / (1.0 - sc.b) - sc.a * (sc.a + sc.eps - sc.b) / 3.0))
-    report = {
+    return {
         "eps": sc.eps,
         "lhs": lhs,
         "rhs": rhs,
@@ -401,17 +404,15 @@ def entropy_chain_inequality(pair: PlanPair) -> tuple[float, float, dict]:
         "chain_holds": lhs <= rhs,
         "contradiction": (lhs > rhs) and (rhs < 0.0),
     }
-    return lhs, rhs, report
 
 
-def renyi_contradiction(pair: PlanPair, N: float | None = None,
-                        tol: float = 5e-3) -> tuple[float, float, dict]:
+def renyi_contradiction(pair: PlanPair, N: float | None = None) -> dict:
     """Measured value of the dimensional-entropy chain at the scenario's eps.
 
     ratio = [eps/(eps+a-b) R_b + 2^(1/N-1) (a-b)/(a+eps-b) R_mix(a+eps)] / R_a
     tends to 2^(1/N) as eps -> 0; concavity of the dimensional functionals
-    would force ratio <= 1, so reaching the threshold reproduces the
-    contradiction.
+    would force ratio <= 1, so reaching the threshold within _RENYI_TOL
+    reproduces the contradiction.
     """
     sc = pair.scenario
     if N is None:
@@ -425,7 +426,7 @@ def renyi_contradiction(pair: PlanPair, N: float | None = None,
     ratio = ((sc.eps / (sc.eps + sc.a - sc.b)) * R_b
              + 2.0 ** (1.0 / N - 1.0) * (sc.a - sc.b) / (sc.a + sc.eps - sc.b) * R_mix) / R_a
     threshold = 2.0 ** (1.0 / N)
-    report = {
+    return {
         "eps": sc.eps,
         "N": N,
         "ratio": ratio,
@@ -433,13 +434,12 @@ def renyi_contradiction(pair: PlanPair, N: float | None = None,
         "R_a": R_a,
         "R_b": R_b,
         "R_mix": R_mix,
-        "contradiction": ratio >= threshold * (1.0 - tol),
-        "tol": tol,
+        "contradiction": ratio >= threshold * (1.0 - _RENYI_TOL),
+        "tol": _RENYI_TOL,
     }
-    return ratio, threshold, report
 
 
-def mixture_w2_correction(pair: PlanPair, K: float, n_cells: int = 2048) -> dict:
+def mixture_w2_correction(pair: PlanPair, K: float) -> dict:
     """|K|/2 * eps(a-b)/(a+eps-b)^2 * W2^2 between the time-b and time-(a+eps)
     mixtures, the curvature correction of the K != 0 chain.
 
@@ -455,10 +455,10 @@ def mixture_w2_correction(pair: PlanPair, K: float, n_cells: int = 2048) -> dict
     u_lo, u_hi = hd_e.support("target")
     pad = 0.05 * max(v_hi, u_hi, 1e-6)
     lo, hi = -u_hi - pad, v_hi + pad
-    line = Space1D(Topology1D("line"), grid_step=(hi - lo) / n_cells, window=(lo, hi))
+    line = Space1D(Topology1D("line"), grid_step=(hi - lo) / _MIXTURE_CELLS, window=(lo, hi))
 
     def sample(hd, side, a, b):  # (edges, density) of the side's law on [a, b], mass 1
-        edges = np.linspace(a, b, n_cells + 1)
+        edges = np.linspace(a, b, _MIXTURE_CELLS + 1)
         dens = hd.side_density(side, 0.5 * (edges[:-1] + edges[1:]))
         return edges, dens / float(np.sum(dens * np.diff(edges)))
 
@@ -469,4 +469,4 @@ def mixture_w2_correction(pair: PlanPair, K: float, n_cells: int = 2048) -> dict
     dist = tr.w2(nu_b, nu_e)
     corr = abs(K) / 2.0 * sc.eps * (sc.a - sc.b) / (sc.a + sc.eps - sc.b) ** 2 * dist * dist
     envelope = abs(K) / 2.0 * sc.eps * (sc.a - sc.b) * sc.eta ** 2
-    return {"w2": dist, "correction": corr, "envelope": envelope, "K": K}
+    return {"w2": dist, "correction": corr, "envelope": envelope}

@@ -101,12 +101,12 @@ def _scenario_from_args(args) -> tuple[br.Tripod, br.BranchingScenario, list[flo
     return tripod, scenario, sweep
 
 
-def _default_pair_battery(space: Space1D, seed: int, count: int = 50):
+def _default_pair_battery(space: Space1D, seed: int):
     lo, hi = space.domain()
     span = hi - lo
     rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(count):
+    for _ in range(50):  # pairs of uniform measures, each on 5-30% of the domain
         w0 = span * rng.uniform(0.05, 0.3)
         a0 = lo + rng.uniform(0.0, span - w0)
         w1 = span * rng.uniform(0.05, 0.3)
@@ -133,9 +133,9 @@ def _reach(space: Space1D, x0: float) -> float:
     return reach
 
 
-def _default_radii(space: Space1D, x0: float, params: CurvatureParams, n: int = 10):
+def _default_radii(space: Space1D, x0: float, params: CurvatureParams):
     r_max = min(0.95 * conjugate_radius(params), 0.98 * _reach(space, x0))
-    return list(np.linspace(0.1 * r_max, 0.7 * r_max, n))
+    return list(np.linspace(0.1 * r_max, 0.7 * r_max, 10))
 
 
 def _x0(args, space: Space1D) -> float:
@@ -229,7 +229,7 @@ def _cmd_density_ratio(args):
                          f"the largest radius {r_hi!r} is not above 10 grid steps "
                          f"({10.0 * space.grid_step!r})")
     r_lo = max(10.0 * space.grid_step, r_hi / 50.0)
-    radii = list(np.geomspace(r_hi, r_lo, 20))
+    radii = np.geomspace(r_hi, r_lo, 20).tolist()
     trace = gs.density_ratio_trace(space, x0, args.kexp, radii)
     body = _base_body(args, "density-ratio-trace")
     body.update({
@@ -238,11 +238,10 @@ def _cmd_density_ratio(args):
         "witness": {"min_ratio": min(trace.ratios), "max_ratio": max(trace.ratios)},
         "grid_step": space.grid_step,
         "in_mk": trace.in_mk,
-        "threshold_factor": trace.threshold_factor,
-        "rows": [[r, v] for r, v in trace.rows()],
+        "threshold_factor": gs._THRESHOLD_FACTOR,
+        "rows": [[r, v] for r, v in zip(radii, trace.ratios)],
     })
-    rows = [("r", "ratio")] + list(trace.rows())
-    return 0, body, rows
+    return 0, body, [("r", "ratio"), *zip(radii, trace.ratios)]
 
 
 def _cmd_classify(args):
@@ -252,16 +251,15 @@ def _cmd_classify(args):
     if len(ks) != len(ns):
         raise ValueError("--k and --n must list the same number of candidates")
     candidates = [CurvatureParams(k, n) for k, n in zip(ks, ns)]
-    verdict = gs.classify(space, candidates, seed=args.seed, tol=args.tol)
+    report = gs.classify(space, candidates, seed=args.seed, tol=args.tol)
     body = _base_body(args, "classification")
     body.update({
         "params": {"candidates": [[p.K, p.N] for p in candidates]},
         "model": {"kind": space.topology.kind, "param": space.topology.param},
-        "admissible": verdict.admissible,
-        "kn_params": ([verdict.kn_params.K, verdict.kn_params.N]
-                      if verdict.kn_params else None),
-        "margin": (verdict.report.max_violation if verdict.report else None),
-        "witness": (verdict.report.witness if verdict.report else {}),
+        "admissible": report is not None,
+        "kn_params": [report.K, report.N] if report else None,
+        "margin": report.max_violation if report else None,
+        "witness": report.witness if report else {},
         "grid_step": space.grid_step,
     })
     return 0, body, None
@@ -274,9 +272,8 @@ def _cmd_tripod(args):
     rows = [("eps", "lhs", "rhs", "ratio")]
     for eps in sweep:
         pair = br.build_branching_plans(tripod, scenario.replace_eps(eps))
-        lhs, rhs, chain = br.entropy_chain_inequality(pair)
-        ratio, _, ratio_rep = br.renyi_contradiction(pair)
-        rows.append((eps, lhs, rhs, ratio))
+        chain, ratio_rep = br.entropy_chain_inequality(pair), br.renyi_contradiction(pair)
+        rows.append((eps, chain["lhs"], chain["rhs"], ratio_rep["ratio"]))
     if args.command == "tripod-renyi":
         final, margin = ratio_rep, ratio_rep["threshold"] - ratio_rep["ratio"]
     else:

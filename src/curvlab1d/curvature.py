@@ -386,34 +386,34 @@ def differential_criterion(f: WeightFn, params: CurvatureParams,
     )
 
 
-def _entropy_pairs(space: Space1D, pair_battery, t_grid: Sequence[float]):
-    """(idx, W2, Ent0, Ent1, [Ent_t per time of t_grid]) per pair, each pair
-    coupled once; raises ValueError for a pair on another space or a diverging entropy."""
+def _entropy_pairs(space: Space1D, pair_battery):
+    """(idx, W2, Ent0, Ent1, [Ent_t per time of _DEFAULT_T_GRID]) per pair, each
+    pair coupled once; raises ValueError for a pair on another space or a diverging entropy."""
     for idx, (mu0, mu1) in enumerate(pair_battery):
         if mu0.space is not space and mu0.space != space:
             raise ValueError(f"pair {idx}: its measures live on another space than the check's")
-        dist, ents = entropies_along(mu0, mu1, [0.0, 1.0, *t_grid])
+        dist, ents = entropies_along(mu0, mu1, [0.0, 1.0, *_DEFAULT_T_GRID])
         if not (math.isfinite(ents[0]) and math.isfinite(ents[1])):
             raise ValueError(f"pair {idx}: endpoint entropy diverges")
-        for t, et in zip(t_grid, ents[2:]):
+        for t, et in zip(_DEFAULT_T_GRID, ents[2:]):
             if not math.isfinite(et):
                 raise ValueError(f"pair {idx}: entropy diverges at t={t}")
         yield idx, dist, ents[0], ents[1], ents[2:]
 
 
 def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
-               t_grid: Sequence[float] = _DEFAULT_T_GRID, tol: float = 5e-4) -> CurvatureReport:
+               tol: float = 5e-4) -> CurvatureReport:
     """Entropic curvature-dimension check along displacement interpolation.
 
-    Margin per (pair, t): sigma^{(1-t)}(W2) exp(-Ent0/N) +
+    Margin per (pair, t = k/8, k = 1..7): sigma^{(1-t)}(W2) exp(-Ent0/N) +
     sigma^{(t)}(W2) exp(-Ent1/N) - exp(-Ent_t/N); positive = violated.
     """
     N = params.N
     worst = -math.inf
     witness = {}
     flags = []
-    for idx, dist, e0, e1, ents in _entropy_pairs(space, pair_battery, t_grid):
-        for t, et in zip(t_grid, ents):
+    for idx, dist, e0, e1, ents in _entropy_pairs(space, pair_battery):
+        for t, et in zip(_DEFAULT_T_GRID, ents):
             s0 = sigma(1.0 - t, params, dist)
             s1 = sigma(t, params, dist)
             if math.isinf(s0) or math.isinf(s1):
@@ -438,13 +438,12 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
 
 
 def verify_cd_infty(space: Space1D, K: float, pair_battery,
-                    t_grid: Sequence[float] = _DEFAULT_T_GRID,
                     tol: float = 5e-4) -> CurvatureReport:
-    """K-convexity of the entropy: Ent_t <= (1-t)Ent0 + tEnt1 - K/2 t(1-t) W2^2."""
+    """K-convexity of the entropy at t = k/8: Ent_t <= (1-t)Ent0 + tEnt1 - K/2 t(1-t) W2^2."""
     worst = -math.inf
     witness = {}
-    for idx, dist, e0, e1, ents in _entropy_pairs(space, pair_battery, t_grid):
-        for t, et in zip(t_grid, ents):
+    for idx, dist, e0, e1, ents in _entropy_pairs(space, pair_battery):
+        for t, et in zip(_DEFAULT_T_GRID, ents):
             bound = (1.0 - t) * e0 + t * e1 - 0.5 * K * t * (1.0 - t) * dist * dist
             m = et - bound
             if m > worst:

@@ -24,7 +24,6 @@ from .branching import Tripod, TripodPoint
 
 __all__ = [
     "DensityRatioTrace",
-    "ClassificationVerdict",
     "bg_ratio_scan",
     "bg_boundary_check",
     "linear_growth_constant",
@@ -38,26 +37,15 @@ _THRESHOLD_FACTOR = 0.1  # density_ratio_trace's in_mk threshold, a share of the
 
 @dataclass(frozen=True)
 class DensityRatioTrace:
-    """Trace of m(B_r(x))/r^k on a decreasing radius grid."""
+    """Trace of m(B_r(x))/r^k on a decreasing radius grid, one ratio per radius."""
 
-    x: object             # coordinate or TripodPoint
-    k: int
-    r_grid: tuple[float, ...]
     ratios: tuple[float, ...]
-    threshold_factor: float
-    in_mk: bool
 
-    def rows(self):
-        return list(zip(self.r_grid, self.ratios))
-
-
-@dataclass(frozen=True)
-class ClassificationVerdict:
-    """The first (K,N) whose convexity battery the space's weight passes."""
-
-    kn_params: CurvatureParams | None
-    admissible: bool
-    report: CurvatureReport | None = None
+    @property
+    def in_mk(self) -> bool:
+        # liminf proxy: the ratio at the smallest sampled radius (a plain min
+        # would misflag traces that diverge as r shrinks)
+        return self.ratios[-1] < _THRESHOLD_FACTOR * max(self.ratios)
 
 
 def bg_ratio_scan(space: Space1D, x0: float, params: CurvatureParams,
@@ -68,6 +56,8 @@ def bg_ratio_scan(space: Space1D, x0: float, params: CurvatureParams,
         raise ValueError("r_grid needs at least two radii")
     if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
         raise ValueError("r_grid must be increasing")
+    if not rs[0] > 0.0:  # m(B_0)/F(0) is 0/0
+        raise ValueError(f"radius must be > 0, got {rs[0]!r}")
     conj = conjugate_radius(params)
     if rs[-1] > conj * (1.0 + 1e-12):
         raise ValueError(f"radius {rs[-1]} beyond the conjugate radius {conj}")
@@ -131,8 +121,8 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
     radii before it in `envelope_radii`.  Raises ValueError when every
     pair, or every envelope ball, leaves the window.
     """
-    if not R > 0.0:
-        raise ValueError("R must be > 0")
+    if not 0.0 < R < math.inf:  # an infinite R leaves the envelope radii unbounded
+        raise ValueError(f"R must be finite and > 0, got {R!r}")
     ss = [float(s) for s in s_grid]
     if any(not 0.0 < s <= 1.0 for s in ss):
         raise ValueError("s_grid must lie in (0, 1]")
@@ -191,24 +181,16 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float]) -> DensityRat
         raise ValueError("r_grid is empty: nothing checked")
     if any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])):
         raise ValueError("r_grid must be decreasing")
+    if not rs[-1] > 0.0:  # m(B_0)/0^k is 0/0
+        raise ValueError(f"radius must be > 0, got {rs[-1]!r}")
     if isinstance(space, Tripod):
         if not isinstance(x, TripodPoint):
             raise ValueError("tripod traces need a TripodPoint")
-        ratios = [space.measure_ball(x, r) / r ** k for r in rs]
-        xdesc = {"edge": x.edge, "s": x.s}
-    else:
-        if rs[-1] < 10.0 * space.grid_step * (1.0 - 1e-12):
-            raise ValueError("radii must stay >= 10 * grid_step")
-        mass = _ball_masses(space, [space._ball_interval(x, r) for r in rs])
-        ratios = [mass(*space._ball_interval(x, r)) / r ** k for r in rs]
-        xdesc = x
-    # liminf proxy: the ratio at the smallest sampled radius (a plain min
-    # would misflag traces that diverge as r shrinks)
-    return DensityRatioTrace(
-        x=xdesc, k=k, r_grid=tuple(rs), ratios=tuple(ratios),
-        threshold_factor=_THRESHOLD_FACTOR,
-        in_mk=ratios[-1] < _THRESHOLD_FACTOR * max(ratios),
-    )
+        return DensityRatioTrace(tuple(space.measure_ball(x, r) / r ** k for r in rs))
+    if rs[-1] < 10.0 * space.grid_step * (1.0 - 1e-12):
+        raise ValueError("radii must stay >= 10 * grid_step")
+    mass = _ball_masses(space, [space._ball_interval(x, r) for r in rs])
+    return DensityRatioTrace(tuple(mass(*space._ball_interval(x, r)) / r ** k for r in rs))
 
 
 def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
@@ -265,23 +247,25 @@ def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
 
 
 def classify(space: Space1D, search_params: Sequence[CurvatureParams],
-             seed: int = 0, tol: float | None = None) -> ClassificationVerdict:
-    """The first candidate (ordered by K, then N) whose weight passes the
-    convexity battery, built once from seed.  Circle candidates with K > 0
-    additionally face the targeted obstruction search, which defeats any
-    battery that missed a violation.  Returns a non-admissible verdict (not
-    an exception) when every candidate fails.
+             seed: int = 0, tol: float | None = None) -> CurvatureReport | None:
+    """The convexity report of the first candidate (ordered by K, then N)
+    whose weight passes the battery, built once from seed; its K and N are
+    that candidate.  Circle candidates with K > 0 additionally face the
+    targeted obstruction search, which defeats any battery that missed a
+    violation.  Returns None (not an exception) when every candidate fails,
+    and raises when no candidate is given.
     """
+    if not search_params:
+        raise ValueError("no candidate (K, N) given: nothing to classify")
     if tol is None:
         tol = default_tolerance(space.grid_step)
     battery = default_triple_battery(space, seed=seed)
-    ordered = sorted(search_params, key=lambda p: (p.K, p.N))
-    for params in ordered:
+    for params in sorted(search_params, key=lambda p: (p.K, p.N)):
         if space.topology.kind == "circle" and params.K > 0.0:
             obs = circle_obstruction(space, params)
             if not obs.extra.get("anomaly", False) and obs.max_violation > tol:
                 continue
         report = check_kn_convex(space, params, battery, tol=tol)
         if report.passed:
-            return ClassificationVerdict(kn_params=params, admissible=True, report=report)
-    return ClassificationVerdict(kn_params=None, admissible=False)
+            return report
+    return None

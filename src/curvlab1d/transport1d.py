@@ -116,8 +116,8 @@ def measure_from_density(space: Space1D, fn: Callable[[np.ndarray], np.ndarray],
 
 
 def measure_from_atoms(space: Space1D, locations: Sequence[float],
-                       masses: Sequence[float], width: float = _ATOM_WIDTH) -> ProbMeasure1D:
-    """Atoms mollified to uniform bumps of the given width (default 1e-4)."""
+                       masses: Sequence[float]) -> ProbMeasure1D:
+    """Atoms mollified to uniform bumps of width _ATOM_WIDTH (1e-4)."""
     locs = np.asarray(locations, dtype=float)
     ms = np.asarray(masses, dtype=float)
     if np.any(ms <= 0):
@@ -125,17 +125,17 @@ def measure_from_atoms(space: Space1D, locations: Sequence[float],
     ms = ms / ms.sum()
     order = np.argsort(locs)
     locs, ms = locs[order], ms[order]
-    edges = [locs[0] - width / 2.0]
+    edges = [locs[0] - _ATOM_WIDTH / 2.0]
     dens = []
-    for i, (x, m) in enumerate(zip(locs, ms)):
-        a, b = x - width / 2.0, x + width / 2.0
+    for x, m in zip(locs, ms):
+        a, b = x - _ATOM_WIDTH / 2.0, x + _ATOM_WIDTH / 2.0
         if a < edges[-1] - 1e-15:
             raise ValueError("atoms closer than the mollification width")
         if a > edges[-1] + 1e-15:
             edges.append(a)
             dens.append(0.0)
         edges.append(b)
-        dens.append(m / width)
+        dens.append(m / _ATOM_WIDTH)
     return ProbMeasure1D(space, np.array(edges), np.array(dens))
 
 
@@ -274,11 +274,11 @@ def _shifted_bp(ext: tuple[np.ndarray, np.ndarray],
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, a: float, b: float, iters: int = 80) -> tuple[float, float]:
+def _golden_min(fn, a: float, b: float) -> tuple[float, float]:
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(80):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)

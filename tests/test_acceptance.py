@@ -278,7 +278,8 @@ def test_acceptance_08_branching_shannon_chain():
     rows = []
     for eps in (0.05, 0.02, 0.01, 0.005, 0.002):
         pair = build_branching_plans(TRIPOD, BASE.replace_eps(eps))
-        lhs, rhs, rep = entropy_chain_inequality(pair)
+        rep = entropy_chain_inequality(pair)
+        lhs, rhs = rep["lhs"], rep["rhs"]
         assert rhs <= -0.01
         assert lhs < 0.0 and lhs > lhs_prev  # monotone toward 0
         lhs_prev = lhs
@@ -294,7 +295,8 @@ def test_acceptance_09_branching_renyi_factor():
     pair = build_branching_plans(TRIPOD, BASE.replace_eps(1e-3))
     got = {}
     for N in (2.0, 8.0, 64.0):
-        ratio, threshold, rep = renyi_contradiction(pair, N)
+        rep = renyi_contradiction(pair, N)
+        ratio, threshold = rep["ratio"], rep["threshold"]
         assert ratio >= threshold * (1.0 - 5e-3), (N, ratio, threshold)
         got[N] = (ratio, threshold)
     report(9, "branching-renyi", time.time() - t0, 60.0,

@@ -200,7 +200,8 @@ def test_entropy_chain_sweep():
     lhs_prev = -math.inf
     for eps in (0.05, 0.02, 0.01, 0.005, 0.002):
         p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(eps))
-        lhs, rhs, rep = entropy_chain_inequality(p)
+        rep = entropy_chain_inequality(p)
+        lhs, rhs = rep["lhs"], rep["rhs"]
         assert rhs < -0.01
         assert lhs < 0.0
         assert lhs > lhs_prev  # |lhs| decreasing toward 0
@@ -211,7 +212,7 @@ def test_entropy_chain_sweep():
 
 def test_entropy_chain_rhs_closed_form():
     sc = SCENARIO
-    _, rhs, _ = entropy_chain_inequality(build_branching_plans(TRIPOD, sc))
+    rhs = entropy_chain_inequality(build_branching_plans(TRIPOD, sc))["rhs"]
     want = (-(1 - sc.a - sc.eps) * math.log(2.0)
             * ((sc.a - sc.b) / (1 - sc.b) - sc.a * (sc.a + sc.eps - sc.b) / 3.0))
     assert rhs == pytest.approx(want, abs=1e-15)
@@ -220,17 +221,17 @@ def test_entropy_chain_rhs_closed_form():
 def test_renyi_contradiction_levels():
     p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(1e-3))
     for N in (2.0, 8.0, 64.0):
-        ratio, threshold, rep = renyi_contradiction(p, N)
-        assert threshold == pytest.approx(2.0 ** (1.0 / N))
-        assert ratio >= threshold * (1.0 - 5e-3)
+        rep = renyi_contradiction(p, N)
+        assert rep["threshold"] == pytest.approx(2.0 ** (1.0 / N))
+        assert rep["ratio"] >= rep["threshold"] * (1.0 - 5e-3)
         assert rep["contradiction"]
 
 
 def test_renyi_contradiction_persists_large_n():
     p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(1e-3))
-    ratio, threshold, _ = renyi_contradiction(p, 1024.0)
-    assert threshold == pytest.approx(2.0 ** (1.0 / 1024.0))
-    assert ratio > 1.0
+    rep = renyi_contradiction(p, 1024.0)
+    assert rep["threshold"] == pytest.approx(2.0 ** (1.0 / 1024.0))
+    assert rep["ratio"] > 1.0
 
 
 def test_renyi_mix_equals_sum_of_halves(pair):
@@ -249,8 +250,7 @@ def test_failure_region_grows_with_rhs_magnitude():
         base = BranchingScenario(a=0.5, b=b, eps=0.05, eta=0.5)
         for eps in sweep:
             p = build_branching_plans(TRIPOD, base.replace_eps(float(eps)))
-            _, _, rep = entropy_chain_inequality(p)
-            if rep["contradiction"]:
+            if entropy_chain_inequality(p)["contradiction"]:
                 return float(eps)
         return 0.0
 

@@ -703,6 +703,21 @@ def test_cde_all_conjugate_raises():
         verify_cde(space, CurvatureParams(1000.0, 2.0), far)
 
 
+def test_entropic_checks_score_interior_times_only():
+    # the flat line is CD(0, inf), and the inequalities hold for t in [0, 1]:
+    # a time t = 2 extrapolates the interpolant and refutes the line at
+    # +0.288, so the times are fixed at k/8 and cannot be passed in
+    space = flat_space(-10.0, 10.0)
+    pairs = [(uniform_measure(space, 0.0, 0.5), uniform_measure(space, 1.0, 2.0))]
+    for check in (lambda **kw: verify_cd_infty(space, 0.0, pairs, **kw),
+                  lambda **kw: verify_cde(space, CurvatureParams(0.0, 2.0), pairs, **kw)):
+        report = check()
+        assert report.passed
+        assert report.witness["t"] in [k / 8.0 for k in range(1, 8)]
+        with pytest.raises(TypeError, match="t_grid"):
+            check(t_grid=[2.0])
+
+
 def test_cd_infty_empty_battery_raises():
     with pytest.raises(ValueError, match="no finite-margin pair"):
         verify_cd_infty(unit_interval(), 0.0, [])

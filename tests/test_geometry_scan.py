@@ -32,6 +32,12 @@ def test_bg_ratio_needs_two_radii():
         bg_ratio_scan(flat_line(), 0.0, CurvatureParams(0.0, 2.0), [1.0])
 
 
+def test_bg_ratio_zero_radius_raises():
+    # m(B_0)/F(0) is 0/0: refused, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="radius must be > 0, got 0.0"):
+        bg_ratio_scan(flat_line(), 0.0, CurvatureParams(0.0, 2.0), [0.0, 0.2])
+
+
 def test_bg_ratio_flat_line_closed_form():
     space = flat_line()
     params = CurvatureParams(0.0, 2.0)
@@ -143,6 +149,13 @@ def test_linear_growth_weighted_interval():
                                        CurvatureParams(0.0, 2.0))
     assert C == pytest.approx(2.0, rel=0.05)  # 2 sup e^{-f} with O(s) defect
     assert C <= report.extra["envelope"]
+
+
+def test_linear_growth_infinite_r_raises():
+    # at K = 0 the envelope radii would run up to inf and give NaN radii
+    with pytest.raises(ValueError, match="R must be finite and > 0, got inf"):
+        linear_growth_constant(Space1D(Topology1D("interval", 1.0)), 0.5, math.inf, [0.2],
+                               CurvatureParams(0.0, 2.0))
 
 
 def test_linear_growth_all_pairs_skipped_raises():
@@ -264,6 +277,12 @@ def test_trace_validates_grids():
         density_ratio_trace(space, 0.0, 1, [0.1, 0.5])  # increasing
     with pytest.raises(ValueError):
         density_ratio_trace(space, 0.0, 1, [0.5, 1e-6])  # below 10*grid_step
+
+
+def test_trace_tripod_zero_radius_raises():
+    # m(B_0)/0^k is 0/0 on the tripod too, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="radius must be > 0, got 0.0"):
+        density_ratio_trace(Tripod((1.0, 1.0, 1.0)), TripodPoint(0, 0.5), 1, [0.2, 0.0])
 
 
 def test_trace_empty_grid_raises():
@@ -484,17 +503,15 @@ def test_growth_check_fails_on_a_spike_where_it_looks(check, centre, width, heig
 
 def test_classify_flat_interval():
     space = Space1D(Topology1D("interval", 1.0))
-    verdict = classify(space, [CurvatureParams(0.0, 2.0)])
-    assert verdict.admissible
-    assert verdict.kn_params == CurvatureParams(0.0, 2.0)
-    assert verdict.report.passed
+    report = classify(space, [CurvatureParams(0.0, 2.0)])
+    assert report is not None
+    assert (report.K, report.N) == (0.0, 2.0)
+    assert report.passed
 
 
 def test_classify_circle_rejects_positive_k():
     space = Space1D(Topology1D("circle", 1.0))
-    verdict = classify(space, [CurvatureParams(1.0, 2.0), CurvatureParams(0.1, 8.0)])
-    assert not verdict.admissible
-    assert verdict.kn_params is None
+    assert classify(space, [CurvatureParams(1.0, 2.0), CurvatureParams(0.1, 8.0)]) is None
 
 
 def test_classify_cosine_weight_line():
@@ -504,12 +521,18 @@ def test_classify_cosine_weight_line():
     w = WeightFn.from_callable(lambda x: -N * np.log(np.cos(x * alpha)),
                                -half, half, 1e-3)
     space = Space1D(Topology1D("line"), w, grid_step=1e-3, window=(-half, half))
-    verdict = classify(space, [CurvatureParams(K, N)], tol=1e-4)
-    assert verdict.admissible
-    assert verdict.kn_params == CurvatureParams(K, N)
+    report = classify(space, [CurvatureParams(K, N)], tol=1e-4)
+    assert report is not None
+    assert (report.K, report.N) == (K, N)
+
+
+def test_classify_no_candidate_raises():
+    # an empty list checks nothing, so it has no verdict, not even "not admissible"
+    with pytest.raises(ValueError, match="no candidate"):
+        classify(Space1D(Topology1D("interval", 1.0)), [])
 
 
 def test_classify_prefers_smallest_k():
     space = Space1D(Topology1D("interval", 1.0))
-    verdict = classify(space, [CurvatureParams(0.0, 2.0), CurvatureParams(-1.0, 2.0)])
-    assert verdict.kn_params == CurvatureParams(-1.0, 2.0)
+    report = classify(space, [CurvatureParams(0.0, 2.0), CurvatureParams(-1.0, 2.0)])
+    assert (report.K, report.N) == (-1.0, 2.0)

@@ -33,7 +33,7 @@ print(f"  margin {rep_bad.max_violation:+.4f}  PASS = {rep_bad.passed}")
 print("\n=== boundary-measure bound ===\n")
 rep_b = bg_boundary_check(line, 0.0, p02, [1.0])
 print(f"flat line, t = 1: boundary mass {rep_b.witness['lhs']:.1f} <= "
-      f"bound {rep_b.witness['rhs']:.1f}  (slack {rep_b.extra['min_slack']:.1f})")
+      f"bound {rep_b.witness['rhs']:.1f}  (slack {-rep_b.max_violation:.1f})")
 
 print("\n=== linear ball growth ===\n")
 C, rep_g = linear_growth_constant(line, 0.0, 2.0, [0.1, 0.3, 0.5, 1.0], p02)

@@ -157,13 +157,13 @@ def _base_body(args, check_id: str) -> dict:
     }
 
 
-# -- report checks: (space, params, args) -> (CurvatureReport, extra params) ---
+# -- report checks: (space, params, args) -> CurvatureReport -------------------
 
 def _bg_check(check, space, params, args):
     """A Bishop-Gromov check(space, x0, params, radii) over the default radii
     around --x."""
     x0 = _x0(args, space)
-    return check(space, x0, params, _default_radii(space, x0, params), **_tol(args)), {}
+    return check(space, x0, params, _default_radii(space, x0, params), **_tol(args))
 
 
 def _lipschitz(space, params, args):
@@ -181,18 +181,17 @@ def _lipschitz(space, params, args):
         b = hi if circle else hi - d - (0.0 if own_hi else r)
         x = a + (b - a) * u
         pairs.append((float(x), float(x + d)))
-    _, _, report = gs.lipschitz_modulus(space, params, r, pairs)
-    return report, {"r": r}
+    return gs.lipschitz_modulus(space, params, r, pairs)[2]
 
 
 _REPORT_CHECKS = {
-    "check-kn-convex": lambda space, params, args: (cv.check_kn_convex(
-        space, params, cv.default_triple_battery(space, seed=args.seed), **_tol(args)), {}),
-    "verify-cde": lambda space, params, args: (cv.verify_cde(
-        space, params, _default_pair_battery(space, args.seed), **_tol(args)), {}),
-    "verify-cd-infty": lambda space, params, args: (cv.verify_cd_infty(
-        space, params.K, _default_pair_battery(space, args.seed), **_tol(args)), {}),
-    "circle-obstruction": lambda space, params, args: (cv.circle_obstruction(space, params), {}),
+    "check-kn-convex": lambda space, params, args: cv.check_kn_convex(
+        space, params, cv.default_triple_battery(space, seed=args.seed), **_tol(args)),
+    "verify-cde": lambda space, params, args: cv.verify_cde(
+        space, params, _default_pair_battery(space, args.seed), **_tol(args)),
+    "verify-cd-infty": lambda space, params, args: cv.verify_cd_infty(
+        space, params.K, _default_pair_battery(space, args.seed), **_tol(args)),
+    "circle-obstruction": lambda space, params, args: cv.circle_obstruction(space, params),
     "bg-scan": lambda space, params, args: _bg_check(gs.bg_ratio_scan, space, params, args),
     "bg-boundary": lambda space, params, args: _bg_check(gs.bg_boundary_check, space, params, args),
     "lipschitz": _lipschitz,
@@ -202,17 +201,12 @@ _REPORT_CHECKS = {
 # -- command handlers: return (exit_code, body_dict, csv_rows_or_None) -------
 
 def _cmd_report(args):
-    """Run the command's report check; the body is the report plus the
-    parameters and margin, and a FAIL exits 2."""
+    """Run the command's report check; the body is the report's plus the
+    seed, tool version and grid step, and a FAIL exits 2."""
     space = _space_from_args(args)
     # verify-cd-infty reads no --n: the default N = 2 only lets K be checked
-    params = CurvatureParams(args.k, args.n)
-    report, extra = _REPORT_CHECKS[args.command](space, params, args)
-    body = report.to_dict() | _base_body(args, report.kind)
-    # CD(K, infinity) has no dimension bound
-    body["params"] = ({"K": params.K} if math.isinf(report.N)
-                      else {"K": params.K, "N": params.N}) | extra
-    body["margin"] = report.max_violation
+    report = _REPORT_CHECKS[args.command](space, CurvatureParams(args.k, args.n), args)
+    body = report.to_dict() | _base_body(args, report.kind) | {"grid_step": space.grid_step}
     # a circle obstruction passes when it finds the violation it looks for
     ok = not report.extra["anomaly"] if "anomaly" in report.extra else report.passed
     return (0 if ok else 2), body, None

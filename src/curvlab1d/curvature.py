@@ -71,7 +71,6 @@ class CurvatureReport:
     max_violation: float
     witness: dict
     tolerance: float
-    grid_step: float
     conjugate_flags: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
@@ -84,14 +83,14 @@ class CurvatureReport:
         return bool(self.max_violation <= self.tolerance)
 
     def to_dict(self) -> dict:
+        """The report body: each fact once, the margin as `margin`."""
         d = {
-            "kind": self.kind,
-            "K": self.K,
-            "N": self.N,
-            "max_violation": self.max_violation,
+            "check_id": self.kind,
+            # CD(K, infinity) has no dimension bound
+            "params": {"K": self.K} if math.isinf(self.N) else {"K": self.K, "N": self.N},
+            "margin": self.max_violation,
             "witness": self.witness,
             "tol": self.tolerance,
-            "grid_step": self.grid_step,
             "passed": self.passed,
         }
         if self.conjugate_flags:
@@ -350,8 +349,7 @@ def check_kn_convex(space: Space1D, params: CurvatureParams,
              for j, x0, x1 in zip(conj.tolist(), bat.x0[conj].tolist(), bat.x1[conj].tolist())]
     return CurvatureReport(
         kind="kn-convexity", K=params.K, N=params.N, max_violation=float(margins[k]),
-        witness=witness, tolerance=tol, grid_step=space.grid_step, conjugate_flags=flags,
-        extra={"n_plans": n_plans},
+        witness=witness, tolerance=tol, conjugate_flags=flags, extra={"n_plans": n_plans},
     )
 
 
@@ -367,9 +365,8 @@ def differential_criterion(f: WeightFn, params: CurvatureParams,
     vs = np.asarray(f.values, dtype=float)
     if len(xs) < 5:
         raise ValueError("need at least 5 weight samples for second differences")
-    h_step = float(np.min(np.diff(xs)))
     if tol is None:
-        tol = default_tolerance(h_step)
+        tol = default_tolerance(float(np.min(np.diff(xs))))
     hl = xs[1:-1] - xs[:-2]
     hr = xs[2:] - xs[1:-1]
     d1 = (vs[2:] - vs[:-2]) / (hl + hr)
@@ -380,7 +377,7 @@ def differential_criterion(f: WeightFn, params: CurvatureParams,
         kind="kn-differential", K=params.K, N=params.N,
         max_violation=float(margins[k]),
         witness={"x": float(xs[k + 1]), "margin": float(margins[k])},
-        tolerance=tol, grid_step=h_step,
+        tolerance=tol,
         extra={"node_margins": [float(v) for v in margins],
                "node_coords": [float(v) for v in xs[1:-1]]},
     )
@@ -433,8 +430,8 @@ def verify_cde(space: Space1D, params: CurvatureParams, pair_battery,
     if worst == -math.inf:
         raise ValueError("no finite-margin pair in the battery")
     return CurvatureReport(kind="cde-entropic", K=params.K, N=params.N, max_violation=worst,
-                           witness=witness, tolerance=tol, grid_step=space.grid_step,
-                           conjugate_flags=flags, extra={"n_pairs": len(pair_battery)})
+                           witness=witness, tolerance=tol, conjugate_flags=flags,
+                           extra={"n_pairs": len(pair_battery)})
 
 
 def verify_cd_infty(space: Space1D, K: float, pair_battery,
@@ -453,8 +450,7 @@ def verify_cd_infty(space: Space1D, K: float, pair_battery,
     if worst == -math.inf:
         raise ValueError("no finite-margin pair in the battery")
     return CurvatureReport(kind="cd-infinity", K=K, N=math.inf, max_violation=worst,
-                           witness=witness, tolerance=tol, grid_step=space.grid_step,
-                           extra={"n_pairs": len(pair_battery)})
+                           witness=witness, tolerance=tol, extra={"n_pairs": len(pair_battery)})
 
 
 def circle_obstruction(space: Space1D, params: CurvatureParams) -> CurvatureReport:
@@ -501,5 +497,4 @@ def circle_obstruction(space: Space1D, params: CurvatureParams) -> CurvatureRepo
                    "analytic_factor": 1.0 / math.cos(0.5 * d * math.sqrt(params.K / params.N))}
     return CurvatureReport(
         kind="circle-obstruction", K=params.K, N=params.N, max_violation=m, witness=witness,
-        tolerance=default_tolerance(space.grid_step), grid_step=space.grid_step,
-        extra={"anomaly": not found})
+        tolerance=default_tolerance(space.grid_step), extra={"anomaly": not found})

@@ -73,7 +73,6 @@ def bg_ratio_scan(space: Space1D, x0: float, params: CurvatureParams,
     return CurvatureReport(
         kind="bg-ratio-monotonicity", K=params.K, N=params.N,
         max_violation=worst, witness=witness, tolerance=tol,
-        grid_step=space.grid_step,
         extra={"x0": x0, "r_grid": rs, "ratios": ratios},
     )
 
@@ -90,20 +89,16 @@ def bg_boundary_check(space: Space1D, x0: float, params: CurvatureParams,
     mass = _ball_masses(space, [space._ball_interval(x0, t) for t in ts])
     worst = -math.inf
     witness = {}
-    slacks = []
     for t, lhs in zip(ts, lhss):
         rhs = (2.0 * 5.0 ** (N - 1.0) * mass(*space._ball_interval(x0, t))
                * s_vol(params, t) ** (N - 1.0) / f_vol(params, t))
-        slacks.append(rhs - lhs)
         m = lhs - rhs
         if m > worst:
             worst = m
             witness = {"t": t, "lhs": lhs, "rhs": rhs, "margin": m}
     return CurvatureReport(
         kind="bg-boundary-measure", K=params.K, N=params.N, max_violation=worst,
-        witness=witness, tolerance=tol, grid_step=space.grid_step,
-        extra={"x0": x0, "t_grid": ts,
-               "min_slack": min(slacks)},
+        witness=witness, tolerance=tol, extra={"x0": x0, "t_grid": ts},
     )
 
 
@@ -154,15 +149,13 @@ def linear_growth_constant(space: Space1D, y: float, R: float,
                          f"t <= {t_hi}, leaves the window")
     mass = _ball_masses(space, [b for *_, b in balls + envelope_balls])
     emp, x, s = max(((mass(*ball) / s, x, s) for x, s, ball in balls), key=lambda v: v[0])
-    emp_w = {"x": x, "s": s, "value": emp}
     env = max(s_vol(params, t) ** (params.N - 1.0) * mass(*ball) / f_vol(params, t)
               for t, ball in envelope_balls)
     envelope = 2.0 * 5.0 ** (params.N - 1.0) * env
     report = CurvatureReport(
-        kind="linear-growth", K=params.K, N=params.N,
-        max_violation=emp - envelope, witness=emp_w, tolerance=0.0,
-        grid_step=space.grid_step,
-        extra={"empirical_C": emp, "envelope": envelope, "y": y, "R": R,
+        kind="linear-growth", K=params.K, N=params.N, max_violation=emp - envelope,
+        witness={"x": x, "s": s, "value": emp}, tolerance=0.0,
+        extra={"envelope": envelope, "y": y, "R": R,
                "skipped_pairs": skipped, "envelope_radii": len(envelope_balls)},
     )
     return emp, report
@@ -239,7 +232,7 @@ def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,
             witness = {"x": x, "y": y, "empirical": emp, "theoretical": theory}
     report = CurvatureReport(
         kind="lipschitz-modulus", K=params.K, N=params.N, max_violation=worst,
-        witness=witness, tolerance=0.0, grid_step=space.grid_step,
+        witness=witness, tolerance=0.0,
         extra={"r": r, "empirical_sup": emp_best,
                "theory_at_sup": theory_at_best, "n_pairs": len(pair_battery)},
     )

@@ -256,6 +256,9 @@ def _shifted_bp(ext: tuple[np.ndarray, np.ndarray],
     are collapsed; jump anchors (du = 0 but dx > 0) are always kept.
     """
     Ue, Xe = ext
+    # a subnormal shift would split a jump at u = 0 by a du that overflows its slope
+    if abs(alpha) < 1e-300:
+        alpha = 0.0
     i0, x_lo = _quantile_end(Ue, Xe, alpha, "right")
     i1, x_hi = _quantile_end(Ue, Xe, alpha + 1.0, "left")
     U = np.concatenate([[0.0], Ue[i0:i1] - alpha, [1.0]])

@@ -438,6 +438,8 @@ def _frozen_eval_quantile_right(U, X, q):
 
 def frozen_shifted_bp(ext, alpha):
     Ue, Xe = ext
+    if abs(alpha) < 1e-300:  # a subnormal shift is 0
+        alpha = 0.0
     lo, hi = alpha, alpha + 1.0
     mask = (Ue > lo) & (Ue < hi)
     U = np.concatenate([[0.0], Ue[mask] - alpha, [1.0]])
@@ -536,13 +538,11 @@ def frozen_circle_obstruction(space, params, shrink=0.8, min_steps=40):
                 witness={"x0": x0, "xbar": xbar, "x1": x1, "t": 0.5, "d": d,
                          "margin": m, "violation_factor": s_sum / gN,
                          "analytic_factor": analytic},
-                tolerance=default_tolerance(space.grid_step), grid_step=space.grid_step,
-                extra={"anomaly": False})
+                tolerance=default_tolerance(space.grid_step), extra={"anomaly": False})
         if m > best:
             best, best_w = m, {"x0": x0, "x1": x1, "d": d, "margin": m}
         d *= shrink
         steps += 1
     return CurvatureReport(
         kind="circle-obstruction", K=params.K, N=params.N, max_violation=best,
-        witness=best_w, tolerance=default_tolerance(space.grid_step),
-        grid_step=space.grid_step, extra={"anomaly": True})
+        witness=best_w, tolerance=default_tolerance(space.grid_step), extra={"anomaly": True})

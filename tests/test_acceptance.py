@@ -185,8 +185,8 @@ def test_acceptance_05_bg_boundary_inequality():
     min_slack = math.inf
     for name, space, x0, params, radii in _bg_battery():
         rep = bg_boundary_check(space, x0, params, radii)
-        assert rep.extra["min_slack"] > 0.0, (name, params)
-        min_slack = min(min_slack, rep.extra["min_slack"])
+        assert -rep.max_violation > 0.0, (name, params)
+        min_slack = min(min_slack, -rep.max_violation)
         if name == "line" and params.K == 0.0 and params.N == 2.0:
             from curvlab1d.space1d import boundary_measure, measure_ball
             from curvlab1d.coefficients import f_vol, s_vol

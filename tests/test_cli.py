@@ -51,7 +51,7 @@ def test_exit_codes_pass_fail_usage(spaces, tmp_path):
     assert code == 2
     body = body_of(out)
     assert body["passed"] is False
-    assert body["max_violation"] > 0
+    assert body["margin"] > 0
     # schema error -> 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"topology": "moebius"}))
@@ -80,10 +80,15 @@ def test_report_contract_fields(spaces, tmp_path, command):
     assert run([command, "--input", spaces[space], "--k", k, *n,
                 "--seed", "5", "--output", out]) in (0, 2)
     body = body_of(out)
-    for key in ("check_id", "params", "margin", "witness", "seed",
+    for key in ("check_id", "params", "margin", "tol", "passed", "witness", "seed",
                 "grid_step", "tool_version"):
         assert key in body
     assert body["seed"] == 5
+    # each fact once: K and N only in params, and no second name for the margin
+    assert body["params"] == ({"K": float(k)} if command == "verify-cd-infty"
+                              else {"K": float(k), "N": 2.0})
+    for key in ("kind", "max_violation", "K", "N", "min_slack"):
+        assert key not in body, key
 
 
 @pytest.mark.parametrize("space", ["interval", "line", "halfline", "circle"])

@@ -80,7 +80,7 @@ def test_bg_boundary_line_instance():
     report = bg_boundary_check(space, 0.0, params, [1.0])
     assert report.witness["lhs"] == pytest.approx(4.0, abs=1e-9)
     assert report.witness["rhs"] == pytest.approx(40.0, abs=1e-6)
-    assert report.extra["min_slack"] == pytest.approx(36.0, abs=1e-6)
+    assert -report.max_violation == pytest.approx(36.0, abs=1e-6)
 
 
 def test_bg_boundary_halfline_instance():
@@ -121,7 +121,7 @@ def test_bg_boundary_matches_measure_ball_per_radius():
     report = bg_boundary_check(space, 0.3, params, ts)
     slacks = [2.0 * 5.0 ** 2 * measure_ball(space, 0.3, t) * s_vol(params, t) ** 2
               / f_vol(params, t) - boundary_measure(space, 0.3, t) for t in ts]
-    assert abs(report.extra["min_slack"] - min(slacks)) <= 1e-13 * abs(min(slacks))
+    assert abs(-report.max_violation - min(slacks)) <= 1e-13 * abs(min(slacks))
 
 
 # -- linear growth -------------------------------------------------------------------

@@ -831,18 +831,11 @@ def cut_histograms(draw, circ):
     return edges, dens / np.sum(dens * np.diff(edges))
 
 
-def same_bits(got, want):
-    """== on floats and arrays of floats, NaN equal to NaN."""
-    return np.array_equal(np.asarray(got), np.asarray(want), equal_nan=True)
-
-
 @settings(max_examples=60)
 @given(data=st.data(), radius=st.sampled_from([0.5, 1.0, 3.0]))
 def test_circle_cut_helpers_match_frozen_copies(data, radius):
     # the small-array rewrite of the cut's objective keeps every float
-    # operation and its order: values, anchors and the cut agree with ==.
-    # A subnormal shift gives NaN pieces on both sides (see CHANGES.md), so
-    # NaN counts as equal to NaN and numpy's warnings are off here.
+    # operation and its order: values, anchors and the cut agree with ==
     from oracles import (frozen_circle_cut, frozen_eval_quantile, frozen_merged_pieces,
                          frozen_shifted_bp, frozen_w2sq_line_bp)
 
@@ -851,17 +844,28 @@ def test_circle_cut_helpers_match_frozen_copies(data, radius):
     mu0, mu1 = (ProbMeasure1D(space, *data.draw(cut_histograms(circ))) for _ in range(2))
     bp0, ext1 = _breakpoints(mu0), _extended_bp(mu1)
     U1 = _breakpoints(mu1)[0]
-    alphas = [-1.0, 1.0 - 1e-12, *U1, *(U1[1:] - 1.0),
+    alphas = [-1.0, 1.0 - 1e-12, -5e-324, *U1, *(U1[1:] - 1.0),
               *data.draw(st.lists(st.floats(-1.0, 1.0 - 1e-12), max_size=8))]
-    with np.errstate(all="ignore"):
-        for alpha in alphas:
-            got, want = _shifted_bp(ext1, alpha), frozen_shifted_bp(ext1, alpha)
-            assert all(same_bits(g, w) for g, w in zip(got, want)), alpha
-            assert all(same_bits(g, w) for g, w in zip(transport1d._merged_pieces(bp0, got),
-                                                      frozen_merged_pieces(bp0, want)))
-            assert same_bits(_w2sq_line_bp(bp0, got), frozen_w2sq_line_bp(bp0, want))
-        assert _circle_cut(bp0, ext1) == frozen_circle_cut(bp0, ext1)
+    for alpha in alphas:
+        got, want = _shifted_bp(ext1, alpha), frozen_shifted_bp(ext1, alpha)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), alpha
+        pieces = zip(transport1d._merged_pieces(bp0, got), frozen_merged_pieces(bp0, want))
+        assert all(np.array_equal(g, w) for g, w in pieces)
+        assert np.array_equal(_w2sq_line_bp(bp0, got), frozen_w2sq_line_bp(bp0, want))
+    assert _circle_cut(bp0, ext1) == frozen_circle_cut(bp0, ext1)
     q = np.concatenate([np.linspace(0.0, 1.0, 17), bp0[0]])
     fn = quantile(mu0)
     assert np.array_equal(fn(q), frozen_eval_quantile(*bp0, q))
     assert all(fn(float(u)) == frozen_eval_quantile(*bp0, u)[0] for u in q)
+
+
+def test_a_subnormal_shift_is_no_shift():
+    # a jump at u = 0 kept as two anchors 5e-324 apart overflowed its slope,
+    # and the objective read NaN with two RuntimeWarnings
+    space = circle_space()
+    ext1 = _extended_bp(ProbMeasure1D(space, np.array([0.5, 1.0, 1.5]), np.array([0.0, 2.0])))
+    bp0 = _breakpoints(uniform_measure(space, 2.0, 3.0))
+    at_zero = _w2sq_line_bp(bp0, _shifted_bp(ext1, 0.0))
+    assert at_zero == 1.5833333333333333
+    for alpha in (-5e-324, 5e-324, -1e-301):
+        assert _w2sq_line_bp(bp0, _shifted_bp(ext1, alpha)) == at_zero, alpha

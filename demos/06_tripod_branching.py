@@ -9,6 +9,7 @@ variant fails with the sharper factor 2^(1/N).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,10 +47,9 @@ print("once lhs > rhs the K-convexity chain that produced the bound is")
 print("violated, which is the contradiction.")
 
 print("\n=== the dimensional variant: the 2^(1/N) factor ===\n")
-p = build_branching_plans(tripod, base.replace_eps(1e-3))
 print(f"{'N':>6} {'ratio':>10} {'2^(1/N)':>10}")
 for N in (2.0, 8.0, 64.0, 1024.0):
-    rep = renyi_contradiction(p, N)
+    rep = renyi_contradiction(build_branching_plans(tripod, replace(base, eps=1e-3, N=N)))
     print(f"{N:>6.0f} {rep['ratio']:>10.6f} {rep['threshold']:>10.6f}")
 print("\nconcavity would force ratio <= 1; it converges to 2^(1/N) instead.")
 

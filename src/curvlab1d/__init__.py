@@ -15,14 +15,14 @@ __version__ = "0.1.0"
 from .coefficients import CurvatureParams, sigma, s_vol, f_vol
 from .space1d import Topology1D, WeightFn, Space1D, RescaledSpace
 from .transport1d import ProbMeasure1D, QuantileFn
-from .curvature import CurvatureReport, TriplePlan
+from .curvature import CurvatureReport
 from .branching import Tripod, TripodPoint, BranchingScenario, PlanPair
 
 __all__ = [
     "CurvatureParams", "sigma", "s_vol", "f_vol",
     "Topology1D", "WeightFn", "Space1D", "RescaledSpace",
     "ProbMeasure1D", "QuantileFn",
-    "CurvatureReport", "TriplePlan",
+    "CurvatureReport",
     "Tripod", "TripodPoint", "BranchingScenario", "PlanPair",
     "__version__",
 ]

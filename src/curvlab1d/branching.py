@@ -361,11 +361,9 @@ def entropy_along(pair: PlanPair, t: float, which: str = "mixed") -> float:
     return _pieces_integral(pair, t, pieces, lambda c, rh: c * rh * np.log(rh))
 
 
-def renyi_raw(pair: PlanPair, t: float, which: str, N: float) -> float:
-    """int rho^(1-1/N) dm of the unnormalized pushforward (mass beta)."""
-    if not N > 1.0:
-        raise ValueError("N must be > 1")
-    expo = 1.0 - 1.0 / N
+def renyi_raw(pair: PlanPair, t: float, which: str) -> float:
+    """int rho^(1-1/N) dm of the unnormalized pushforward (mass beta), N the scenario's."""
+    expo = 1.0 - 1.0 / pair.scenario.N
     if which in ("u", "d"):
         pieces = [("stem", 0, 1.0), ("target", 1 if which == "u" else 2, 1.0)]
     elif which == "mixed_sum":
@@ -406,8 +404,8 @@ def entropy_chain_inequality(pair: PlanPair) -> dict:
     }
 
 
-def renyi_contradiction(pair: PlanPair, N: float | None = None) -> dict:
-    """Measured value of the dimensional-entropy chain at the scenario's eps.
+def renyi_contradiction(pair: PlanPair) -> dict:
+    """Measured value of the dimensional-entropy chain at the scenario's eps and N.
 
     ratio = [eps/(eps+a-b) R_b + 2^(1/N-1) (a-b)/(a+eps-b) R_mix(a+eps)] / R_a
     tends to 2^(1/N) as eps -> 0; concavity of the dimensional functionals
@@ -415,20 +413,18 @@ def renyi_contradiction(pair: PlanPair, N: float | None = None) -> dict:
     reproduces the contradiction.
     """
     sc = pair.scenario
-    if N is None:
-        N = sc.N
     gap = pair.support_gap_at(sc.a + sc.eps)
     if not gap > 0.0:
         raise AssertionError("target supports must be disjoint at a + eps")
-    R_a = renyi_raw(pair, sc.a, "d", N)
-    R_b = renyi_raw(pair, sc.b, "d", N)
-    R_mix = renyi_raw(pair, sc.a + sc.eps, "mixed_sum", N)
+    R_a = renyi_raw(pair, sc.a, "d")
+    R_b = renyi_raw(pair, sc.b, "d")
+    R_mix = renyi_raw(pair, sc.a + sc.eps, "mixed_sum")
     ratio = ((sc.eps / (sc.eps + sc.a - sc.b)) * R_b
-             + 2.0 ** (1.0 / N - 1.0) * (sc.a - sc.b) / (sc.a + sc.eps - sc.b) * R_mix) / R_a
-    threshold = 2.0 ** (1.0 / N)
+             + 2.0 ** (1.0 / sc.N - 1.0) * (sc.a - sc.b) / (sc.a + sc.eps - sc.b) * R_mix) / R_a
+    threshold = 2.0 ** (1.0 / sc.N)
     return {
         "eps": sc.eps,
-        "N": N,
+        "N": sc.N,
         "ratio": ratio,
         "threshold": threshold,
         "R_a": R_a,

@@ -14,7 +14,7 @@ overflows to inf outside that regime is a violation too large to
 represent, and it fails the check with its witness.
 
 A (K,N)-convexity battery is a ``TripleBattery`` of arrays (plans and
-their (plan, t) rows; a list of ``TriplePlan`` is packed into one, and a
+their (plan, t) rows; a list of (x0, x1) pairs is packed into one, and a
 lone triple is a one-row battery) scored in one batched pass: numpy
 geodesic points, sigma's rule (conjugate test, branch, denominator) once
 per distinct plan length, and one vectorised weight lookup of the
@@ -41,7 +41,6 @@ from .transport1d import entropies_along
 
 __all__ = [
     "CurvatureReport",
-    "TriplePlan",
     "TripleBattery",
     "default_tolerance",
     "default_triple_battery",
@@ -54,6 +53,8 @@ __all__ = [
 ]
 
 _DEFAULT_T_GRID = tuple(k / 8.0 for k in range(1, 8))
+_BATTERY_COARSE = 64     # default_triple_battery: grid points, all pairs i < j
+_BATTERY_RANDOM = 256    # default_triple_battery: seeded random plans
 
 
 def default_tolerance(grid_step: float) -> float:
@@ -99,27 +100,6 @@ class CurvatureReport:
         return d
 
 
-@dataclass(frozen=True)
-class TriplePlan:
-    """Geodesic triple: endpoints, interior times, and (circle) arc choice."""
-
-    x0: float
-    x1: float
-    t_grid: tuple[float, ...] = _DEFAULT_T_GRID
-    arc: str = "minor"  # minor | major (major only valid for antipodes)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.x1)):
-            raise ValueError("triple endpoints must be finite")
-        if self.x0 == self.x1:
-            raise ValueError("triple needs distinct endpoints")
-        if self.arc not in ("minor", "major"):
-            raise ValueError(f"unknown arc {self.arc!r}")
-        for t in self.t_grid:
-            if not 0.0 < t < 1.0:
-                raise ValueError("interior times must lie in (0,1)")
-
-
 @dataclass(frozen=True, eq=False)
 class TripleBattery:
     """Geodesic triples as arrays: plan i runs from x0[i] to x1[i], along
@@ -147,13 +127,6 @@ class TripleBattery:
             raise ValueError("interior times must lie in (0,1)")
         if len(self.t) and not (0 <= self.plan_of.min() and self.plan_of.max() < n):
             raise ValueError("battery rows must name one of its plans")
-
-    @classmethod
-    def from_plans(cls, plans: Sequence[TriplePlan]) -> "TripleBattery":
-        """The battery of a plan list, plan i for plan i, rows in plan order."""
-        return cls([p.x0 for p in plans], [p.x1 for p in plans],
-                   [p.arc == "major" for p in plans], [t for p in plans for t in p.t_grid],
-                   np.repeat(np.arange(len(plans)), [len(p.t_grid) for p in plans]))
 
 
 def _geodesic_points(space: Space1D, x0: np.ndarray, x1: np.ndarray, major: np.ndarray,
@@ -253,6 +226,8 @@ def triple_margin(space: Space1D, params: CurvatureParams, x0: float, x1: float,
     when the margin overflows outside it; raises ValueError when
     exp(-f/N) itself overflows at one of the three points.
     """
+    if arc not in ("minor", "major"):
+        raise ValueError(f"unknown arc {arc!r}")
     row, _ = _battery_margins(space, params, np.array([x0], dtype=float),
                               np.array([x1], dtype=float), np.array([arc != "minor"]),
                               np.array([t], dtype=float), np.zeros(1, dtype=np.intp))
@@ -277,11 +252,9 @@ def _random_plans(rng: np.random.Generator, lo: float, hi: float, count: int) ->
     return np.concatenate(taken) if taken else np.empty((0, 3))
 
 
-def default_triple_battery(space: Space1D, seed: int = 0, coarse: int = 64,
-                           n_random: int = 256,
-                           t_grid: tuple[float, ...] = _DEFAULT_T_GRID) -> TripleBattery:
-    """All pairs i < j of a coarse grid, each at every time of t_grid, then
-    n_random seeded random plans of one random time each.
+def default_triple_battery(space: Space1D, seed: int = 0) -> TripleBattery:
+    """All pairs i < j of a 64-point grid, each at every time of
+    _DEFAULT_T_GRID, then 256 seeded random plans of one random time each.
 
     A circle pair of antipodes is followed by its major arc.  Built as
     arrays; deterministic for a fixed seed.
@@ -289,10 +262,10 @@ def default_triple_battery(space: Space1D, seed: int = 0, coarse: int = 64,
     lo, hi = space.domain()
     circle = space.topology.kind == "circle"
     if circle:
-        pts = np.linspace(lo, hi, coarse, endpoint=False)
+        pts = np.linspace(lo, hi, _BATTERY_COARSE, endpoint=False)
     else:
         pad = 1e-9 * (hi - lo)
-        pts = np.linspace(lo + pad, hi - pad, coarse)
+        pts = np.linspace(lo + pad, hi - pad, _BATTERY_COARSE)
     i, j = np.triu_indices(len(pts), k=1)  # the order of a double loop over i < j
     if circle:
         c = space.topology.circumference
@@ -304,21 +277,21 @@ def default_triple_battery(space: Space1D, seed: int = 0, coarse: int = 64,
         major[1:] = pair[1:] == pair[:-1]
     else:
         major = np.zeros(len(i), dtype=bool)
-    rand = _random_plans(np.random.default_rng(seed), lo, hi, n_random)
-    times = np.asarray(t_grid, dtype=float)
+    rand = _random_plans(np.random.default_rng(seed), lo, hi, _BATTERY_RANDOM)
     n_grid = len(i)
     return TripleBattery(
         np.concatenate([pts[i], rand[:, 0]]), np.concatenate([pts[j], rand[:, 1]]),
         np.concatenate([major, np.zeros(len(rand), dtype=bool)]),
-        np.concatenate([np.tile(times, n_grid), rand[:, 2]]),
-        np.concatenate([np.repeat(np.arange(n_grid), len(times)),
+        np.concatenate([np.tile(_DEFAULT_T_GRID, n_grid), rand[:, 2]]),
+        np.concatenate([np.repeat(np.arange(n_grid), len(_DEFAULT_T_GRID)),
                         np.arange(n_grid, n_grid + len(rand))]))
 
 
 def check_kn_convex(space: Space1D, params: CurvatureParams,
-                    plan_battery: TripleBattery | Sequence[TriplePlan],
+                    plan_battery: TripleBattery | Sequence[tuple[float, float]],
                     tol: float | None = None) -> CurvatureReport:
-    """Worst (K,N)-convexity margin of the space's weight over the plan battery.
+    """Worst (K,N)-convexity margin of the space's weight over the plan battery:
+    a TripleBattery, or (x0, x1) pairs, each at every t = k/8 on its minor arc.
 
     One batched pass over all (plan, t) rows; the witness is the first row
     of largest margin.  A conjugate plan (K d^2 >= N pi^2, whatever t) is
@@ -330,8 +303,15 @@ def check_kn_convex(space: Space1D, params: CurvatureParams,
         tol = default_tolerance(space.grid_step)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    bat = (plan_battery if isinstance(plan_battery, TripleBattery)
-           else TripleBattery.from_plans(list(plan_battery)))
+    bat = plan_battery
+    if not isinstance(bat, TripleBattery):
+        try:
+            x0, x1 = np.array([(float(a), float(b)) for a, b in bat]).reshape(-1, 2).T
+        except (TypeError, ValueError):
+            raise ValueError("a plan list holds (x0, x1) pairs of numbers") from None
+        n = len(x0)
+        bat = TripleBattery(x0, x1, np.zeros(n, dtype=bool), np.tile(_DEFAULT_T_GRID, n),
+                            np.repeat(np.arange(n), len(_DEFAULT_T_GRID)))
     n_plans = len(bat.x0)
     has_rows = np.bincount(bat.plan_of, minlength=n_plans) > 0
     rowed = np.flatnonzero(has_rows)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CurvatureParams, conjugate_radius, f_vol, s_vol
+from .coefficients import CurvatureParams, _beyond_conjugate_radius, conjugate_radius, f_vol, s_vol
 from .space1d import Space1D, WindowError, _ball_masses, boundary_measure, measure_ball
 from .curvature import (CurvatureReport, check_kn_convex, circle_obstruction,
                         default_triple_battery, default_tolerance)
@@ -58,9 +58,8 @@ def bg_ratio_scan(space: Space1D, x0: float, params: CurvatureParams,
         raise ValueError("r_grid must be increasing")
     if not rs[0] > 0.0:  # m(B_0)/F(0) is 0/0
         raise ValueError(f"radius must be > 0, got {rs[0]!r}")
-    conj = conjugate_radius(params)
-    if rs[-1] > conj * (1.0 + 1e-12):
-        raise ValueError(f"radius {rs[-1]} beyond the conjugate radius {conj}")
+    if _beyond_conjugate_radius(params, rs[-1]):
+        raise ValueError(f"radius {rs[-1]} beyond the conjugate radius {conjugate_radius(params)}")
     ratios = [measure_ball(space, x0, r) / f_vol(params, r) for r in rs]
     worst = -math.inf
     witness = {}
@@ -86,11 +85,12 @@ def bg_boundary_check(space: Space1D, x0: float, params: CurvatureParams,
     N = params.N
     ts = [float(t) for t in t_grid]
     lhss = [boundary_measure(space, x0, t) for t in ts]  # raises for t <= 0, or past the window
-    mass = _ball_masses(space, [space._ball_interval(x0, t) for t in ts])
+    balls = [space._ball_interval(x0, t) for t in ts]
+    mass = _ball_masses(space, balls)
     worst = -math.inf
     witness = {}
-    for t, lhs in zip(ts, lhss):
-        rhs = (2.0 * 5.0 ** (N - 1.0) * mass(*space._ball_interval(x0, t))
+    for t, lhs, ball in zip(ts, lhss, balls):
+        rhs = (2.0 * 5.0 ** (N - 1.0) * mass(*ball)
                * s_vol(params, t) ** (N - 1.0) / f_vol(params, t))
         m = lhs - rhs
         if m > worst:
@@ -182,8 +182,9 @@ def density_ratio_trace(space, x, k: int, r_grid: Sequence[float]) -> DensityRat
         return DensityRatioTrace(tuple(space.measure_ball(x, r) / r ** k for r in rs))
     if rs[-1] < 10.0 * space.grid_step * (1.0 - 1e-12):
         raise ValueError("radii must stay >= 10 * grid_step")
-    mass = _ball_masses(space, [space._ball_interval(x, r) for r in rs])
-    return DensityRatioTrace(tuple(mass(*space._ball_interval(x, r)) / r ** k for r in rs))
+    balls = [space._ball_interval(x, r) for r in rs]
+    mass = _ball_masses(space, balls)
+    return DensityRatioTrace(tuple(mass(*ball) / r ** k for r, ball in zip(rs, balls)))
 
 
 def lipschitz_modulus(space: Space1D, params: CurvatureParams, r: float,

@@ -20,7 +20,6 @@ wraps a coordinate, in `__call__` and `knots_in`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -417,8 +416,8 @@ def _known_fields(data: dict, fields: tuple[str, ...], where: str) -> None:
         raise ValueError(f"{where}: unknown field {unknown[0]!r}")
 
 
-def load_space(source) -> Space1D:
-    """Build a Space1D from the JSON description (dict, JSON text, or path).
+def load_space(data: dict) -> Space1D:
+    """Build a Space1D from a parsed JSON description.
 
     Schema: {"topology": "line"|"halfline"|"interval"|"circle",
              "param": l-or-r (interval/circle),
@@ -428,16 +427,8 @@ def load_space(source) -> Space1D:
     Only the JSON is read here: fields, value types and shapes ("param":
     null passes on a line).  Topology1D, Space1D and WeightFn judge the rest.
     """
-    if isinstance(source, str):
-        if source.lstrip().startswith("{"):
-            data = json.loads(source)
-        else:
-            with open(source) as fh:
-                data = json.load(fh)
-    elif isinstance(source, dict):
-        data = source
-    else:
-        raise ValueError(f"cannot load a space from {type(source)!r}")
+    if not isinstance(data, dict):
+        raise ValueError(f"cannot load a space from {type(data)!r}")
     _known_fields(data, ("topology", "param", "window", "weight", "grid_step"), "space description")
 
     if "topology" not in data:

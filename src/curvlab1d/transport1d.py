@@ -47,7 +47,7 @@ __all__ = [
     "measure_from_atoms",
 ]
 
-_CIRCLE_CUTS = 256
+_CIRCLE_CUTS = 256  # _circle_cut: grid shifts per winding
 _ATOM_WIDTH = 1e-4
 
 
@@ -293,21 +293,21 @@ def _golden_min(fn, a: float, b: float) -> tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _circle_cut(bp0, ext1, n_cuts: int = _CIRCLE_CUTS) -> tuple[float, float]:
+def _circle_cut(bp0, ext1) -> tuple[float, float]:
     """(W2^2, best mass shift alpha) of graph bp0 against extended graph ext1.
 
     The shifted-quantile objective J(alpha) = int (Q0(u) - Q1_ext(u+alpha))^2
     is convex in alpha for the squared cost, so bisection on the sign of
-    its forward difference over 2 * n_cuts grid shifts finds the first grid
-    minimum (the one a full scan's argmin picks, ties included) in about
-    2 log2(2 n_cuts) evaluations, and golden section refines it within one
+    its forward difference over 2 * _CIRCLE_CUTS grid shifts finds the first
+    grid minimum (the one a full scan's argmin picks, ties included) in about
+    2 log2(2 _CIRCLE_CUTS) evaluations, and golden section refines it within one
     grid step (a spatial cut scan can strand in the wrong basin for
     multimodal atom layouts).
     """
     def obj(alpha: float) -> float:
         return _w2sq_line_bp(bp0, _shifted_bp(ext1, alpha))
 
-    shifts = np.linspace(-1.0, 1.0, 2 * n_cuts, endpoint=False)
+    shifts = np.linspace(-1.0, 1.0, 2 * _CIRCLE_CUTS, endpoint=False)
     vals = {}
 
     def grid_val(i: int) -> float:
@@ -323,7 +323,7 @@ def _circle_cut(bp0, ext1, n_cuts: int = _CIRCLE_CUTS) -> tuple[float, float]:
         else:
             lo = m + 1
     k = lo
-    step = 1.0 / n_cuts
+    step = 1.0 / _CIRCLE_CUTS
     a_best, v_best = _golden_min(obj, max(shifts[k] - step, -1.0),
                                  min(shifts[k] + step, 1.0 - 1e-12))
     if grid_val(k) < v_best:

@@ -222,8 +222,7 @@ def brute_force_triple_scan(f, space, K, N, n_grid=120, t_steps=16):
 
 # -- plan-by-plan default battery -------------------------------------------------
 
-def loop_triple_battery(space, seed=0, coarse=64, n_random=256,
-                        t_grid=tuple(k / 8.0 for k in range(1, 8))):
+def loop_triple_battery(space, seed=0, coarse=64, n_random=256):
     """The default (K,N)-convexity battery as (x0, x1, t_grid, arc) tuples,
     built one plan at a time: every grid pair i < j in double-loop order
     (a circle pair of antipodes followed by its major arc), then seeded
@@ -235,6 +234,7 @@ def loop_triple_battery(space, seed=0, coarse=64, n_random=256,
     else:
         pad = 1e-9 * (hi - lo)
         pts = np.linspace(lo + pad, hi - pad, coarse)
+    t_grid = tuple(k / 8.0 for k in range(1, 8))
     plans = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

@@ -7,6 +7,7 @@ doubles as a human-readable report: `pytest tests/test_acceptance.py -s`.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from curvlab1d.coefficients import CurvatureParams, sigma
 from curvlab1d.space1d import Space1D, Topology1D, WeightFn
 from curvlab1d.transport1d import measure_from_atoms, uniform_measure, w2
 from curvlab1d.curvature import (
-    TriplePlan, check_kn_convex, circle_obstruction, verify_cd_infty, verify_cde,
+    check_kn_convex, circle_obstruction, verify_cd_infty, verify_cde,
 )
 from curvlab1d.geometry_scan import bg_boundary_check, bg_ratio_scan, lipschitz_modulus
 from curvlab1d.branching import (
@@ -83,7 +84,7 @@ def test_acceptance_02_equality_weight_convexity():
                 x0, x1 = sorted(-half + 2 * half * rng.random(2))
                 if x1 - x0 < 0.05:
                     continue
-                plans.append(TriplePlan(float(x0), float(x1)))
+                plans.append((float(x0), float(x1)))
         rep = check_kn_convex(space, CurvatureParams(K, N), plans, tol=1e-5)
         margins[step] = abs(rep.max_violation)
     assert margins[1e-3] <= 1e-5
@@ -292,10 +293,9 @@ def test_acceptance_08_branching_shannon_chain():
 
 def test_acceptance_09_branching_renyi_factor():
     t0 = time.time()
-    pair = build_branching_plans(TRIPOD, BASE.replace_eps(1e-3))
     got = {}
     for N in (2.0, 8.0, 64.0):
-        rep = renyi_contradiction(pair, N)
+        rep = renyi_contradiction(build_branching_plans(TRIPOD, replace(BASE, eps=1e-3, N=N)))
         ratio, threshold = rep["ratio"], rep["threshold"]
         assert ratio >= threshold * (1.0 - 5e-3), (N, ratio, threshold)
         got[N] = (ratio, threshold)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,27 +220,28 @@ def test_entropy_chain_rhs_closed_form():
 
 
 def test_renyi_contradiction_levels():
-    p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(1e-3))
     for N in (2.0, 8.0, 64.0):
-        rep = renyi_contradiction(p, N)
+        rep = renyi_contradiction(build_branching_plans(TRIPOD, replace(SCENARIO, eps=1e-3, N=N)))
+        assert rep["N"] == N
         assert rep["threshold"] == pytest.approx(2.0 ** (1.0 / N))
         assert rep["ratio"] >= rep["threshold"] * (1.0 - 5e-3)
         assert rep["contradiction"]
 
 
 def test_renyi_contradiction_persists_large_n():
-    p = build_branching_plans(TRIPOD, SCENARIO.replace_eps(1e-3))
-    rep = renyi_contradiction(p, 1024.0)
+    p = build_branching_plans(TRIPOD, replace(SCENARIO, eps=1e-3, N=1024.0))
+    rep = renyi_contradiction(p)
     assert rep["threshold"] == pytest.approx(2.0 ** (1.0 / 1024.0))
     assert rep["ratio"] > 1.0
 
 
-def test_renyi_mix_equals_sum_of_halves(pair):
+def test_renyi_mix_equals_sum_of_halves():
     sc = SCENARIO
     t = sc.a + sc.eps
     for N in (2.0, 8.0):
-        mix = renyi_raw(pair, t, "mixed_sum", N)
-        split = renyi_raw(pair, t, "u", N) + renyi_raw(pair, t, "d", N)
+        pair = build_branching_plans(TRIPOD, replace(sc, N=N))
+        mix = renyi_raw(pair, t, "mixed_sum")
+        split = renyi_raw(pair, t, "u") + renyi_raw(pair, t, "d")
         assert mix == pytest.approx(split, rel=1e-10)
 
 
@@ -440,3 +442,32 @@ def test_sup_density_refuses_the_target_inside_the_crossing_window(pair):
         with pytest.raises(ValueError, match="peaks between its breakpoints"):
             hd.sup_density("target")
         assert hd.sup_density("stem") >= _dense_sup(hd, "stem") * (1.0 - 1e-12)
+
+
+# -- refusals ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: TripodPoint(3, 0.1), "edge must be 0, 1 or 2", id="point-edge-3"),
+    pytest.param(lambda: TripodPoint(0, -0.1), "s must be >= 0", id="point-s-negative"),
+    pytest.param(lambda: Tripod((1.0, 0.0, 1.0)), "need three positive edge lengths",
+                 id="tripod-length-0"),
+    pytest.param(lambda: Tripod((1.0, 1.0, 1.0), (1.0, -1.0, 1.0)),
+                 "need three positive edge densities", id="tripod-density-negative"),
+    pytest.param(lambda: TRIPOD.distance(TripodPoint(1, 2.0), TRIPOD.center),
+                 r"point TripodPoint\(edge=1, s=2.0\) beyond edge length", id="point-past-edge"),
+    pytest.param(lambda: TRIPOD.measure_ball(TRIPOD.center, -1.0),
+                 "radius must be >= 0, got -1.0", id="radius-negative"),
+    pytest.param(lambda: BranchingScenario(a=0.5, b=0.1, eps=0.05, eta=0.0),
+                 "eta must be > 0", id="scenario-eta-0"),
+    pytest.param(lambda: BranchingScenario(a=0.5, b=0.1, eps=0.05, eta=0.5, beta=1.5),
+                 r"beta must lie in \(0, 1\]", id="scenario-beta-past-1"),
+    pytest.param(lambda: BranchingScenario(a=0.5, b=0.1, eps=0.05, eta=0.5, N=1.0),
+                 "N must be > 1", id="scenario-n-1"),
+    pytest.param(lambda: entropy_along(build_branching_plans(TRIPOD, SCENARIO), 1.5),
+                 r"t must lie in \[0,1\]", id="entropy-t-past-1"),
+    pytest.param(lambda: entropy_along(build_branching_plans(TRIPOD, SCENARIO), 0.5, "up"),
+                 "which must be 'u', 'd' or 'mixed'", id="entropy-unknown-which"),
+])
+def test_refusals_name_the_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

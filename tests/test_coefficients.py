@@ -373,3 +373,10 @@ def test_s_vol_names_a_non_finite_radius(K, t):
     # nan returned nan, and inf returned inf for K <= 0
     with pytest.raises(ValueError, match=rf"at t = {t!r} for K = {K!r}, N = 2\.0"):
         s_vol(CurvatureParams(K, 2.0), t)
+
+
+def test_sigma_refuses_an_overflowing_k_theta_squared():
+    # K theta^2 = -1e320 is -inf: refused, naming K and theta, never a NaN
+    with pytest.raises(ValueError, match=re.escape(
+            "K theta^2 overflows (K = -1e+300, theta = 10000000000.0)")):
+        sigma(0.5, CurvatureParams(-1e300, 2.0), 1e10)

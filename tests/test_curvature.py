@@ -11,7 +11,7 @@ from curvlab1d import curvature, transport1d
 from curvlab1d import geometry_scan as gs
 from curvlab1d.transport1d import uniform_measure
 from curvlab1d.curvature import (
-    TripleBattery, TriplePlan, _battery_sigmas, _random_plans, check_kn_convex,
+    TripleBattery, _battery_sigmas, _random_plans, check_kn_convex,
     circle_obstruction, default_triple_battery, differential_criterion, triple_margin,
     verify_cd_infty, verify_cde,
 )
@@ -49,7 +49,7 @@ def seeded_triples(space, count, seed, min_sep=0.05):
         x0, x1 = sorted(lo + (hi - lo) * rng.random(2))
         if x1 - x0 < min_sep:
             continue
-        plans.append(TriplePlan(float(x0), float(x1)))
+        plans.append((float(x0), float(x1)))
     return plans
 
 
@@ -57,7 +57,7 @@ def seeded_triples(space, count, seed, min_sep=0.05):
 
 def test_affine_case_is_exactly_zero():
     space = flat_space(-1.0, 1.0)
-    report = check_kn_convex(space, CurvatureParams(0.0, 4.0), [TriplePlan(-0.7, 0.3)], tol=1e-12)
+    report = check_kn_convex(space, CurvatureParams(0.0, 4.0), [(-0.7, 0.3)], tol=1e-12)
     assert report.max_violation == 0.0
     assert report.passed
 
@@ -99,7 +99,7 @@ def test_concave_weight_fails_and_matches_brute_force():
 def test_conjugate_regime_flagged_and_skipped():
     space = flat_space(-3.0, 3.0)
     params = CurvatureParams(8.0, 2.0)  # conjugate radius pi/2 ~ 1.57
-    plans = [TriplePlan(-2.5, 2.5), TriplePlan(-0.3, 0.3)]
+    plans = [(-2.5, 2.5), (-0.3, 0.3)]
     report = check_kn_convex(space, params, plans, tol=1e-6)
     assert len(report.conjugate_flags) == 1
     assert report.conjugate_flags[0]["regime"] == "conjugate-point"
@@ -181,41 +181,54 @@ def scalar_margin(space, params, x0, x1, t, arc):
 
 
 def row_scan(space, params, plans):
-    """(worst, witness, flags) by one triple_margin call per (plan, t) row:
-    first strictly larger margin wins; a plan in the conjugate regime (sigma
-    is inf) is flagged once and not scored, while an overflowed inf margin
-    elsewhere is scored like any other."""
+    """(worst, witness, flags) by one triple_margin call per (plan, t) row of
+    (x0, x1, times, arc) plans: first strictly larger margin wins; a plan in
+    the conjugate regime (sigma is inf) is flagged once and not scored, while
+    an overflowed inf margin elsewhere is scored like any other."""
     worst, witness, flags = -math.inf, {}, []
-    for idx, plan in enumerate(plans):
-        for t in plan.t_grid:
-            m = triple_margin(space, params, plan.x0, plan.x1, t, plan.arc)
-            assert m == scalar_margin(space, params, plan.x0, plan.x1, t, plan.arc)
-            _, d = scalar_geodesic(space, plan.x0, plan.x1, t, plan.arc)
+    for idx, (x0, x1, ts, arc) in enumerate(plans):
+        for t in ts:
+            m = triple_margin(space, params, x0, x1, t, arc)
+            assert m == scalar_margin(space, params, x0, x1, t, arc)
+            _, d = scalar_geodesic(space, x0, x1, t, arc)
             if math.isinf(sigma(t, params, d)):
-                flags.append({"plan": idx, "x0": plan.x0, "x1": plan.x1,
-                              "regime": "conjugate-point"})
+                flags.append({"plan": idx, "x0": x0, "x1": x1, "regime": "conjugate-point"})
                 break
             if m > worst:
                 worst = m
-                witness = {"x0": plan.x0, "x1": plan.x1, "t": t, "arc": plan.arc,
-                           "margin": m}
+                witness = {"x0": x0, "x1": x1, "t": t, "arc": arc, "margin": m}
     return worst, witness, flags
 
 
 def plans_of(battery):
-    """A TripleBattery's plans as TriplePlan, in order."""
+    """A TripleBattery's plans as (x0, x1, times, arc) tuples, in order."""
     times = [[] for _ in battery.x0]
     for p, t in zip(battery.plan_of.tolist(), battery.t.tolist()):
         times[p].append(t)
-    return [TriplePlan(x0, x1, tuple(ts), "major" if major else "minor")
+    return [(x0, x1, tuple(ts), "major" if major else "minor")
             for x0, x1, major, ts in zip(battery.x0.tolist(), battery.x1.tolist(),
                                          battery.major.tolist(), times)]
 
 
+def battery_of(plans):
+    """The TripleBattery of (x0, x1, times, arc) plans, rows in plan order."""
+    return TripleBattery([p[0] for p in plans], [p[1] for p in plans],
+                         [p[3] == "major" for p in plans], [t for p in plans for t in p[2]],
+                         np.repeat(np.arange(len(plans)), [len(p[2]) for p in plans]))
+
+
+def sub_battery(battery, keep):
+    """The plans of `battery` where `keep`, with their rows, in order."""
+    rows = keep[battery.plan_of]
+    plan_of = (np.cumsum(keep) - 1)[battery.plan_of[rows]]
+    return TripleBattery(battery.x0[keep], battery.x1[keep], battery.major[keep],
+                         battery.t[rows], plan_of)
+
+
 def assert_matches_row_scan(space, params, plans, battery=None):
-    """check_kn_convex on the plans (or on `battery`, holding the same plans)
-    against the row scan of the plans."""
-    battery = plans if battery is None else battery
+    """check_kn_convex on the (x0, x1, times, arc) plans (or on `battery`,
+    holding the same plans) against the row scan of the plans."""
+    battery = battery_of(plans) if battery is None else battery
     worst, witness, flags = row_scan(space, params, plans)
     if worst == -math.inf:
         with pytest.raises(ValueError, match="no finite-margin plan"):
@@ -257,14 +270,20 @@ space_args = dict(kind=st.sampled_from(TOPOLOGIES), amp=st.floats(0.0, 2.0),
 @example(seed=0, kind="circle", amp=1.0, freq=2, K=8.0, N=2.0)
 @example(seed=1, kind="line", amp=0.5, freq=3, K=8.0, N=2.0)
 def test_battery_scan_matches_row_scan_default_battery(seed, kind, amp, freq, K, N):
-    # coarse grid pairs (both arcs at circle antipodes) plus 256 random single-t plans
+    # grid pairs (both arcs at circle antipodes) plus 256 random single-t plans;
+    # the row scan runs on every 31st grid pair, every antipodal pair's two
+    # arcs and all the random plans
     space = wavy_space(kind, amp, freq)
-    battery = default_triple_battery(space, seed=seed, coarse=12)
+    battery = default_triple_battery(space, seed=seed)
     plans = plans_of(battery)
-    assert sum(len(p.t_grid) == 1 for p in plans) == 256
+    assert sum(len(p[2]) == 1 for p in plans) == 256
     if kind == "circle":
-        assert any(p.arc == "major" for p in plans)
-    assert_matches_row_scan(space, CurvatureParams(K, N), plans, battery)
+        assert any(p[3] == "major" for p in plans)
+    n = len(plans)
+    antipodal = battery.major | np.append(battery.major[1:], False)
+    keep = (np.arange(n) % 31 == 0) | antipodal | (np.arange(n) >= n - 256)
+    sub = sub_battery(battery, keep)
+    assert_matches_row_scan(space, CurvatureParams(K, N), plans_of(sub), sub)
 
 
 @settings(max_examples=40)
@@ -281,9 +300,9 @@ def test_battery_scan_matches_row_scan_user_battery(data, kind, amp, freq, K, N)
             st.tuples(point, point, times, st.booleans()), min_size=1, max_size=10)):
         if kind == "circle" and major:
             c = space.topology.circumference
-            plans.append(TriplePlan(x0, (x0 + c / 2.0) % c, ts, arc="major"))
+            plans.append((x0, (x0 + c / 2.0) % c, ts, "major"))
         elif x0 != x1:
-            plans.append(TriplePlan(x0, x1, ts))
+            plans.append((x0, x1, ts, "minor"))
     assert_matches_row_scan(space, CurvatureParams(K, N), plans)
 
 
@@ -295,13 +314,13 @@ def test_battery_scan_matches_row_scan_when_a_margin_overflows():
     space = Space1D(Topology1D("line"), WeightFn(np.array([lo, hi]), np.full(2, -1418.0)),
                     grid_step=1e-3, window=(lo, hi))
     params = CurvatureParams(8.0, 2.0)  # conjugate at d = pi/2
-    plans = [TriplePlan(-0.785, 0.785, (0.5, 1e-6)), TriplePlan(-0.01, 0.01, (0.5,))]
+    plans = [(-0.785, 0.785, (0.5, 1e-6), "minor"), (-0.01, 0.01, (0.5,), "minor")]
     assert params.K * 1.57 ** 2 < params.N * math.pi ** 2
     assert math.isinf(triple_margin(space, params, -0.785, 0.785, 0.5))
     assert math.isfinite(triple_margin(space, params, -0.785, 0.785, 1e-6))
     assert_matches_row_scan(space, params, plans)
     for battery in (plans, plans[:1]):  # alone, the plan no longer raises
-        report = check_kn_convex(space, params, battery, tol=1e-6)
+        report = check_kn_convex(space, params, battery_of(battery), tol=1e-6)
         assert report.witness["x0"] == -0.785 and report.witness["t"] == 0.5
         assert math.isinf(report.max_violation) and not report.passed
         assert report.conjugate_flags == []
@@ -309,9 +328,10 @@ def test_battery_scan_matches_row_scan_when_a_margin_overflows():
 
 def test_triple_plan_rejects_non_finite_endpoints():
     # a NaN endpoint gives a NaN margin, which no scan may skip or rank
+    space = flat_space(-1.0, 1.0)
     for x0, x1 in ((math.nan, 0.3), (0.3, math.inf)):
         with pytest.raises(ValueError, match="finite"):
-            TriplePlan(x0, x1)
+            check_kn_convex(space, CurvatureParams(0.0, 2.0), [(-0.5, 0.5), (x0, x1)])
 
 
 def test_battery_makes_one_weight_lookup(monkeypatch):
@@ -335,12 +355,12 @@ def test_battery_makes_one_weight_lookup(monkeypatch):
     assert math.isinf(sigma(0.5, params, 1.0))
     calls.clear()
     report = check_kn_convex(space, params,
-                             [TriplePlan(0.5, 1.5), TriplePlan(-0.3, 0.3)], tol=1e-6)
+                             [(0.5, 1.5), (-0.3, 0.3)], tol=1e-6)
     assert [f["plan"] for f in report.conjugate_flags] == [0]
     assert report.witness["x1"] == 0.3
     assert calls == [2 + 7]  # the kept plan's x0, x1 and its 7 points x_t only
     with pytest.raises(WindowError):
-        check_kn_convex(space, params, [TriplePlan(0.2, 1.1)], tol=1e-6)
+        check_kn_convex(space, params, [(0.2, 1.1)], tol=1e-6)
 
 
 class _CountingMath:
@@ -481,18 +501,17 @@ def test_random_plans_follow_the_draw_loop(count, seed, close):
 def test_default_battery_is_the_plan_loop(kind):
     # same plans, order and random draws as building the battery plan by plan
     space = wavy_space(kind, 1.0, 2)
-    for seed, coarse, n_random in ((0, 64, 256), (3, 8, 5), (7, 1, 3), (1, 12, 0)):
-        battery = default_triple_battery(space, seed=seed, coarse=coarse, n_random=n_random)
-        plans = [(p.x0, p.x1, p.t_grid, p.arc) for p in plans_of(battery)]
-        assert plans == loop_triple_battery(space, seed, coarse, n_random)
-        again = TripleBattery.from_plans(plans_of(battery))
-        for name in ("x0", "x1", "major", "t", "plan_of"):
-            assert np.array_equal(getattr(again, name), getattr(battery, name))
-    if kind == "circle":  # the grid pair (0, 4) of 8 points is antipodal
-        plans = plans_of(default_triple_battery(space, coarse=8, n_random=0))
-        assert [p.arc for p in plans[3:6]] == ["minor", "major", "minor"]
-    with pytest.raises(ValueError, match="interior times"):
-        default_triple_battery(space, t_grid=(0.5, 1.0))
+    for seed in (0, 3, 7, 1):
+        plans = plans_of(default_triple_battery(space, seed=seed))
+        assert plans == loop_triple_battery(space, seed)
+        if kind == "circle":  # the grid pair (0, 32) of 64 points is antipodal
+            assert [p[3] for p in plans[30:34]] == ["minor", "minor", "major", "minor"]
+            assert plans[31][:2] == plans[32][:2]
+    lo, hi = space.domain()
+    for seed, n_random in ((3, 5), (7, 3), (1, 0)):  # a one-point grid has no pair
+        got = _random_plans(np.random.default_rng(seed), lo, hi, n_random)
+        want = loop_triple_battery(space, seed, coarse=1, n_random=n_random)
+        assert [(x0, x1, (t,), "minor") for x0, x1, t in got.tolist()] == want
 
 
 # -- differential criterion -------------------------------------------------------
@@ -627,7 +646,7 @@ def test_every_report_survives_json_dumps():
     reports = [
         verify_cde(flat, params, pairs),
         verify_cd_infty(flat, 0.0, pairs),
-        check_kn_convex(flat, params, [TriplePlan(0.2, 0.8)]),
+        check_kn_convex(flat, params, [(0.2, 0.8)]),
         circle_obstruction(circle_with(np.zeros_like), CurvatureParams(1.0, 2.0)),
         gs.bg_ratio_scan(flat, 0.5, params, [0.1, 0.2, 0.3]),
         gs.bg_boundary_check(flat, 0.5, params, [0.1, 0.2]),
@@ -933,5 +952,35 @@ def test_circle_battery_on_kn_convexity_also_fails():
     # the generic battery finds violations for constant weight, K > 0
     space = circle_with(lambda th: np.zeros_like(th), n=256)
     report = check_kn_convex(space, CurvatureParams(1.0, 2.0),
-                             default_triple_battery(space, seed=2, coarse=16), tol=1e-6)
+                             default_triple_battery(space, seed=2), tol=1e-6)
     assert not report.passed
+
+
+# -- refusals ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: TripleBattery([0.0, 0.5], [1.0], [False], [0.5], [0]),
+                 "battery arrays disagree in length", id="battery-lengths"),
+    pytest.param(lambda: TripleBattery([0.0], [1.0], [False], [0.5], [1]),
+                 "battery rows must name one of its plans", id="battery-row-without-plan"),
+    pytest.param(lambda: TripleBattery([0.0], [1.0], [False], [0.5, 1.0], [0, 0]),
+                 r"interior times must lie in \(0,1\)", id="battery-time-1"),
+    pytest.param(lambda: check_kn_convex(flat_space(-1.0, 1.0), CurvatureParams(0.0, 2.0),
+                                         [(-0.5, 0.5), (0.1, 0.2, 0.3)]),
+                 r"a plan list holds \(x0, x1\) pairs of numbers", id="plan-of-three-numbers"),
+    pytest.param(lambda: check_kn_convex(flat_space(-1.0, 1.0), CurvatureParams(0.0, 2.0),
+                                         [0.5]),
+                 r"a plan list holds \(x0, x1\) pairs of numbers", id="plan-of-one-number"),
+    pytest.param(lambda: check_kn_convex(flat_space(-1.0, 1.0), CurvatureParams(0.0, 2.0),
+                                         [("a", 0.5)]),
+                 r"a plan list holds \(x0, x1\) pairs of numbers", id="plan-of-a-string"),
+    pytest.param(lambda: triple_margin(circle_with(np.zeros_like), CurvatureParams(1.0, 2.0),
+                                       0.0, 1.0, 0.5, arc="major"),
+                 "major arc is only a geodesic between antipodes", id="major-arc-not-antipodal"),
+    pytest.param(lambda: triple_margin(flat_space(-1.0, 1.0), CurvatureParams(1.0, 2.0),
+                                       0.0, 1.0, 0.5, arc="long"),
+                 "unknown arc 'long'", id="unknown-arc"),
+])
+def test_refusals_name_the_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

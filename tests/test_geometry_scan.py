@@ -536,3 +536,23 @@ def test_classify_prefers_smallest_k():
     space = Space1D(Topology1D("interval", 1.0))
     report = classify(space, [CurvatureParams(0.0, 2.0), CurvatureParams(-1.0, 2.0)])
     assert (report.K, report.N) == (-1.0, 2.0)
+
+
+# -- refusals ------------------------------------------------------------------------
+
+FLAT = CurvatureParams(0.0, 2.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: bg_ratio_scan(flat_line(), 0.0, FLAT, [0.5, 0.5, 1.0]),
+                 "r_grid must be increasing", id="bg-ratio-radii-not-increasing"),
+    pytest.param(lambda: linear_growth_constant(flat_line(), 0.0, 1.0, [0.5, 1.5], FLAT),
+                 r"s_grid must lie in \(0, 1\]", id="growth-s-past-1"),
+    pytest.param(lambda: density_ratio_trace(Tripod((1.0, 1.0, 1.0)), 0.5, 1, [0.2, 0.1]),
+                 "tripod traces need a TripodPoint", id="tripod-trace-without-a-point"),
+    pytest.param(lambda: lipschitz_modulus(flat_line(), FLAT, 2e-3, [(0.0, 1e-4)]),
+                 r"need r > 2 \* grid_step", id="lipschitz-r-of-two-steps"),
+])
+def test_refusals_name_the_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -651,7 +651,7 @@ def test_weight_rejects_bad_samples():
 
 def test_space_json_roundtrip():
     space = weighted_interval()
-    assert load_space(json.dumps(space_to_dict(space))) == space
+    assert load_space(json.loads(json.dumps(space_to_dict(space)))) == space
 
 
 def test_load_space_schema_errors():
@@ -696,4 +696,31 @@ def test_load_space_refuses_unknown_fields():
     # space_to_dict writes "param": null on a line or half-line
     for space in (Space1D(Topology1D("line"), window=(-1.0, 1.0)),
                   Space1D(Topology1D("halfline"), window=(0.0, 1.0))):
-        assert load_space(json.dumps(space_to_dict(space))) == space
+        assert load_space(json.loads(json.dumps(space_to_dict(space)))) == space
+
+
+# -- refusals ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: Topology1D("line").circumference,
+                 "circumference only defined for circles", id="circumference-of-a-line"),
+    pytest.param(lambda: WeightFn(np.array([0.0, 1.0, 2.0]), np.zeros(3), period=2.0),
+                 "periodic samples must span less than one period", id="samples-span-a-period"),
+    pytest.param(lambda: rescale(flat_line(), 0.0, 0.0), "scale must be > 0, got 0.0",
+                 id="rescale-r-0"),
+    pytest.param(lambda: rescale(flat_line(), 0.0, -1.0), "scale must be > 0, got -1.0",
+                 id="rescale-r-negative"),
+    pytest.param(lambda: rescale(flat_line(), 9.0, 1.0), "center 9.0 outside the domain",
+                 id="rescale-centre-outside"),
+])
+def test_refusals_name_the_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_zero_radius_ball_and_sphere():
+    # a ball of radius 0 is its centre alone: no mass, and one sphere point
+    for space, x in ((flat_line(), 1.5), (Space1D(Topology1D("circle", 1.0)), 1.0),
+                     (Space1D(Topology1D("interval", 2.0)), 0.0)):
+        assert measure_ball(space, x, 0.0) == 0.0
+        assert space.sphere_coords(x, 0.0) == [x]

@@ -1,7 +1,8 @@
 """Verdicts that respect the symmetries of CD(K, N).
 
-(X, d, m) and (X, d, e^{-c} m) have the same curvature-dimension bounds,
-and (X, lambda d, m) is CD(K / lambda^2, N) when (X, d, m) is CD(K, N).
+(X, d, m), its mirror image and (X, d, e^{-c} m) have the same
+curvature-dimension bounds, and (X, lambda d, m) is CD(K / lambda^2, N)
+when (X, d, m) is CD(K, N).
 An exact check moves its margin under neither.  Each property below holds
 a check's margin to a rounding bound; relations that a check breaks today
 are `FOUND:` lines in CHANGES.md (ROADMAP item 20).
@@ -12,7 +13,10 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from curvlab1d.curvature import _DEFAULT_T_GRID, verify_cd_infty
+from curvlab1d.coefficients import CurvatureParams
+from curvlab1d.curvature import (_DEFAULT_T_GRID, TripleBattery, _battery_margins,
+                                 _battery_sigmas, check_kn_convex, default_triple_battery,
+                                 verify_cd_infty)
 from curvlab1d.space1d import Space1D, Topology1D, WeightFn
 from curvlab1d.transport1d import entropies_along, uniform_measure
 
@@ -24,6 +28,17 @@ from curvlab1d.transport1d import entropies_along, uniform_measure
 # plus |c| or |log lambda|, the shift that the relation adds to each
 # entropy.  In 3,000 random draws the margin moved by at most 4.3 eps of it.
 ROUNDING = 64.0 * np.finfo(float).eps
+
+# Rounding bound on a (K,N)-convexity row margin under the mirror x -> L - x.
+# The row's points and length move by an ulp of L, which moves
+# g = exp(-f/N) by about eps L max|f'| / N of g, and interpolating the
+# mirrored weight rounds once more; the row is sigma0 g0 + sigma1 g1 - g_t,
+# so the bound is 16 eps (|sigma0| + |sigma1| + 1) max g max(1, L max|f'| / N).
+# It leaves out sigma's own sensitivity to d: rows with K d^2 < N pi^2 / 2
+# moved by at most 2.1 eps of that scale in 1,500 random draws, but within
+# 6% of the conjugate length a row can move past it (a FOUND: line in
+# CHANGES.md).
+MIRROR_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 def weighted_space(kind, length, f, lam=1.0, c=0.0):
@@ -109,3 +124,33 @@ def test_cd_infty_margin_ignores_the_unit_of_length(case, log_lam):
                             uniform_pairs(scaled, spans, lam)).max_violation
     bound = ROUNDING * (entropy_scale(space, K, pairs) + abs(math.log(lam)))
     assert abs(moved - base) <= bound, (base, moved, bound)
+
+
+@settings(max_examples=40)
+@given(length=st.floats(0.5, 5.0),
+       f=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=40).map(np.array),
+       K=st.floats(-2.0, 2.0), N=st.floats(1.1, 4.0), seed=st.integers(0, 2 ** 16))
+def test_kn_convex_margins_ignore_a_mirror(length, f, K, N, seed):
+    # the interval's weight mirrored, f(L - x), and the default battery's
+    # endpoints mirrored: every row is the same triple, read from the other end
+    space = weighted_space("interval", length, f)
+    coords = space.weight.coords
+    mirror = Space1D(Topology1D("interval", length),
+                     WeightFn(length - coords[::-1], f[::-1]), grid_step=space.grid_step)
+    bat = default_triple_battery(space, seed=seed)
+    flipped = TripleBattery(length - bat.x0, length - bat.x1, bat.major, bat.t, bat.plan_of)
+    params = CurvatureParams(K, N)
+    rows = [bat.major, bat.t, bat.plan_of]
+    base, live = _battery_margins(space, params, bat.x0, bat.x1, *rows)
+    moved, live_moved = _battery_margins(mirror, params, flipped.x0, flipped.x1, *rows)
+    assert np.array_equal(live, live_moved)
+    _, s0, s1 = _battery_sigmas(params, np.abs(bat.x1 - bat.x0), bat.t, bat.plan_of)
+    slope = float(np.max(np.abs(np.diff(f) / np.diff(coords))))
+    scale = math.exp(-float(np.min(f)) / N) * max(1.0, length * slope / N)
+    bound = MIRROR_ROUNDING * (np.abs(s0) + np.abs(s1) + 1.0) * scale
+    on = live[bat.plan_of]
+    assert np.all(np.abs(moved[on] - base[on]) <= bound), float(np.max(
+        np.abs(moved[on] - base[on]) / bound))
+    report = check_kn_convex(space, params, bat)
+    again = check_kn_convex(mirror, params, flipped)
+    assert abs(again.max_violation - report.max_violation) <= float(np.max(bound))

@@ -255,8 +255,8 @@ def test_w2_circle_cut_refinement_invariant():
         mu0 = uniform_measure(sp, float(rng.uniform(0, 3)), float(rng.uniform(3.5, 5)))
         mu1 = uniform_measure(sp, float(rng.uniform(0, 2)), float(rng.uniform(2.5, 6)))
         bp0, ext1 = _breakpoints(mu0), _extended_bp(mu1)
-        v256, _ = _circle_cut(bp0, ext1, n_cuts=256)
-        v2560, _ = _circle_cut(bp0, ext1, n_cuts=2560)
+        v256, _ = _circle_cut(bp0, ext1)
+        (v2560, _), _ = _scan_circle_cut(bp0, ext1, n_cuts=2560)
         assert abs(v256 - v2560) <= 1e-8
 
 
@@ -869,3 +869,27 @@ def test_a_subnormal_shift_is_no_shift():
     assert at_zero == 1.5833333333333333
     for alpha in (-5e-324, 5e-324, -1e-301):
         assert _w2sq_line_bp(bp0, _shifted_bp(ext1, alpha)) == at_zero, alpha
+
+
+# -- refusals ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: ProbMeasure1D(flat_space(), np.array([0.0, 1.0, 2.0]), np.array([1.0])),
+                 "edges must be one longer than density", id="edges-and-density"),
+    pytest.param(lambda: uniform_measure(flat_space(), 1.0, 1.0),
+                 "uniform measure needs hi > lo", id="uniform-empty"),
+    pytest.param(lambda: measure_from_density(flat_space(), np.zeros_like, 0.0, 1.0),
+                 "density integrates to zero", id="zero-density"),
+    pytest.param(lambda: measure_from_atoms(flat_space(), [1.0, 2.0], [1.0, 0.0]),
+                 "atom masses must be positive", id="atom-mass-0"),
+    pytest.param(lambda: measure_from_atoms(flat_space(), [1.0, 1.00005], [1.0, 1.0]),
+                 "atoms closer than the mollification width", id="atoms-too-close"),
+    pytest.param(lambda: displacement_interpolate(uniform_measure(flat_space(), 0.0, 1.0),
+                                                  uniform_measure(flat_space(), 2.0, 3.0), 1.5),
+                 r"t must lie in \[0,1\], got 1.5", id="interpolate-t-past-1"),
+    pytest.param(lambda: renyi(uniform_measure(flat_space(), 0.0, 1.0), 1.0),
+                 "N must be > 1", id="renyi-n-1"),
+])
+def test_refusals_name_the_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
